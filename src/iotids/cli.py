@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IoFailure, ModelError
 from .features import permutation_importance
-from .flows import impute_missing, parse_conn_log_file
+from .flows import class_index, impute_missing, parse_conn_log_file
 from .metrics import compute_metrics, confusion, metrics_to_json
 from .persist import load_bundle
 from .pipeline import ExperimentConfig, read_labeled_dir, run_training
@@ -57,8 +57,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _labeled_task_rows(bundle, data_path):
     """(records, targets) for the bundle's task; sentinel rows dropped."""
-    from .flows import class_index
-
     dataset = read_labeled_dir(data_path)
     records, targets = [], []
     for flow in dataset.rows:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import BadIpSyntax, ColumnMismatch, SchemaMismatch
-from .flows import ClassLabel, Dataset, RawFlowRecord
+from .flows import RawFlowRecord
 
 log = logging.getLogger(__name__)
 
@@ -232,13 +232,6 @@ def build_schema(vocabulary: OneHotVocabulary) -> FeatureSchema:
     return FeatureSchema(tuple(columns))
 
 
-@dataclass
-class FeatureMatrix:
-    values: np.ndarray
-    schema: FeatureSchema
-    labels: list[ClassLabel]
-
-
 def _encode_record(record: RawFlowRecord, table: CidrTable, vocabulary: OneHotVocabulary) -> np.ndarray:
     row = numeric_values(record)
     orig_scope, resp_scope, _, _ = derive_ip_features(record, table)
@@ -256,7 +249,11 @@ def matrix_from_records(
     vocabulary: OneHotVocabulary,
     params: MinMaxParams | None = None,
 ) -> tuple[np.ndarray, FeatureSchema]:
-    """Raw (unscaled) or scaled matrix for parsed records, plus its schema."""
+    """Raw (unscaled) or scaled matrix for parsed records, plus its schema.
+
+    Columns are the numerics, the IP scopes, then one-hot blocks; their
+    order is a pure function of the schema.
+    """
     schema = build_schema(vocabulary)
     if records:
         values = np.stack([_encode_record(r, table, vocabulary) for r in records])
@@ -269,39 +266,6 @@ def matrix_from_records(
             )
         values = transform_min_max(params, values)
     return values, schema
-
-
-def build_feature_matrix(
-    dataset: Dataset,
-    table: CidrTable,
-    vocabulary: OneHotVocabulary,
-    params: MinMaxParams | None = None,
-    expected_width: int | None = None,
-) -> FeatureMatrix:
-    """Assemble the dense matrix: numerics, IP scopes, then one-hot blocks.
-
-    Column order is a pure function of the schema.  expected_width guards
-    the real-dataset configuration (36 columns there); synthetic schemas
-    skip the check by leaving it None.
-    """
-    values, schema = matrix_from_records([f.record for f in dataset.rows], table, vocabulary, params)
-    if expected_width is not None and schema.width != expected_width:
-        raise SchemaMismatch(f"finalized width {schema.width} != expected {expected_width}")
-    return FeatureMatrix(values, schema, [f.label for f in dataset.rows])
-
-
-def task_targets(matrix: FeatureMatrix, task: str) -> np.ndarray:
-    """Integer class targets aligned with matrix rows for the given task."""
-    if task == "binary":
-        return np.array([int(lbl.binary) for lbl in matrix.labels], dtype=np.int64)
-    if task == "multiclass":
-        out = []
-        for lbl in matrix.labels:
-            if lbl.multi is None:
-                raise ValueError("sentinel-labeled row in a multiclass matrix")
-            out.append(int(lbl.multi))
-        return np.array(out, dtype=np.int64)
-    raise ValueError(f"unknown task {task!r}")
 
 
 # --- permutation importance -----------------------------------------------------

@@ -1,34 +1,3 @@
-"""From-scratch classifiers sharing a numpy predict contract."""
-
-from .tree import DecisionTree, TreeParams, fit_tree
-from .forest import ForestModel, ForestParams, fit_random_forest, predict_forest
-from .adaboost import AdaModel, AdaParams, fit_adaboost, predict_adaboost
-from .gbm import GbmModel, GbmParams, TrainCurve, fit_gbm, predict_gbm
-from .knn import KnnModel, fit_knn, predict_knn
-from .svm import SvmModel, SvmParams, fit_linear_svm, predict_svm
-
-__all__ = [
-    "DecisionTree",
-    "TreeParams",
-    "fit_tree",
-    "ForestModel",
-    "ForestParams",
-    "fit_random_forest",
-    "predict_forest",
-    "AdaModel",
-    "AdaParams",
-    "fit_adaboost",
-    "predict_adaboost",
-    "GbmModel",
-    "GbmParams",
-    "TrainCurve",
-    "fit_gbm",
-    "predict_gbm",
-    "KnnModel",
-    "fit_knn",
-    "predict_knn",
-    "SvmModel",
-    "SvmParams",
-    "fit_linear_svm",
-    "predict_svm",
-]
+"""From-scratch classifiers sharing one model protocol: n_features,
+n_classes, predict(X), to_dict() and from_dict(d); models with class
+probabilities also have predict_proba(X)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,23 @@ class AdaModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict_adaboost(self, X)
+
+    def to_dict(self) -> dict:
+        return {
+            "params": asdict(self.params),
+            "n_classes": self.n_classes,
+            "n_features": self.n_features,
+            "stages": [{"tree": t.to_dict(), "alpha": a} for t, a in self.stages],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AdaModel":
+        return cls(
+            stages=[(DecisionTree.from_dict(s["tree"]), s["alpha"]) for s in d["stages"]],
+            n_classes=d["n_classes"],
+            n_features=d["n_features"],
+            params=AdaParams(**d["params"]),
+        )
 
 
 def fit_adaboost(X: np.ndarray, y: np.ndarray, params: AdaParams = AdaParams()) -> AdaModel:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,40 @@ class ForestModel:
     n_features: int
     params: ForestParams
 
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Share of the trees voting for each class."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
+        votes = np.zeros((X.shape[0], self.n_classes))
+        for tree in self.trees:
+            votes[np.arange(X.shape[0]), tree.predict(X)] += 1.0
+        return votes / len(self.trees)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_forest(self, X)[0]
+        """Modal tree vote; ties go to the lowest class."""
+        return np.argmax(self.predict_proba(X), axis=1)
+
+    def to_dict(self) -> dict:
+        return {
+            "params": asdict(self.params),
+            "tree_seeds": self.tree_seeds,
+            "features_per_split": self.features_per_split,
+            "n_classes": self.n_classes,
+            "n_features": self.n_features,
+            "trees": [t.to_dict() for t in self.trees],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ForestModel":
+        return cls(
+            trees=[DecisionTree.from_dict(t) for t in d["trees"]],
+            tree_seeds=d["tree_seeds"],
+            features_per_split=d["features_per_split"],
+            n_classes=d["n_classes"],
+            n_features=d["n_features"],
+            params=ForestParams(**d["params"]),
+        )
 
 
 def fit_random_forest(
@@ -84,15 +116,3 @@ def fit_random_forest(
 
     return ForestModel(trees, tree_seeds, mtry, n_classes, d, params)
 
-
-def predict_forest(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, vote shares); label = modal tree vote, ties to the lowest class."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise WidthMismatch(model.n_features, X.shape[1] if X.ndim == 2 else -1)
-    votes = np.zeros((X.shape[0], model.n_classes))
-    for tree in model.trees:
-        pred = tree.predict(X)
-        votes[np.arange(X.shape[0]), pred] += 1.0
-    shares = votes / len(model.trees)
-    return np.argmax(shares, axis=1), shares

@@ -3,7 +3,7 @@ L2 leaf regularization, and validation-loss early stopping."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,8 +44,41 @@ class GbmModel:
     n_features: int
     params: GbmParams
 
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Softmax over scores accumulated through best_round; a zero-round
+        model yields the uniform distribution."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
+        F = np.zeros((X.shape[0], self.n_classes))
+        for round_trees in self.rounds[: self.best_round + 1]:
+            for c, tree in enumerate(round_trees):
+                F[:, c] += self.learning_rate * tree.leaf_score[tree.apply(X)]
+        return softmax(F)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_gbm(self, X)[0]
+        return np.argmax(self.predict_proba(X), axis=1)
+
+    def to_dict(self) -> dict:
+        return {
+            "params": asdict(self.params),
+            "learning_rate": self.learning_rate,
+            "best_round": self.best_round,
+            "n_classes": self.n_classes,
+            "n_features": self.n_features,
+            "rounds": [[t.to_dict() for t in rnd] for rnd in self.rounds],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GbmModel":
+        return cls(
+            rounds=[[DecisionTree.from_dict(t) for t in rnd] for rnd in d["rounds"]],
+            learning_rate=d["learning_rate"],
+            best_round=d["best_round"],
+            n_classes=d["n_classes"],
+            n_features=d["n_features"],
+            params=GbmParams(**d["params"]),
+        )
 
 
 def _newton_leaf_scores(tree: DecisionTree, leaves: np.ndarray, g: np.ndarray, h: np.ndarray, l2: float) -> None:
@@ -128,16 +161,3 @@ def fit_gbm(
     model = GbmModel(rounds, params.learning_rate, best_round, n_classes, d, params)
     return model, TrainCurve(train_losses, val_losses, stopped_at)
 
-
-def predict_gbm(model: GbmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, probabilities): softmax over scores accumulated through
-    best_round; a zero-round model yields the uniform distribution."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise WidthMismatch(model.n_features, X.shape[1] if X.ndim == 2 else -1)
-    F = np.zeros((X.shape[0], model.n_classes))
-    for round_trees in model.rounds[: model.best_round + 1]:
-        for c, tree in enumerate(round_trees):
-            F[:, c] += model.learning_rate * tree.leaf_score[tree.apply(X)]
-    probs = softmax(F)
-    return np.argmax(probs, axis=1), probs

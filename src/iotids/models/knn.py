@@ -28,6 +28,13 @@ class KnnModel:
     def predict(self, X_query: np.ndarray) -> np.ndarray:
         return predict_knn(self, X_query)
 
+    def to_dict(self) -> dict:
+        return {"k": self.k, "X": self.X.tolist(), "y": self.y.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "KnnModel":
+        return cls(np.asarray(d["X"], dtype=float), np.asarray(d["y"], dtype=np.int64), d["k"])
+
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:
     """Lazy learner: stores the (scaled) training data verbatim."""

@@ -20,14 +20,32 @@ class SvmParams:
 
 
 @dataclass
-class SvmModel:
+class SvmClassifier:
+    """Linear SVM over class indices: class 1 on a non-negative margin."""
+
     w: np.ndarray
     b: float
     C: float
     epochs_trained: int
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return predict_svm(self, X)[1]
+    @property
+    def n_features(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return 2
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        labels, _ = predict_svm(self, X)
+        return ((labels + 1) // 2).astype(np.int64)
+
+    def to_dict(self) -> dict:
+        return {"w": self.w.tolist(), "b": self.b, "C": self.C, "epochs_trained": self.epochs_trained}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SvmClassifier":
+        return cls(np.asarray(d["w"], dtype=float), d["b"], d["C"], d["epochs_trained"])
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
@@ -35,7 +53,7 @@ def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: floa
     return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - margins).sum())
 
 
-def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()) -> SvmModel:
+def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()) -> SvmClassifier:
     """SGD over per-sample subgradients with step lr0 / (1 + t * decay).
 
     y must be in {-1, +1}.  Row visit order reshuffles each epoch from the
@@ -60,10 +78,10 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
                 b = b + eta * params.C * y[i]
             else:
                 w = (1.0 - eta) * w
-    return SvmModel(w, b, params.C, params.epochs)
+    return SvmClassifier(w, b, params.C, params.epochs)
 
 
-def predict_svm(model: SvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict_svm(model: SvmClassifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels in {-1,+1}, margins); a zero margin classifies as +1."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.w.shape[0]:
@@ -72,19 +90,3 @@ def predict_svm(model: SvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     labels = np.where(margins >= 0.0, 1, -1)
     return labels, margins
 
-
-@dataclass
-class SvmClassifier:
-    """Class-index view of an SvmModel: class 1 on non-negative margin."""
-
-    model: SvmModel
-
-    @property
-    def n_features(self) -> int:
-        return self.model.w.shape[0]
-
-    n_classes: int = 2
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        labels, _ = predict_svm(self.model, X)
-        return ((labels + 1) // 2).astype(np.int64)

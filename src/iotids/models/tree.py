@@ -61,10 +61,6 @@ class DecisionTree:
             return np.argmax(self.leaf_class_counts[leaves], axis=1)
         return self.leaf_score[leaves]
 
-    def predict_counts(self, X: np.ndarray) -> np.ndarray:
-        """Weighted class-count vectors of the reached leaves."""
-        return self.leaf_class_counts[self.apply(X)]
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),

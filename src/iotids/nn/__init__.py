@@ -1,30 +1,1 @@
 """Minimal dense/conv neural-network engine with hand-written backprop."""
-
-from .functional import (
-    categorical_cross_entropy,
-    elastic_net_penalty,
-    elu,
-    glorot_uniform,
-    relu,
-    softmax,
-)
-from .network import Network, NetworkSpec, build_ann, build_cnn
-from .training import TrainingCurve, TrainParams, train_network
-from .gradcheck import grad_check
-
-__all__ = [
-    "categorical_cross_entropy",
-    "elastic_net_penalty",
-    "elu",
-    "glorot_uniform",
-    "relu",
-    "softmax",
-    "Network",
-    "NetworkSpec",
-    "build_ann",
-    "build_cnn",
-    "TrainingCurve",
-    "TrainParams",
-    "train_network",
-    "grad_check",
-]

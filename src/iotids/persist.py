@@ -5,12 +5,12 @@ with, so evaluation and prediction can never accidentally refit."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, ModelDataMismatch
+from .errors import IoFailure, ModelDataMismatch, SchemaMismatch
 from .features import (
     CidrTable,
     FeatureSchema,
@@ -20,18 +20,9 @@ from .features import (
     matrix_from_records,
 )
 from .flows import RawFlowRecord, task_class_names
-from .models.adaboost import AdaModel, AdaParams
-from .models.forest import ForestModel, ForestParams
-from .models.gbm import GbmModel, GbmParams
-from .models.knn import KnnModel
-from .models.svm import SvmClassifier, SvmModel
-from .models.tree import DecisionTree
-from .nn.network import Network
-from .voting import build_binary_hybrid, build_multiclass_hybrid
+from .voting import MODEL_CLASSES, Model
 
 BUNDLE_VERSION = 1
-
-MODEL_KINDS = ("rf", "gbm", "ada", "knn", "svm", "ann", "cnn", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -70,110 +61,11 @@ class PreprocState:
         return cls(vocab, mm, tuple((r[0], r[1]) for r in d["cidr"]))
 
 
-def _model_to_dict(kind: str, model) -> dict:
-    if kind == "rf":
-        return {
-            "params": asdict(model.params),
-            "tree_seeds": model.tree_seeds,
-            "features_per_split": model.features_per_split,
-            "n_classes": model.n_classes,
-            "n_features": model.n_features,
-            "trees": [t.to_dict() for t in model.trees],
-        }
-    if kind == "gbm":
-        return {
-            "params": asdict(model.params),
-            "learning_rate": model.learning_rate,
-            "best_round": model.best_round,
-            "n_classes": model.n_classes,
-            "n_features": model.n_features,
-            "rounds": [[t.to_dict() for t in rnd] for rnd in model.rounds],
-        }
-    if kind == "ada":
-        return {
-            "params": asdict(model.params),
-            "n_classes": model.n_classes,
-            "n_features": model.n_features,
-            "stages": [{"tree": t.to_dict(), "alpha": a} for t, a in model.stages],
-        }
-    if kind == "knn":
-        return {"k": model.k, "X": model.X.tolist(), "y": model.y.tolist()}
-    if kind == "svm":
-        inner = model.model if isinstance(model, SvmClassifier) else model
-        return {"w": inner.w.tolist(), "b": inner.b, "C": inner.C, "epochs_trained": inner.epochs_trained}
-    if kind in ("ann", "cnn"):
-        return model.to_dict()
-    if kind == "hybrid":
-        return {
-            "task": model.task,
-            "member_names": model.member_names,
-            "members": [
-                {"kind": name, "model": _model_to_dict(name, member)}
-                for name, member in zip(model.member_names, model.members)
-            ],
-        }
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _model_from_dict(kind: str, d: dict):
-    if kind == "rf":
-        return ForestModel(
-            trees=[DecisionTree.from_dict(t) for t in d["trees"]],
-            tree_seeds=d["tree_seeds"],
-            features_per_split=d["features_per_split"],
-            n_classes=d["n_classes"],
-            n_features=d["n_features"],
-            params=ForestParams(**d["params"]),
-        )
-    if kind == "gbm":
-        return GbmModel(
-            rounds=[[DecisionTree.from_dict(t) for t in rnd] for rnd in d["rounds"]],
-            learning_rate=d["learning_rate"],
-            best_round=d["best_round"],
-            n_classes=d["n_classes"],
-            n_features=d["n_features"],
-            params=GbmParams(**d["params"]),
-        )
-    if kind == "ada":
-        return AdaModel(
-            stages=[(DecisionTree.from_dict(s["tree"]), s["alpha"]) for s in d["stages"]],
-            n_classes=d["n_classes"],
-            n_features=d["n_features"],
-            params=AdaParams(**d["params"]),
-        )
-    if kind == "knn":
-        return KnnModel(np.asarray(d["X"], dtype=float), np.asarray(d["y"], dtype=np.int64), d["k"])
-    if kind == "svm":
-        return SvmClassifier(SvmModel(np.asarray(d["w"], dtype=float), d["b"], d["C"], d["epochs_trained"]))
-    if kind in ("ann", "cnn"):
-        return Network.from_dict(d)
-    if kind == "hybrid":
-        members = [_model_from_dict(m["kind"], m["model"]) for m in d["members"]]
-        if d["task"] == "binary":
-            return build_binary_hybrid(*members)
-        return build_multiclass_hybrid(*members)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _predict_proba(kind: str, model, X: np.ndarray) -> np.ndarray | None:
-    if kind == "rf":
-        from .models.forest import predict_forest
-
-        return predict_forest(model, X)[1]
-    if kind == "gbm":
-        from .models.gbm import predict_gbm
-
-        return predict_gbm(model, X)[1]
-    if kind in ("ann", "cnn"):
-        return model.predict_proba(X)
-    return None
-
-
 @dataclass
 class ModelBundle:
     kind: str
     task: str
-    model: object
+    model: Model
     preproc: PreprocState
     seed: int
 
@@ -191,7 +83,8 @@ class ModelBundle:
         return self.model.predict(X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray | None:
-        return _predict_proba(self.kind, self.model, X)
+        predict_proba = getattr(self.model, "predict_proba", None)
+        return None if predict_proba is None else predict_proba(X)
 
     def to_json(self) -> str:
         doc = {
@@ -201,7 +94,7 @@ class ModelBundle:
             "seed": self.seed,
             "class_names": self.class_names,
             "preprocessing": self.preproc.to_dict(),
-            "model": _model_to_dict(self.kind, self.model),
+            "model": self.model.to_dict(),
         }
         return json.dumps(doc, indent=1) + "\n"
 
@@ -220,16 +113,17 @@ def load_bundle(path: str | Path) -> ModelBundle:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read model bundle {path}: {exc}") from exc
-    if doc.get("format_version") != BUNDLE_VERSION:
-        raise ModelDataMismatch(f"unsupported bundle version {doc.get('format_version')}")
-    kind = doc["kind"]
-    if kind not in MODEL_KINDS:
-        raise ModelDataMismatch(f"unknown model kind {kind!r}")
-    preproc = PreprocState.from_dict(doc["preprocessing"])
-    model = _model_from_dict(kind, doc["model"])
-    width = getattr(model, "n_features", None)
-    if width is not None and width != preproc.schema.width:
-        raise ModelDataMismatch(
-            f"model expects {width} features but bundled schema has {preproc.schema.width}"
-        )
-    return ModelBundle(kind, doc["task"], model, preproc, doc["seed"])
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != BUNDLE_VERSION:
+        raise ModelDataMismatch(f"unsupported bundle version {version}")
+    try:
+        kind = doc["kind"]
+        preproc = PreprocState.from_dict(doc["preprocessing"])
+        model = MODEL_CLASSES[kind].from_dict(doc["model"])
+        if model.n_features != preproc.schema.width:
+            raise ModelDataMismatch(
+                f"model expects {model.n_features} features but bundled schema has {preproc.schema.width}"
+            )
+        return ModelBundle(kind, doc["task"], model, preproc, doc["seed"])
+    except (LookupError, TypeError, ValueError, SchemaMismatch) as exc:
+        raise ModelDataMismatch(f"malformed model bundle {path}: {exc!r}") from exc

@@ -40,15 +40,14 @@ from .models.adaboost import AdaParams, fit_adaboost
 from .models.forest import ForestParams, fit_random_forest
 from .models.gbm import GbmParams, fit_gbm
 from .models.knn import fit_knn
-from .models.svm import SvmClassifier, SvmParams, fit_linear_svm
+from .models.svm import SvmParams, fit_linear_svm
 from .nn.network import build_ann, build_cnn
 from .nn.training import TrainParams, train_network
 from .persist import ModelBundle, PreprocState
 from .splits import SplitIndices, k_fold, mean_score, stratified_split
-from .voting import build_binary_hybrid, build_multiclass_hybrid
+from .voting import HYBRID_MEMBERS, MODEL_CLASSES, build_hybrid
 
-VALID_MODELS = ("rf", "gbm", "ada", "knn", "svm", "ann", "cnn", "hybrid")
-HYBRID_MEMBERS = {"binary": ("rf", "gbm", "svm", "knn"), "multiclass": ("rf", "gbm", "ada")}
+VALID_MODELS = tuple(MODEL_CLASSES)
 _MODEL_SEED_INDEX = {"rf": 1, "gbm": 2, "ada": 3, "knn": 4, "svm": 5, "ann": 6, "cnn": 7}
 
 # architecture keys split off from optimizer keys in ann/cnn model_params
@@ -203,13 +202,11 @@ def train_one_model(
     full train partition when a validation partition exists); X_val/y_val is
     their validation set.
     """
-    overrides = dict(overrides)
     if kind == "rf":
         params = ForestParams(**overrides, seed=_derived_seed(seed, "rf", fold_extra))
         return fit_random_forest(X_train, y_train, params), None
     if kind == "gbm":
-        model, curve = fit_gbm(X_es, y_es, X_val, y_val, GbmParams(**overrides))
-        return model, curve
+        return fit_gbm(X_es, y_es, X_val, y_val, GbmParams(**overrides))
     if kind == "ada":
         return fit_adaboost(X_train, y_train, AdaParams(**overrides)), None
     if kind == "knn":
@@ -219,15 +216,13 @@ def train_one_model(
             **{k: v for k, v in overrides.items() if k != "k"},
             seed=_derived_seed(seed, "svm", fold_extra),
         )
-        model = fit_linear_svm(X_train, 2.0 * y_train - 1.0, params)
-        return SvmClassifier(model), None
+        return fit_linear_svm(X_train, 2.0 * y_train - 1.0, params), None
     if kind in ("ann", "cnn"):
         arch, train = _split_train_args(kind, overrides)
         width = X_train.shape[1]
         spec = build_ann(width, n_classes, **arch) if kind == "ann" else build_cnn(width, n_classes, **arch)
         params = TrainParams(**train, seed=_derived_seed(seed, kind, fold_extra))
-        net, curve = train_network(spec, X_es, y_es, X_val, y_val, params)
-        return net, curve
+        return train_network(spec, X_es, y_es, X_val, y_val, params)
     raise ConfigError(f"not a standalone model: {kind!r}")
 
 
@@ -330,9 +325,7 @@ def run_training(
 
     if "hybrid" in config.models:
         t0 = time.perf_counter()
-        members = [trained[m] for m in HYBRID_MEMBERS[task]]
-        hybrid = build_binary_hybrid(*members) if task == "binary" else build_multiclass_hybrid(*members)
-        trained["hybrid"] = hybrid
+        trained["hybrid"] = build_hybrid(task, [trained[m] for m in HYBRID_MEMBERS[task]])
         timings["hybrid"] = time.perf_counter() - t0
 
     # persist bundles, curves, and test-partition reports
@@ -357,7 +350,7 @@ def run_training(
 
     if config.cv_folds >= 2:
         artifact_paths.extend(
-            _run_cross_validation(config, X["train"], y["train"], trained, n_classes, out)
+            _run_cross_validation(config, X["train"], y["train"], n_classes, out)
         )
 
     timings_path = out / "timings.json"
@@ -392,14 +385,15 @@ def _run_cross_validation(
     config: ExperimentConfig,
     X_train: np.ndarray,
     y_train: np.ndarray,
-    trained: dict[str, object],
     n_classes: int,
     out: Path,
 ) -> list[Path]:
-    """Per-fold accuracy for each non-neural standalone model, plus the
-    hybrid's per-fold accuracy curve when configured."""
+    """Per-fold accuracy for each non-neural standalone model, plus, when
+    configured, the per-fold accuracy of a hybrid built from that fold's
+    members."""
     plan = k_fold(y_train, config.cv_folds, config.seed)
     scores: dict[str, dict] = {}
+    fold_models: list[dict[str, object]] = [{} for _ in range(config.cv_folds)]
     cv_models = [m for m in config.models if m in ("rf", "gbm", "ada", "knn", "svm")]
     for name in cv_models:
         fold_acc = []
@@ -417,6 +411,7 @@ def _run_cross_validation(
                 n_classes,
                 fold_extra=fold_no + 1,
             )
+            fold_models[fold_no][name] = model
             fold_acc.append(float(np.mean(model.predict(X_train[va]) == y_train[va])))
         scores[name] = {"fold_accuracy": fold_acc, "mean_accuracy": mean_score(fold_acc)}
 
@@ -425,10 +420,11 @@ def _run_cross_validation(
     cv_path.write_text(json.dumps(scores, indent=2) + "\n")
     written.append(cv_path)
 
-    if "hybrid" in trained:
+    if "hybrid" in config.models:
         lines = ["fold,train_accuracy,val_accuracy"]
-        hybrid = trained["hybrid"]
         for fold_no, (tr, va) in enumerate(plan):
+            members = [fold_models[fold_no][m] for m in HYBRID_MEMBERS[config.task]]
+            hybrid = build_hybrid(config.task, members)
             acc_tr = float(np.mean(hybrid.predict(X_train[tr]) == y_train[tr]))
             acc_va = float(np.mean(hybrid.predict(X_train[va]) == y_train[va]))
             lines.append(f"{fold_no},{acc_tr!r},{acc_va!r}")

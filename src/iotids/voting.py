@@ -1,4 +1,5 @@
-"""Hard-majority voting ensembles with first-member-priority tie-breaking."""
+"""Hard-majority voting hybrids with first-member-priority tie-breaking, and
+the table of model kinds whose classes the hybrids (and bundles) load."""
 
 from __future__ import annotations
 
@@ -7,19 +8,37 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import SchemaMismatch, WidthMismatch
+from .errors import ModelDataMismatch, SchemaMismatch, WidthMismatch
+from .models.adaboost import AdaModel
+from .models.forest import ForestModel
+from .models.gbm import GbmModel
+from .models.knn import KnnModel
+from .models.svm import SvmClassifier
+from .nn.network import Network
 
 
-class Member(Protocol):
+class Model(Protocol):
+    """What every model kind provides; kinds with class probabilities also
+    have predict_proba(X)."""
+
     n_features: int
     n_classes: int
 
     def predict(self, X: np.ndarray) -> np.ndarray: ...
 
+    def to_dict(self) -> dict: ...
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Model": ...
+
+
+# each task's hybrid members in priority order: vote ties fall to the earliest
+HYBRID_MEMBERS = {"binary": ("rf", "gbm", "svm", "knn"), "multiclass": ("rf", "gbm", "ada")}
+
 
 @dataclass
 class VotingEnsemble:
-    members: list
+    members: list[Model]
     member_names: list[str]
     n_features: int
     n_classes: int
@@ -28,10 +47,31 @@ class VotingEnsemble:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return vote(self, X)
 
+    def to_dict(self) -> dict:
+        return {
+            "task": self.task,
+            "member_names": self.member_names,
+            "members": [
+                {"kind": name, "model": member.to_dict()}
+                for name, member in zip(self.member_names, self.members)
+            ],
+        }
 
-def _compose(members: Sequence, names: Sequence[str], task: str) -> VotingEnsemble:
-    if len(members) < 2:
-        raise SchemaMismatch("an ensemble needs at least two members")
+    @classmethod
+    def from_dict(cls, d: dict) -> "VotingEnsemble":
+        names = list(HYBRID_MEMBERS[d["task"]])
+        kinds = [m["kind"] for m in d["members"]]
+        if d["member_names"] != names or kinds != names:
+            raise ModelDataMismatch(f"a {d['task']} hybrid has members {names}, got {kinds}")
+        members = [MODEL_CLASSES[m["kind"]].from_dict(m["model"]) for m in d["members"]]
+        return build_hybrid(d["task"], members)
+
+
+def build_hybrid(task: str, members: Sequence[Model]) -> VotingEnsemble:
+    """The task's voting hybrid; members come in HYBRID_MEMBERS[task] order."""
+    names = HYBRID_MEMBERS[task]
+    if len(members) != len(names):
+        raise SchemaMismatch(f"a {task} hybrid has members {list(names)}, got {len(members)} models")
     widths = {m.n_features for m in members}
     classes = {m.n_classes for m in members}
     if len(widths) != 1 or len(classes) != 1:
@@ -41,14 +81,17 @@ def _compose(members: Sequence, names: Sequence[str], task: str) -> VotingEnsemb
     return VotingEnsemble(list(members), list(names), widths.pop(), classes.pop(), task)
 
 
-def build_binary_hybrid(rf, gbm, svm, knn) -> VotingEnsemble:
-    """Binary voting hybrid; ties fall to the earliest member in (rf, gbm, svm, knn)."""
-    return _compose([rf, gbm, svm, knn], ["rf", "gbm", "svm", "knn"], "binary")
-
-
-def build_multiclass_hybrid(rf, gbm, ada) -> VotingEnsemble:
-    """Multiclass voting hybrid; ties fall to the earliest member in (rf, gbm, ada)."""
-    return _compose([rf, gbm, ada], ["rf", "gbm", "ada"], "multiclass")
+# every model kind a config or bundle may name, with the class that loads it
+MODEL_CLASSES: dict[str, type[Model]] = {
+    "rf": ForestModel,
+    "gbm": GbmModel,
+    "ada": AdaModel,
+    "knn": KnnModel,
+    "svm": SvmClassifier,
+    "ann": Network,
+    "cnn": Network,
+    "hybrid": VotingEnsemble,
+}
 
 
 def mode_with_priority(votes: np.ndarray, n_classes: int) -> int:

@@ -20,9 +20,8 @@ from iotids.models.adaboost import AdaParams, fit_adaboost
 from iotids.models.forest import ForestParams, fit_random_forest
 from iotids.models.gbm import GbmParams, fit_gbm
 from iotids.models.knn import fit_knn
-from iotids.models.svm import SvmClassifier, SvmParams, fit_linear_svm
+from iotids.models.svm import SvmParams, fit_linear_svm
 from iotids.models.tree import TreeParams, fit_tree
-from iotids.nn import TrainParams, build_ann, build_cnn, grad_check, train_network
 from iotids.nn.functional import (
     categorical_cross_entropy,
     elu,
@@ -30,11 +29,13 @@ from iotids.nn.functional import (
     glorot_uniform_bound,
     softmax,
 )
-from iotids.nn.network import Network
+from iotids.nn.gradcheck import grad_check
+from iotids.nn.network import Network, build_ann, build_cnn
+from iotids.nn.training import TrainParams, train_network
 from iotids.numerics import one_hot
 from iotids.splits import k_fold, stratified_split
 from iotids.synth import SynthSpec, make_blobs
-from iotids.voting import build_binary_hybrid, build_multiclass_hybrid, vote
+from iotids.voting import build_hybrid, vote
 
 
 def ok(n: int, message: str) -> None:
@@ -251,12 +252,12 @@ def _mode_oracle(votes, n_classes):
 def test_criterion_06_voting_oracle():
     X1 = np.zeros((1, 3))
     for votes in itertools.product([0, 1], repeat=4):
-        ens = build_binary_hybrid(*[_Fixed(v, 2) for v in votes])
+        ens = build_hybrid("binary", [_Fixed(v, 2) for v in votes])
         assert vote(ens, X1)[0] == _mode_oracle(votes, 2), votes
 
     checked = 0
     for votes in itertools.product(range(7), repeat=3):
-        ens = build_multiclass_hybrid(*[_Fixed(v, 7) for v in votes])
+        ens = build_hybrid("multiclass", [_Fixed(v, 7) for v in votes])
         assert vote(ens, X1)[0] == _mode_oracle(votes, 7), votes
         checked += 1
     assert checked == 343
@@ -264,7 +265,7 @@ def test_criterion_06_voting_oracle():
     rng = np.random.default_rng(6)
     for _ in range(500):
         votes = tuple(rng.integers(0, 7, 3))
-        ens = build_multiclass_hybrid(*[_Fixed(v, 7) for v in votes])
+        ens = build_hybrid("multiclass", [_Fixed(v, 7) for v in votes])
         assert vote(ens, X1)[0] == _mode_oracle(votes, 7), votes
     ok(6, "all 2^4 binary and 7^3 multiclass vote combinations (+500 random) match the oracle")
 
@@ -307,7 +308,7 @@ def test_criterion_07_synthetic_end_to_end():
                            TrainParams(epochs=25, batch_size=256, patience=8, seed=3))
     acc["cnn"] = test_acc(cnn)
 
-    multi_hybrid = build_multiclass_hybrid(rf, gbm, ada)
+    multi_hybrid = build_hybrid("multiclass", [rf, gbm, ada])
     acc["multi_hybrid"] = test_acc(multi_hybrid)
     best_member = max(acc["rf"], acc["gbm"], acc["ada"])
     assert acc["multi_hybrid"] >= best_member - 0.02
@@ -318,12 +319,11 @@ def test_criterion_07_synthetic_end_to_end():
     rf_b = fit_random_forest(Xb["train"], yb["train"], ForestParams(n_trees=15, max_depth=8, seed=4))
     gbm_b, _ = fit_gbm(Xb["train"], yb["train"], Xb["val"], yb["val"],
                        GbmParams(max_rounds=10, learning_rate=0.4, max_depth=3, patience=4))
-    svm_b = SvmClassifier(fit_linear_svm(Xb["train"], 2.0 * yb["train"] - 1.0,
-                                         SvmParams(C=10.0, epochs=5, seed=5)))
+    svm_b = fit_linear_svm(Xb["train"], 2.0 * yb["train"] - 1.0, SvmParams(C=10.0, epochs=5, seed=5))
     knn_b = fit_knn(Xb["train"], yb["train"], k=5)
     acc["svm"] = float(np.mean(svm_b.predict(Xb["test"]) == yb["test"]))
 
-    binary_hybrid = build_binary_hybrid(rf_b, gbm_b, svm_b, knn_b)
+    binary_hybrid = build_hybrid("binary", [rf_b, gbm_b, svm_b, knn_b])
     member_acc = [float(np.mean(m.predict(Xb["test"]) == yb["test"]))
                   for m in (rf_b, gbm_b, svm_b, knn_b)]
     acc["binary_hybrid"] = float(np.mean(binary_hybrid.predict(Xb["test"]) == yb["test"]))

@@ -10,7 +10,6 @@ from iotids.features import (
     CATEGORICAL_FIELDS,
     NUMERIC_FIELDS,
     CidrTable,
-    build_feature_matrix,
     build_schema,
     categorical_values,
     derive_ip_features,
@@ -22,14 +21,9 @@ from iotids.features import (
     permutation_importance,
     transform_min_max,
 )
-from iotids.flows import (
-    BinaryClass,
-    ClassLabel,
-    Dataset,
-    LabeledFlow,
-    MultiClass,
-    RawFlowRecord,
-)
+from iotids.flows import RawFlowRecord
+from iotids.pipeline import ExperimentConfig, run_training
+from iotids.synth import SynthSpec, write_synth_dataset
 
 
 def make_record(**overrides) -> RawFlowRecord:
@@ -188,16 +182,11 @@ class TestMinMax:
             transform_min_max(params, np.zeros((2, 4)))
 
 
-def _labeled(records) -> Dataset:
-    label = ClassLabel(BinaryClass.BENIGN, MultiClass.BENIGN)
-    return Dataset([LabeledFlow(r, label) for r in records])
-
-
 class TestFeatureMatrix:
     def test_empty_dataset_keeps_schema_width(self):
         vocab = fit_one_hot([categorical_values(make_record(), TABLE)], CATEGORICAL_FIELDS)
-        matrix = build_feature_matrix(Dataset([]), TABLE, vocab)
-        assert matrix.values.shape == (0, matrix.schema.width)
+        values, schema = matrix_from_records([], TABLE, vocab)
+        assert values.shape == (0, schema.width)
 
     def test_two_row_matrix_hand_assembled(self):
         r1 = make_record()  # private orig, global US resp, udp/dns/SF
@@ -207,7 +196,7 @@ class TestFeatureMatrix:
                          local_resp=True, missed_bytes=1, orig_pkts=3,
                          orig_ip_bytes=5, resp_pkts=7, resp_ip_bytes=9)
         vocab = fit_one_hot([categorical_values(r, TABLE) for r in (r1, r2)], CATEGORICAL_FIELDS)
-        matrix = build_feature_matrix(_labeled([r1, r2]), TABLE, vocab)
+        values, schema = matrix_from_records([r1, r2], TABLE, vocab)
         # documented order: 12 numerics, 2 scopes, then one-hot blocks
         # proto [udp, tcp], service [dns, http], conn_state [SF, S0],
         # orig_country [unknown], resp_country [US, AU]
@@ -217,16 +206,16 @@ class TestFeatureMatrix:
         row2 = [1, 2, 4.0, 8, 16, 0, 1, 1, 3, 5, 7, 9,
                 0, 1,
                 0, 1, 0, 1, 0, 1, 1, 0, 1]
-        np.testing.assert_array_equal(matrix.values, np.array([row1, row2], dtype=float))
-        assert matrix.schema.width == 23
+        np.testing.assert_array_equal(values, np.array([row1, row2], dtype=float))
+        assert schema.width == 23
 
     def test_deterministic_across_runs(self):
         records = [make_record(), make_record(proto="tcp")]
         vocab = fit_one_hot([categorical_values(r, TABLE) for r in records], CATEGORICAL_FIELDS)
-        a = build_feature_matrix(_labeled(records), TABLE, vocab)
-        b = build_feature_matrix(_labeled(records), TABLE, vocab)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.schema == b.schema
+        a_values, a_schema = matrix_from_records(records, TABLE, vocab)
+        b_values, b_schema = matrix_from_records(records, TABLE, vocab)
+        np.testing.assert_array_equal(a_values, b_values)
+        assert a_schema == b_schema
 
     def test_column_order_is_schema_function(self):
         records = [make_record(), make_record(proto="tcp")]
@@ -244,11 +233,11 @@ class TestFeatureMatrix:
                 seen.append(g)
         assert seen == [f for f in CATEGORICAL_FIELDS if vocab.categories[f]]
 
-    def test_expected_width_guard(self):
-        records = [make_record()]
-        vocab = fit_one_hot([categorical_values(r, TABLE) for r in records], CATEGORICAL_FIELDS)
+    def test_expected_width_guard(self, tmp_path):
+        write_synth_dataset(SynthSpec("binary", 20, seed=1), tmp_path / "data")
+        cfg = ExperimentConfig("binary", ["rf"], 10, 0, expected_width=36)
         with pytest.raises(SchemaMismatch):
-            build_feature_matrix(_labeled(records), TABLE, vocab, expected_width=36)
+            run_training(cfg, tmp_path / "data", tmp_path / "run")
 
     def test_scaled_matrix_in_unit_interval(self):
         records = [make_record(), make_record(orig_bytes=9999, duration=50.0)]

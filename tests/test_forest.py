@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iotids.errors import EmptyInput, WidthMismatch
-from iotids.models.forest import ForestModel, ForestParams, fit_random_forest, predict_forest
+from iotids.models.forest import ForestModel, ForestParams, fit_random_forest
 from iotids.models.tree import DecisionTree, TreeParams, fit_tree
 
 
@@ -83,29 +83,29 @@ class TestFitForest:
 class TestPredictForest:
     def test_two_one_vote(self):
         model = forest_of([0, 0, 1])
-        labels, shares = predict_forest(model, np.zeros((1, 2)))
+        labels, shares = model.predict(np.zeros((1, 2))), model.predict_proba(np.zeros((1, 2)))
         assert labels[0] == 0
         np.testing.assert_allclose(shares[0], [2 / 3, 1 / 3])
 
     def test_unanimous(self):
         model = forest_of([1, 1, 1, 1])
-        labels, shares = predict_forest(model, np.zeros((2, 2)))
+        labels, shares = model.predict(np.zeros((2, 2))), model.predict_proba(np.zeros((2, 2)))
         np.testing.assert_array_equal(labels, [1, 1])
         np.testing.assert_array_equal(shares[:, 1], [1.0, 1.0])
 
     def test_tie_goes_to_lowest_class(self):
         model = forest_of([1, 0])
-        labels, shares = predict_forest(model, np.zeros((1, 2)))
+        labels, shares = model.predict(np.zeros((1, 2))), model.predict_proba(np.zeros((1, 2)))
         assert labels[0] == 0
         np.testing.assert_allclose(shares[0], [0.5, 0.5])
 
     def test_shares_sum_to_one(self):
         X, y = blobs(seed=5)
         forest = fit_random_forest(X, y, ForestParams(n_trees=7, max_depth=3, seed=1))
-        _, shares = predict_forest(forest, X)
+        shares = forest.predict_proba(X)
         np.testing.assert_allclose(shares.sum(axis=1), 1.0)
 
     def test_width_mismatch(self):
         model = forest_of([0, 1, 1], n_features=3)
         with pytest.raises(WidthMismatch):
-            predict_forest(model, np.zeros((1, 2)))
+            model.predict_proba(np.zeros((1, 2)))

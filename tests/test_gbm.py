@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iotids.errors import EmptyValidation, WidthMismatch
-from iotids.models.gbm import GbmModel, GbmParams, fit_gbm, predict_gbm
+from iotids.models.gbm import GbmModel, GbmParams, fit_gbm
 from iotids.models.tree import DecisionTree, TreeParams
 from iotids.numerics import cross_entropy_mean, softmax
 
@@ -88,14 +88,14 @@ class TestFitGbm:
 class TestPredictGbm:
     def test_zero_round_model_uniform(self):
         model = GbmModel([], 0.1, best_round=0, n_classes=4, n_features=2, params=GbmParams())
-        labels, probs = predict_gbm(model, np.zeros((3, 2)))
+        labels, probs = model.predict(np.zeros((3, 2))), model.predict_proba(np.zeros((3, 2)))
         np.testing.assert_allclose(probs, 0.25)
         np.testing.assert_array_equal(labels, [0, 0, 0])
 
     def test_probabilities_sum_to_one(self):
         X, y = blobs(3, n=30)
         model, _ = fit_gbm(X, y, X, y, GbmParams(max_rounds=5, patience=5))
-        _, probs = predict_gbm(model, X)
+        probs = model.predict_proba(X)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_hand_computed_scores_match_softmax(self):
@@ -109,7 +109,7 @@ class TestPredictGbm:
             n_features=1,
             params=GbmParams(learning_rate=eta),
         )
-        _, probs = predict_gbm(model, np.zeros((1, 1)))
+        probs = model.predict_proba(np.zeros((1, 1)))
         expected = softmax(np.array([[eta * 2.0, eta * -1.0, eta * 0.5]]))
         np.testing.assert_allclose(probs, expected, atol=1e-12)
 
@@ -122,7 +122,7 @@ class TestPredictGbm:
             n_features=1,
             params=GbmParams(),
         )
-        labels, _ = predict_gbm(model, np.zeros((1, 1)))
+        labels = model.predict(np.zeros((1, 1)))
         assert labels[0] == 0  # second round's class-1 tree is ignored
 
     def test_val_loss_at_best_round_is_minimum(self):
@@ -134,7 +134,7 @@ class TestPredictGbm:
     def test_width_mismatch(self):
         model = GbmModel([], 0.1, 0, 2, n_features=3, params=GbmParams())
         with pytest.raises(WidthMismatch):
-            predict_gbm(model, np.zeros((1, 2)))
+            model.predict_proba(np.zeros((1, 2)))
 
     def test_loss_recomputed_by_brute_force(self):
         # recorded train loss equals a from-scratch recount of the model's
@@ -155,6 +155,6 @@ def test_retrain_bitwise_identical_predictions():
     params = GbmParams(max_rounds=5, max_depth=3, patience=5)
     a, _ = fit_gbm(X, y, X, y, params)
     b, _ = fit_gbm(X, y, X, y, params)
-    _, pa = predict_gbm(a, X)
-    _, pb = predict_gbm(b, X)
+    pa = a.predict_proba(X)
+    pb = b.predict_proba(X)
     np.testing.assert_array_equal(pa, pb)

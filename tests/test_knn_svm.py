@@ -7,7 +7,6 @@ from iotids.errors import BadK, SingleClass, WidthMismatch
 from iotids.models.knn import fit_knn, predict_knn
 from iotids.models.svm import (
     SvmClassifier,
-    SvmModel,
     SvmParams,
     fit_linear_svm,
     predict_svm,
@@ -143,17 +142,17 @@ class TestSvm:
         assert float(np.mean(labels == y)) == 0.5
 
     def test_boundary_margin_is_positive_class(self):
-        model = SvmModel(w=np.array([1.0, 0.0]), b=0.0, C=1.0, epochs_trained=0)
+        model = SvmClassifier(w=np.array([1.0, 0.0]), b=0.0, C=1.0, epochs_trained=0)
         labels, margins = predict_svm(model, np.array([[0.0, 3.0]]))
         assert margins[0] == 0.0 and labels[0] == 1
 
     def test_margin_formula(self):
-        model = SvmModel(w=np.array([1.0, 0.0]), b=0.0, C=1.0, epochs_trained=0)
+        model = SvmClassifier(w=np.array([1.0, 0.0]), b=0.0, C=1.0, epochs_trained=0)
         labels, margins = predict_svm(model, np.array([[3.0, 7.0]]))
         assert margins[0] == 3.0 and labels[0] == 1
 
     def test_margins_match_hand_dot_products(self):
-        model = SvmModel(w=np.array([0.5, -2.0, 1.0]), b=0.25, C=1.0, epochs_trained=0)
+        model = SvmClassifier(w=np.array([0.5, -2.0, 1.0]), b=0.25, C=1.0, epochs_trained=0)
         X = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
         _, margins = predict_svm(model, X)
         for i, x in enumerate(X):
@@ -170,7 +169,7 @@ class TestSvm:
     def test_positive_scaling_keeps_labels(self):
         X, y = separable(seed=4)
         model = fit_linear_svm(X, y, SvmParams(epochs=10, seed=3))
-        scaled = SvmModel(w=17.0 * model.w, b=17.0 * model.b, C=model.C, epochs_trained=0)
+        scaled = SvmClassifier(w=17.0 * model.w, b=17.0 * model.b, C=model.C, epochs_trained=0)
         np.testing.assert_array_equal(predict_svm(model, X)[0], predict_svm(scaled, X)[0])
 
     def test_single_class_raises(self):
@@ -178,8 +177,7 @@ class TestSvm:
             fit_linear_svm(np.zeros((3, 2)), np.ones(3), SvmParams())
 
     def test_classifier_adapter_maps_to_class_indices(self):
-        model = SvmModel(w=np.array([1.0]), b=0.0, C=1.0, epochs_trained=0)
-        clf = SvmClassifier(model)
+        clf = SvmClassifier(w=np.array([1.0]), b=0.0, C=1.0, epochs_trained=0)
         np.testing.assert_array_equal(clf.predict(np.array([[2.0], [-2.0]])), [1, 0])
         assert clf.n_classes == 2 and clf.n_features == 1
 

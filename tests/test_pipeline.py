@@ -18,9 +18,10 @@ from iotids.features import (
 from iotids.flows import balance_sample, class_index
 from iotids.metrics import compute_metrics, confusion
 from iotids.persist import load_bundle
-from iotids.pipeline import ExperimentConfig, read_labeled_dir, run_training
-from iotids.splits import stratified_split
+from iotids.pipeline import ExperimentConfig, read_labeled_dir, run_training, train_one_model
+from iotids.splits import k_fold, stratified_split
 from iotids.synth import SynthSpec, write_synth_dataset
+from iotids.voting import HYBRID_MEMBERS, build_hybrid
 
 FAST_BINARY = {
     "rf": {"n_trees": 8, "max_depth": 5},
@@ -170,6 +171,39 @@ class TestRunArtifacts:
             assert entry["mean_accuracy"] == pytest.approx(
                 sum(entry["fold_accuracy"]) / 5, abs=1e-12
             )
+
+    def test_cv_hybrid_curve_scores_fold_trained_hybrids(self, tmp_path):
+        # overlapping classes, so a hybrid scored on its own training rows
+        # would read higher than one trained without the fold
+        write_synth_dataset(SynthSpec("multiclass", 40, center_spacing=1.5, label_noise=0.1, seed=8),
+                            tmp_path / "data")
+        cfg = ExperimentConfig(
+            task="multiclass",
+            models=["rf", "gbm", "ada", "hybrid"],
+            per_class=30,
+            seed=6,
+            split=(0.8, 0.2, 0.0),
+            cv_folds=3,
+            model_params={
+                "rf": {"n_trees": 5, "max_depth": 6},
+                "gbm": {"max_rounds": 4, "max_depth": 3},
+                "ada": {"n_rounds": 5, "weak_depth": 2},
+            },
+        )
+        result = run_training(cfg, tmp_path / "data", tmp_path / "run")
+        X, y = result.X["train"], result.y["train"]
+        lines = (tmp_path / "run" / "curves" / "hybrid_curve.csv").read_text().splitlines()
+        assert lines[0] == "fold,train_accuracy,val_accuracy"
+        for fold_no, (tr, va) in enumerate(k_fold(y, 3, cfg.seed)):
+            members = [
+                train_one_model(name, X[tr], y[tr], X[tr], y[tr], X[va], y[va], cfg.seed,
+                                cfg.model_params[name], 7, fold_extra=fold_no + 1)[0]
+                for name in HYBRID_MEMBERS["multiclass"]
+            ]
+            hybrid = build_hybrid("multiclass", members)
+            acc_tr = float(np.mean(hybrid.predict(X[tr]) == y[tr]))
+            acc_va = float(np.mean(hybrid.predict(X[va]) == y[va]))
+            assert lines[1 + fold_no] == f"{fold_no},{acc_tr!r},{acc_va!r}"
 
     def test_models_reach_high_test_accuracy(self, binary_run):
         for name, bundle in binary_run.bundles.items():

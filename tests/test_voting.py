@@ -7,8 +7,7 @@ import pytest
 
 from iotids.errors import SchemaMismatch, WidthMismatch
 from iotids.voting import (
-    build_binary_hybrid,
-    build_multiclass_hybrid,
+    build_hybrid,
     mode_with_priority,
     vote,
 )
@@ -46,11 +45,11 @@ X1 = np.zeros((1, 3))
 
 
 def binary_ensemble(votes):
-    return build_binary_hybrid(*[FixedModel(v) for v in votes])
+    return build_hybrid("binary", [FixedModel(v) for v in votes])
 
 
 def multi_ensemble(votes):
-    return build_multiclass_hybrid(*[FixedModel(v, n_classes=7) for v in votes])
+    return build_hybrid("multiclass", [FixedModel(v, n_classes=7) for v in votes])
 
 
 class TestBinaryHybrid:
@@ -90,7 +89,7 @@ class TestMulticlassHybrid:
 class TestVoteProperties:
     def test_identical_members_equal_member_prediction(self):
         members = [FixedModel(1) for _ in range(4)]
-        ens = build_binary_hybrid(*members)
+        ens = build_hybrid("binary", members)
         X = np.zeros((5, 3))
         np.testing.assert_array_equal(vote(ens, X), members[0].predict(X))
 
@@ -115,19 +114,17 @@ class TestVoteProperties:
 class TestComposition:
     def test_width_disagreement_rejected(self):
         with pytest.raises(SchemaMismatch):
-            build_binary_hybrid(FixedModel(0, n_features=3), FixedModel(0, n_features=4),
-                                FixedModel(0), FixedModel(0))
+            build_hybrid("binary", [FixedModel(0, n_features=3), FixedModel(0, n_features=4),
+                                    FixedModel(0), FixedModel(0)])
 
     def test_class_count_disagreement_rejected(self):
         with pytest.raises(SchemaMismatch):
-            build_multiclass_hybrid(FixedModel(0, n_classes=7), FixedModel(0, n_classes=7),
-                                    FixedModel(0, n_classes=2))
+            build_hybrid("multiclass", [FixedModel(0, n_classes=7), FixedModel(0, n_classes=7),
+                                        FixedModel(0, n_classes=2)])
 
     def test_needs_two_members(self):
-        from iotids.voting import _compose
-
         with pytest.raises(SchemaMismatch):
-            _compose([FixedModel(0)], ["only"], "binary")
+            build_hybrid("binary", [FixedModel(0)])
 
     def test_vote_width_mismatch(self):
         ens = binary_ensemble([0, 1, 1, 0])
