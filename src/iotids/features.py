@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import ipaddress
 import logging
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -95,7 +96,9 @@ class CidrTable:
             return cls.from_rows((row[0].strip(), row[1].strip()) for row in reader if row)
 
     def country(self, address: str) -> str:
-        ip = _parse_ip(address)
+        return self.lookup(_parse_ip(address))
+
+    def lookup(self, ip: ipaddress.IPv4Address | ipaddress.IPv6Address) -> str:
         best: str | None = None
         best_len = -1
         for network, country in self.entries:
@@ -104,42 +107,34 @@ class CidrTable:
         return best if best is not None else "unknown"
 
 
+def _is_private(ip: ipaddress.IPv4Address | ipaddress.IPv6Address) -> bool:
+    return any(network.version == ip.version and ip in network for network in _PRIVATE_RANGES)
+
+
 def ip_scope(address: str) -> str:
-    ip = _parse_ip(address)
-    for network in _PRIVATE_RANGES:
-        if network.version == ip.version and ip in network:
-            return "private"
-    return "global"
+    return "private" if _is_private(_parse_ip(address)) else "global"
 
 
-def derive_ip_features(record: RawFlowRecord, table: CidrTable) -> tuple[str, str, str, str]:
-    """(orig_scope, resp_scope, orig_country, resp_country) for one record."""
-    return (
-        ip_scope(record.orig_h),
-        ip_scope(record.resp_h),
-        table.country(record.orig_h),
-        table.country(record.resp_h),
-    )
-
-
-def categorical_values(record: RawFlowRecord, table: CidrTable) -> dict[str, str]:
-    orig_scope, resp_scope, orig_country, resp_country = derive_ip_features(record, table)
-    del orig_scope, resp_scope  # scopes are numeric columns, not categories
-    return {
-        "proto": record.proto,
-        "service": record.service or "unknown",
-        "conn_state": record.conn_state,
-        "orig_country": orig_country,
-        "resp_country": resp_country,
+def _ip_and_categorical_columns(
+    records: Sequence[RawFlowRecord], table: CidrTable
+) -> tuple[np.ndarray, dict[str, list[str]]]:
+    """The scope block (rows x [orig, resp]; 0 private, 1 global) and each
+    categorical feature's column; every address is parsed once."""
+    ips = [_parse_ip(address) for r in records for address in (r.orig_h, r.resp_h)]
+    scopes = np.array([0.0 if _is_private(ip) else 1.0 for ip in ips]).reshape(-1, 2)
+    countries = [table.lookup(ip) for ip in ips]
+    return scopes, {
+        "proto": [r.proto for r in records],
+        "service": [r.service or "unknown" for r in records],
+        "conn_state": [r.conn_state for r in records],
+        "orig_country": countries[0::2],
+        "resp_country": countries[1::2],
     }
 
 
-def numeric_values(record: RawFlowRecord) -> list[float]:
-    out = []
-    for name in NUMERIC_FIELDS:
-        value = getattr(record, name)
-        out.append(float(value) if value is not None else 0.0)
-    return out
+def categorical_values(record: RawFlowRecord, table: CidrTable) -> dict[str, str]:
+    _, columns = _ip_and_categorical_columns([record], table)
+    return {feature: column[0] for feature, column in columns.items()}
 
 
 # --- one-hot -----------------------------------------------------------------
@@ -162,15 +157,18 @@ def fit_one_hot(rows: Iterable[Mapping[str, str]], features: Sequence[str]) -> O
     return OneHotVocabulary({f: tuple(seen[f]) for f in features})
 
 
-def encode_one_hot(vocabulary: OneHotVocabulary, feature: str, value: str) -> np.ndarray:
-    """Indicator sub-vector; unseen categories encode as all zeros (warned)."""
-    cats = vocabulary.categories[feature]
-    vec = np.zeros(len(cats))
-    try:
-        vec[cats.index(value)] = 1.0
-    except ValueError:
-        log.warning("unseen category %r for feature %r encoded as all zeros", value, feature)
-    return vec
+def encode_one_hot(vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> np.ndarray:
+    """The len(values) x width indicator block of one feature; unseen
+    categories encode as all-zero rows, counted in one warning."""
+    column = {cat: j for j, cat in enumerate(vocabulary.categories[feature])}
+    cols = np.array([column.get(v, -1) for v in values], dtype=np.intp)
+    seen = cols >= 0
+    block = np.zeros((len(values), len(column)))
+    block[np.flatnonzero(seen), cols[seen]] = 1.0
+    unseen = len(values) - int(seen.sum())
+    if unseen:
+        log.warning("%d rows with an unseen category for feature %r encoded as all zeros", unseen, feature)
+    return block
 
 
 # --- min-max scaling ----------------------------------------------------------
@@ -232,17 +230,6 @@ def build_schema(vocabulary: OneHotVocabulary) -> FeatureSchema:
     return FeatureSchema(tuple(columns))
 
 
-def _encode_record(record: RawFlowRecord, table: CidrTable, vocabulary: OneHotVocabulary) -> np.ndarray:
-    row = numeric_values(record)
-    orig_scope, resp_scope, _, _ = derive_ip_features(record, table)
-    row.append(0.0 if orig_scope == "private" else 1.0)
-    row.append(0.0 if resp_scope == "private" else 1.0)
-    cats = categorical_values(record, table)
-    parts = [np.asarray(row)]
-    parts.extend(encode_one_hot(vocabulary, f, cats[f]) for f in CATEGORICAL_FIELDS)
-    return np.concatenate(parts)
-
-
 def matrix_from_records(
     records: Sequence[RawFlowRecord],
     table: CidrTable,
@@ -251,14 +238,23 @@ def matrix_from_records(
 ) -> tuple[np.ndarray, FeatureSchema]:
     """Raw (unscaled) or scaled matrix for parsed records, plus its schema.
 
-    Columns are the numerics, the IP scopes, then one-hot blocks; their
-    order is a pure function of the schema.
+    Columns are the numerics (missing as 0), the IP scopes, then one-hot
+    blocks; their order is a pure function of the schema.
     """
     schema = build_schema(vocabulary)
-    if records:
-        values = np.stack([_encode_record(r, table, vocabulary) for r in records])
-    else:
-        values = np.zeros((0, schema.width))
+    values = np.zeros((len(records), schema.width))
+    numerics = operator.attrgetter(*NUMERIC_FIELDS)
+    start = len(NUMERIC_FIELDS)
+    values[:, :start] = np.array(
+        [[0.0 if v is None else v for v in numerics(r)] for r in records], dtype=float
+    ).reshape(-1, start)
+    scopes, columns = _ip_and_categorical_columns(records, table)
+    values[:, start : start + 2] = scopes
+    start += 2
+    for feature in CATEGORICAL_FIELDS:
+        block = encode_one_hot(vocabulary, feature, columns[feature])
+        values[:, start : start + block.shape[1]] = block
+        start += block.shape[1]
     if params is not None:
         if params.width != schema.width:
             raise SchemaMismatch(

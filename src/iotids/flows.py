@@ -10,6 +10,7 @@ the parser repairs that before column mapping.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from importlib import resources
@@ -177,7 +178,9 @@ def _coerce(column: str, token: str, line_no: int):
             raise BadNumeric(line_no, column, token) from None
         if column in PORT_COLUMNS and not 0 <= value <= 65535:
             raise BadNumeric(line_no, column, token)
-        if column in INT_COLUMNS and value < 0:
+        if (column in INT_COLUMNS or column == "duration") and value < 0:
+            raise BadNumeric(line_no, column, token)
+        if not math.isfinite(value):  # nan/inf would reach the scaler's min/max
             raise BadNumeric(line_no, column, token)
         return value
     if column in BOOL_COLUMNS:

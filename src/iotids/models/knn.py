@@ -33,15 +33,15 @@ class KnnModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnnModel":
-        return cls(np.asarray(d["X"], dtype=float), np.asarray(d["y"], dtype=np.int64), d["k"])
+        return fit_knn(d["X"], d["y"], d["k"])
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:
     """Lazy learner: stores the (scaled) training data verbatim."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if not 1 <= k <= X.shape[0]:
-        raise BadK(f"k={k} outside [1, {X.shape[0]}]")
+    if type(k) is not int or not 1 <= k <= X.shape[0]:
+        raise BadK(f"k={k!r} is not an int in [1, {X.shape[0]}]")
     return KnnModel(X, y, k)
 
 

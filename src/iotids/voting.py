@@ -45,7 +45,10 @@ class VotingEnsemble:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return vote(self, X)
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
+        return vote(np.stack([m.predict(X) for m in self.members]))
 
     def to_dict(self) -> dict:
         return {
@@ -94,27 +97,11 @@ MODEL_CLASSES: dict[str, type[Model]] = {
 }
 
 
-def mode_with_priority(votes: np.ndarray, n_classes: int) -> int:
-    """Modal class of one vote vector; among tied classes, the earliest
-    member whose vote is in the tied set decides."""
-    counts = np.bincount(votes, minlength=n_classes)
-    top = counts.max()
-    tied = np.flatnonzero(counts == top)
-    if tied.shape[0] == 1:
-        return int(tied[0])
-    tied_set = set(int(c) for c in tied)
-    for v in votes:
-        if int(v) in tied_set:
-            return int(v)
-    raise AssertionError("unreachable: some vote is always in the tied set")
-
-
-def vote(ensemble: VotingEnsemble, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != ensemble.n_features:
-        raise WidthMismatch(ensemble.n_features, X.shape[1] if X.ndim == 2 else -1)
-    all_votes = np.stack([m.predict(X) for m in ensemble.members])  # members x rows
-    return np.array(
-        [mode_with_priority(all_votes[:, i], ensemble.n_classes) for i in range(X.shape[0])],
-        dtype=np.int64,
-    )
+def vote(votes: np.ndarray) -> np.ndarray:
+    """Per-row winner of a members x rows vote array: the vote of the
+    earliest member whose class has the top count, so a strict majority
+    wins and a tie falls to the earliest member voting for a tied class."""
+    votes = np.asarray(votes)
+    support = (votes[:, None, :] == votes[None, :, :]).sum(axis=1)  # members agreeing with each vote
+    winner = (support == support.max(axis=0)).argmax(axis=0)
+    return votes[winner, np.arange(votes.shape[1])].astype(np.int64)

@@ -35,7 +35,7 @@ from iotids.nn.training import TrainParams, train_network
 from iotids.numerics import one_hot
 from iotids.splits import k_fold, stratified_split
 from iotids.synth import SynthSpec, make_blobs
-from iotids.voting import build_hybrid, vote
+from iotids.voting import build_hybrid
 
 
 def ok(n: int, message: str) -> None:
@@ -253,12 +253,12 @@ def test_criterion_06_voting_oracle():
     X1 = np.zeros((1, 3))
     for votes in itertools.product([0, 1], repeat=4):
         ens = build_hybrid("binary", [_Fixed(v, 2) for v in votes])
-        assert vote(ens, X1)[0] == _mode_oracle(votes, 2), votes
+        assert ens.predict(X1)[0] == _mode_oracle(votes, 2), votes
 
     checked = 0
     for votes in itertools.product(range(7), repeat=3):
         ens = build_hybrid("multiclass", [_Fixed(v, 7) for v in votes])
-        assert vote(ens, X1)[0] == _mode_oracle(votes, 7), votes
+        assert ens.predict(X1)[0] == _mode_oracle(votes, 7), votes
         checked += 1
     assert checked == 343
 
@@ -266,7 +266,7 @@ def test_criterion_06_voting_oracle():
     for _ in range(500):
         votes = tuple(rng.integers(0, 7, 3))
         ens = build_hybrid("multiclass", [_Fixed(v, 7) for v in votes])
-        assert vote(ens, X1)[0] == _mode_oracle(votes, 7), votes
+        assert ens.predict(X1)[0] == _mode_oracle(votes, 7), votes
     ok(6, "all 2^4 binary and 7^3 multiclass vote combinations (+500 random) match the oracle")
 
 

@@ -12,7 +12,6 @@ from iotids.features import (
     CidrTable,
     build_schema,
     categorical_values,
-    derive_ip_features,
     encode_one_hot,
     fit_min_max,
     fit_one_hot,
@@ -61,11 +60,13 @@ TABLE = CidrTable.from_rows([("8.8.8.0/24", "US"), ("8.0.0.0/8", "XX"), ("1.2.0.
 
 class TestIpFeatures:
     def test_private_rfc1918(self):
-        scope, _, country, _ = derive_ip_features(make_record(orig_h="192.168.1.5"), TABLE)
+        record = make_record(orig_h="192.168.1.5")
+        scope, country = ip_scope(record.orig_h), categorical_values(record, TABLE)["orig_country"]
         assert scope == "private" and country == "unknown"
 
     def test_global_with_table_entry(self):
-        _, scope, _, country = derive_ip_features(make_record(resp_h="8.8.8.8"), TABLE)
+        record = make_record(resp_h="8.8.8.8")
+        scope, country = ip_scope(record.resp_h), categorical_values(record, TABLE)["resp_country"]
         assert scope == "global" and country == "US"
 
     def test_longest_prefix_wins(self):
@@ -73,7 +74,7 @@ class TestIpFeatures:
         assert TABLE.country("8.9.9.9") == "XX"
 
     def test_global_absent_from_table(self):
-        _, scope, _, country = derive_ip_features(make_record(resp_h="203.0.113.9"), TABLE)
+        scope, country = ip_scope("203.0.113.9"), TABLE.country("203.0.113.9")
         assert scope == "global" and country == "unknown"
 
     def test_private_ranges(self):
@@ -110,7 +111,7 @@ class TestOneHot:
         rows = [{"service": "unknown"}, {"service": "dns"}]
         vocab = fit_one_hot(rows, ["service"])
         assert "unknown" in vocab.categories["service"]
-        np.testing.assert_array_equal(encode_one_hot(vocab, "service", "unknown"), [1.0, 0.0])
+        np.testing.assert_array_equal(encode_one_hot(vocab, "service", ["unknown"])[0], [1.0, 0.0])
 
     def test_refit_identical(self):
         rows = [{"proto": p} for p in ("tcp", "udp", "icmp", "tcp")]
@@ -118,24 +119,24 @@ class TestOneHot:
 
     def test_encode_known(self):
         vocab = fit_one_hot([{"proto": "tcp"}, {"proto": "udp"}], ["proto"])
-        np.testing.assert_array_equal(encode_one_hot(vocab, "proto", "tcp"), [1.0, 0.0])
+        np.testing.assert_array_equal(encode_one_hot(vocab, "proto", ["tcp"])[0], [1.0, 0.0])
 
     def test_encode_unseen_is_zeros_with_warning(self, caplog):
         vocab = fit_one_hot([{"proto": "tcp"}, {"proto": "udp"}], ["proto"])
         with caplog.at_level(logging.WARNING, logger="iotids.features"):
-            vec = encode_one_hot(vocab, "proto", "icmp")
+            vec = encode_one_hot(vocab, "proto", ["icmp"])[0]
         np.testing.assert_array_equal(vec, [0.0, 0.0])
         assert any("unseen category" in r.message for r in caplog.records)
 
     def test_encode_positional(self):
         vocab = fit_one_hot([{"x": "a"}, {"x": "b"}, {"x": "c"}], ["x"])
-        np.testing.assert_array_equal(encode_one_hot(vocab, "x", "c"), [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(encode_one_hot(vocab, "x", ["c"])[0], [0.0, 0.0, 1.0])
 
     def test_sum_property(self):
         vocab = fit_one_hot([{"x": v} for v in "abcd"], ["x"])
         for v in "abcd":
-            assert encode_one_hot(vocab, "x", v).sum() == 1.0
-        assert encode_one_hot(vocab, "x", "z").sum() == 0.0
+            assert encode_one_hot(vocab, "x", [v]).sum() == 1.0
+        assert encode_one_hot(vocab, "x", ["z"]).sum() == 0.0
 
 
 class TestMinMax:
@@ -246,6 +247,101 @@ class TestFeatureMatrix:
         params = fit_min_max(raw)
         scaled, _ = matrix_from_records(records, TABLE, vocab, params)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
+
+
+def per_record_matrix(records, table, vocabulary, params=None):
+    """Reference encoder: one record at a time, each address parsed for its
+    scope and again for its country, one indicator vector per value."""
+
+    def encode(record):
+        row = [float(v) if v is not None else 0.0 for v in (getattr(record, f) for f in NUMERIC_FIELDS)]
+        row += [0.0 if ip_scope(a) == "private" else 1.0 for a in (record.orig_h, record.resp_h)]
+        values = {
+            "proto": record.proto,
+            "service": record.service or "unknown",
+            "conn_state": record.conn_state,
+            "orig_country": table.country(record.orig_h),
+            "resp_country": table.country(record.resp_h),
+        }
+        parts = [np.asarray(row)]
+        for feature in CATEGORICAL_FIELDS:
+            cats = vocabulary.categories[feature]
+            vec = np.zeros(len(cats))
+            if values[feature] in cats:
+                vec[cats.index(values[feature])] = 1.0
+            parts.append(vec)
+        return np.concatenate(parts)
+
+    width = build_schema(vocabulary).width
+    values = np.stack([encode(r) for r in records]) if records else np.zeros((0, width))
+    return values if params is None else transform_min_max(params, values)
+
+
+ORACLE_TABLE = CidrTable.from_rows(
+    [("8.8.8.0/24", "US"), ("8.0.0.0/8", "XX"), ("1.2.0.0/16", "AU"),
+     ("2001:db8::/32", "V6"), ("2001:db8:1::/48", "V6X")]
+)
+
+
+class TestColumnwiseMatrix:
+    TRAIN = [
+        make_record(),
+        make_record(resp_h="8.9.9.9", proto="tcp", service=None, duration=None,
+                    orig_bytes=None, local_orig=None, resp_ip_bytes=None),
+        make_record(orig_h="fe80::1", resp_h="2001:db8::5", service="", conn_state="S0"),
+        make_record(orig_h="10.0.0.1", resp_h="2001:db8:1::9", duration=7.5, orig_p=1),
+    ]
+    # one value unseen in training per categorical feature, in that order
+    TEST = [
+        make_record(proto="icmp"),
+        make_record(service="ssh"),
+        make_record(conn_state="REJ"),
+        make_record(orig_h="1.2.3.4"),
+        make_record(resp_h="203.0.113.9", missed_bytes=None, duration=99.0),
+    ]
+
+    def vocab(self):
+        return fit_one_hot([categorical_values(r, ORACLE_TABLE) for r in self.TRAIN], CATEGORICAL_FIELDS)
+
+    def test_bitwise_equal_to_per_record_encoder(self):
+        vocab = self.vocab()
+        raw_train, _ = matrix_from_records(self.TRAIN, ORACLE_TABLE, vocab)
+        assert raw_train.tobytes() == per_record_matrix(self.TRAIN, ORACLE_TABLE, vocab).tobytes()
+        params = fit_min_max(raw_train)
+        for records in (self.TRAIN, self.TEST, self.TRAIN + self.TEST, []):
+            raw, _ = matrix_from_records(records, ORACLE_TABLE, vocab)
+            scaled, _ = matrix_from_records(records, ORACLE_TABLE, vocab, params)
+            assert raw.shape == (len(records), build_schema(vocab).width)
+            assert raw.tobytes() == per_record_matrix(records, ORACLE_TABLE, vocab).tobytes()
+            assert scaled.tobytes() == per_record_matrix(records, ORACLE_TABLE, vocab, params).tobytes()
+
+    def test_each_unseen_feature_is_an_all_zero_block(self):
+        vocab = self.vocab()
+        raw, schema = matrix_from_records(self.TEST, ORACLE_TABLE, vocab)
+        names = schema.names()
+        for row, feature in zip(raw, CATEGORICAL_FIELDS):
+            block = [j for j, n in enumerate(names) if n.startswith(feature + "=")]
+            assert row[block].sum() == 0.0, feature
+
+    def test_each_address_parsed_once(self, monkeypatch):
+        import iotids.features as features
+
+        vocab = self.vocab()
+        records = self.TRAIN + self.TEST
+        calls = []
+        parse = features._parse_ip
+        monkeypatch.setattr(features, "_parse_ip", lambda a: calls.append(a) or parse(a))
+        matrix_from_records(records, ORACLE_TABLE, vocab)
+        assert len(calls) == 2 * len(records)
+
+    def test_unseen_values_give_one_counted_warning(self, caplog):
+        vocab = fit_one_hot([categorical_values(make_record(), TABLE)], CATEGORICAL_FIELDS)
+        records = [make_record(proto=p) for p in ("icmp", "udp", "gre", "icmp")]
+        with caplog.at_level(logging.WARNING, logger="iotids.features"):
+            matrix_from_records(records, TABLE, vocab)
+        warnings = [r.getMessage() for r in caplog.records if "unseen category" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "3 rows" in warnings[0] and "'proto'" in warnings[0]
 
 
 class _ThresholdModel:

@@ -1,7 +1,11 @@
 """Conn-log parsing, imputation, label canonicalization, and sampling."""
 
+import json
+
 import numpy as np
 import pytest
+
+from iotids.cli import EXIT_DATA, EXIT_OK, main
 
 from iotids.errors import (
     BadNumeric,
@@ -128,6 +132,35 @@ class TestParsing:
     def test_port_out_of_range_rejected(self):
         with pytest.raises(BadNumeric):
             parse_conn_log(make_log(full_row(**{"id.orig_p": "70000"})))
+
+    @pytest.mark.parametrize("column", ["ts", "duration"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, column, token):
+        with pytest.raises(BadNumeric) as exc:
+            parse_conn_log(make_log(full_row(**{column: token})))
+        assert exc.value.column == column
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(BadNumeric) as exc:
+            parse_conn_log(make_log(full_row(duration="-0.5")))
+        assert exc.value.column == "duration"
+
+    def test_nan_duration_in_training_data_is_data_error(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 20, "seed": 1}))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_OK
+        path = tmp_path / "data" / "synth_binary.labeled"
+        lines = path.read_text().split("\n")
+        fields = next(line for line in lines if line.startswith("#fields")).split("\t")[1:]
+        row = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+        cells = lines[row].split("\t")
+        cells[fields.index("duration")] = "nan"
+        lines[row] = "\t".join(cells)
+        path.write_text("\n".join(lines))
+        cfg = {"config_version": 1, "task": "binary", "models": ["rf"], "per_class": 10, "seed": 1,
+               "split": [0.8, 0.2, 0.0], "cv_folds": 0, "model_params": {"rf": {"n_trees": 2, "max_depth": 2}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "run")]) == EXIT_DATA
 
     def test_unlabeled_input_needs_flag(self):
         lines = "#fields\t" + "\t".join(FIELDS.split("\t")[:-2]) + "\n"

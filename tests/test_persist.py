@@ -98,3 +98,15 @@ def test_non_object_bundle_is_model_error(runs, tmp_path):
                  "--input", str(runs / "binary_data" / "synth_binary.labeled"),
                  "--output", str(tmp_path / "preds.csv")])
     assert code == EXIT_MODEL
+
+
+@pytest.mark.parametrize("k", ["3", 3.0, 0, True])
+def test_mistyped_knn_k_is_model_error(runs, tmp_path, k):
+    doc = json.loads((runs / "binary" / "models" / "knn.json").read_text())
+    doc["model"]["k"] = k
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(bad),
+                 "--input", str(runs / "binary_data" / "synth_binary.labeled"),
+                 "--output", str(tmp_path / "preds.csv")])
+    assert code == EXIT_MODEL

@@ -1,4 +1,4 @@
-"""Hard-voting hybrids against an exhaustive mode-with-priority oracle."""
+"""Hard-voting hybrids and the array vote against an exhaustive mode-with-priority oracle."""
 
 import itertools
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from iotids.errors import SchemaMismatch, WidthMismatch
-from iotids.voting import (
-    build_hybrid,
-    mode_with_priority,
-    vote,
-)
+from iotids.voting import build_hybrid, vote
 
 
 class FixedModel:
@@ -54,15 +50,15 @@ def multi_ensemble(votes):
 
 class TestBinaryHybrid:
     def test_unanimous_malicious(self):
-        assert vote(binary_ensemble([1, 1, 1, 1]), X1)[0] == 1
+        assert binary_ensemble([1, 1, 1, 1]).predict(X1)[0] == 1
 
     def test_two_two_tie_goes_to_rf(self):
-        assert vote(binary_ensemble([1, 1, 0, 0]), X1)[0] == 1
-        assert vote(binary_ensemble([0, 1, 0, 1]), X1)[0] == 0
+        assert binary_ensemble([1, 1, 0, 0]).predict(X1)[0] == 1
+        assert binary_ensemble([0, 1, 0, 1]).predict(X1)[0] == 0
 
     def test_all_sixteen_combinations_match_oracle(self):
         for votes in itertools.product([0, 1], repeat=4):
-            got = vote(binary_ensemble(list(votes)), X1)[0]
+            got = binary_ensemble(list(votes)).predict(X1)[0]
             assert got == oracle(votes, 2), votes
 
     def test_member_order_is_rf_gbm_svm_knn(self):
@@ -72,33 +68,39 @@ class TestBinaryHybrid:
 
 class TestMulticlassHybrid:
     def test_forced_majority(self):
-        assert vote(multi_ensemble([2, 2, 3]), X1)[0] == 2
+        assert multi_ensemble([2, 2, 3]).predict(X1)[0] == 2
 
     def test_three_way_split_goes_to_rf(self):
-        assert vote(multi_ensemble([2, 3, 5]), X1)[0] == 2
+        assert multi_ensemble([2, 3, 5]).predict(X1)[0] == 2
 
     def test_unanimous_benign(self):
-        assert vote(multi_ensemble([0, 0, 0]), X1)[0] == 0
+        assert multi_ensemble([0, 0, 0]).predict(X1)[0] == 0
 
     def test_all_343_combinations_match_oracle(self):
         for votes in itertools.product(range(7), repeat=3):
-            got = vote(multi_ensemble(list(votes)), X1)[0]
+            got = multi_ensemble(list(votes)).predict(X1)[0]
             assert got == oracle(votes, 7), votes
 
 
 class TestVoteProperties:
+    @pytest.mark.parametrize("members, n_classes", [(3, 7), (4, 2)])
+    def test_every_vote_tuple_matches_oracle(self, members, n_classes):
+        tuples = list(itertools.product(range(n_classes), repeat=members))
+        got = vote(np.array(tuples).T)  # members x rows, one row per tuple
+        assert got.tolist() == [oracle(t, n_classes) for t in tuples]
+
     def test_identical_members_equal_member_prediction(self):
         members = [FixedModel(1) for _ in range(4)]
         ens = build_hybrid("binary", members)
         X = np.zeros((5, 3))
-        np.testing.assert_array_equal(vote(ens, X), members[0].predict(X))
+        np.testing.assert_array_equal(ens.predict(X), members[0].predict(X))
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             votes = list(rng.integers(0, 7, 3))
-            single = mode_with_priority(np.array(votes), 7)
-            doubled = mode_with_priority(np.array(votes + votes), 7)
+            single = vote(np.array(votes)[:, None])[0]
+            doubled = vote(np.array(votes + votes)[:, None])[0]
             assert single == doubled
 
     def test_member_permutation_changes_only_tied_rows(self):
@@ -129,4 +131,4 @@ class TestComposition:
     def test_vote_width_mismatch(self):
         ens = binary_ensemble([0, 1, 1, 0])
         with pytest.raises(WidthMismatch):
-            vote(ens, np.zeros((2, 5)))
+            ens.predict(np.zeros((2, 5)))
