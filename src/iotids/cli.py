@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IoFailure, ModelError
 from .features import permutation_importance
-from .flows import class_index, impute_missing, parse_conn_log_file
+from .flows import class_index, parse_conn_log_file
 from .metrics import compute_metrics, confusion, metrics_to_json
 from .persist import load_bundle
 from .pipeline import ExperimentConfig, read_labeled_dir, run_training
@@ -83,7 +83,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
-    records = [impute_missing(r) for r in parse_conn_log_file(args.input, allow_unlabeled=True)]
+    records = parse_conn_log_file(args.input, allow_unlabeled=True)
     X = bundle.featurize(records)
     labels = bundle.predict(X)
     probs = bundle.predict_proba(X)

@@ -1,5 +1,6 @@
-"""Flow featurization: IP scope/country engineering, one-hot encoding,
-leakage-safe min-max scaling, and permutation importance.
+"""Flow featurization: missing-value imputation, IP scope/country
+engineering, one-hot encoding, leakage-safe min-max scaling, and
+permutation importance.
 
 Encoders and scaler params are fitted on the training partition only; the
 fitted state is immutable and applied unchanged to every other partition.
@@ -115,11 +116,12 @@ def ip_scope(address: str) -> str:
     return "private" if _is_private(_parse_ip(address)) else "global"
 
 
-def _ip_and_categorical_columns(
+def ip_and_categorical_columns(
     records: Sequence[RawFlowRecord], table: CidrTable
 ) -> tuple[np.ndarray, dict[str, list[str]]]:
     """The scope block (rows x [orig, resp]; 0 private, 1 global) and each
-    categorical feature's column; every address is parsed once."""
+    categorical feature's column in CATEGORICAL_FIELDS order, a missing or
+    empty service as "unknown"; every address is parsed once."""
     ips = [_parse_ip(address) for r in records for address in (r.orig_h, r.resp_h)]
     scopes = np.array([0.0 if _is_private(ip) else 1.0 for ip in ips]).reshape(-1, 2)
     countries = [table.lookup(ip) for ip in ips]
@@ -130,11 +132,6 @@ def _ip_and_categorical_columns(
         "orig_country": countries[0::2],
         "resp_country": countries[1::2],
     }
-
-
-def categorical_values(record: RawFlowRecord, table: CidrTable) -> dict[str, str]:
-    _, columns = _ip_and_categorical_columns([record], table)
-    return {feature: column[0] for feature, column in columns.items()}
 
 
 # --- one-hot -----------------------------------------------------------------
@@ -149,12 +146,9 @@ class OneHotVocabulary:
         return len(self.categories[feature])
 
 
-def fit_one_hot(rows: Iterable[Mapping[str, str]], features: Sequence[str]) -> OneHotVocabulary:
-    seen: dict[str, dict[str, None]] = {f: {} for f in features}
-    for row in rows:
-        for f in features:
-            seen[f].setdefault(row[f])
-    return OneHotVocabulary({f: tuple(seen[f]) for f in features})
+def fit_one_hot(columns: Mapping[str, Sequence[str]]) -> OneHotVocabulary:
+    """Each feature's categories in first-seen order over its column."""
+    return OneHotVocabulary({f: tuple(dict.fromkeys(column)) for f, column in columns.items()})
 
 
 def encode_one_hot(vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> np.ndarray:
@@ -238,8 +232,9 @@ def matrix_from_records(
 ) -> tuple[np.ndarray, FeatureSchema]:
     """Raw (unscaled) or scaled matrix for parsed records, plus its schema.
 
-    Columns are the numerics (missing as 0), the IP scopes, then one-hot
-    blocks; their order is a pure function of the schema.
+    Columns are the numerics (missing values, tri-state bools included, as
+    0), the IP scopes, then one-hot blocks; their order is a pure function
+    of the schema.
     """
     schema = build_schema(vocabulary)
     values = np.zeros((len(records), schema.width))
@@ -248,7 +243,7 @@ def matrix_from_records(
     values[:, :start] = np.array(
         [[0.0 if v is None else v for v in numerics(r)] for r in records], dtype=float
     ).reshape(-1, start)
-    scopes, columns = _ip_and_categorical_columns(records, table)
+    scopes, columns = ip_and_categorical_columns(records, table)
     values[:, start : start + 2] = scopes
     start += 2
     for feature in CATEGORICAL_FIELDS:

@@ -1,4 +1,4 @@
-"""Zeek conn-log ingestion: parse, impute, canonicalize labels, balance-sample.
+"""Zeek conn-log ingestion: parse, canonicalize labels, balance-sample.
 
 Input files are IoT23-style labeled connection logs: tab-separated rows under
 a ``#fields`` directive, ``-`` marking unset values and ``(empty)`` marking
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from importlib import resources
 from pathlib import Path
@@ -294,32 +294,6 @@ def conn_log_header() -> str:
     return "\n".join(lines)
 
 
-def impute_missing(record: RawFlowRecord) -> RawFlowRecord:
-    """Missing numerics (and tri-state bools) become 0, missing service "unknown"."""
-    updates: dict[str, object] = {}
-    for attr, zero in (
-        ("ts", 0.0),
-        ("duration", 0.0),
-        ("orig_bytes", 0),
-        ("resp_bytes", 0),
-        ("missed_bytes", 0),
-        ("orig_pkts", 0),
-        ("orig_ip_bytes", 0),
-        ("resp_pkts", 0),
-        ("resp_ip_bytes", 0),
-    ):
-        if getattr(record, attr) is None:
-            updates[attr] = zero
-    for attr in ("local_orig", "local_resp"):
-        if getattr(record, attr) is None:
-            updates[attr] = False
-    if record.service is None or record.service == "":
-        updates["service"] = "unknown"
-    if record.history is None:
-        updates["history"] = ""
-    return replace(record, **updates) if updates else record
-
-
 def _normalize_label_token(token: str) -> str:
     return " ".join(token.strip().lower().split())
 
@@ -344,11 +318,9 @@ def canonicalize_label(raw_label: str, raw_detailed_label: str) -> ClassLabel:
 
 
 def label_rows(records: Iterable[RawFlowRecord], *, source_files: tuple[str, ...] = ()) -> Dataset:
-    """Impute and label a parsed record stream into a Dataset."""
-    rows = [
-        LabeledFlow(impute_missing(rec), canonicalize_label(rec.raw_label, rec.raw_detailed_label))
-        for rec in records
-    ]
+    """Label a parsed record stream into a Dataset; missing values stay
+    None until featurization."""
+    rows = [LabeledFlow(rec, canonicalize_label(rec.raw_label, rec.raw_detailed_label)) for rec in records]
     return Dataset(rows, Provenance(source_files=source_files))
 
 

@@ -122,11 +122,10 @@ def metrics_to_json(report: MetricsReport, task: str) -> str:
 def export_report(
     report: MetricsReport,
     matrix: ConfusionMatrix,
-    curves: dict[str, str],
     destination: str | Path,
     task: str,
 ) -> list[Path]:
-    """Write metrics.json, confusion.csv, and one CSV per named curve.
+    """Write metrics.json and confusion.csv.
 
     File contents are pure functions of the inputs, so repeated exports are
     byte-identical.
@@ -141,10 +140,6 @@ def export_report(
         confusion_path = dest / "confusion.csv"
         confusion_path.write_text(matrix.to_csv())
         written.append(confusion_path)
-        for name, csv_text in curves.items():
-            curve_path = dest / f"{name}.csv"
-            curve_path.write_text(csv_text)
-            written.append(curve_path)
         return written
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

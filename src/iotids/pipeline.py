@@ -1,5 +1,6 @@
-"""End-to-end experiment pipeline: ingest -> impute -> label -> sample ->
-split -> fit encoders/scaler on train only -> transform -> train -> report.
+"""End-to-end experiment pipeline: ingest -> label -> sample -> split ->
+fit encoders/scaler on train only -> featurize (imputing missing values) ->
+train -> report.
 
 The pipeline reads partitions through a PartitionedDataset whose access log
 records (phase, partition) pairs; tests assert that no test or validation
@@ -11,18 +12,18 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ModelError, SchemaMismatch
 from .features import (
-    CATEGORICAL_FIELDS,
     CidrTable,
-    categorical_values,
     fit_min_max,
     fit_one_hot,
+    ip_and_categorical_columns,
     matrix_from_records,
 )
 from .flows import (
@@ -49,10 +50,7 @@ from .voting import HYBRID_MEMBERS, MODEL_CLASSES, build_hybrid
 
 VALID_MODELS = tuple(MODEL_CLASSES)
 _MODEL_SEED_INDEX = {"rf": 1, "gbm": 2, "ada": 3, "knn": 4, "svm": 5, "ann": 6, "cnn": 7}
-
-# architecture keys split off from optimizer keys in ann/cnn model_params
-_ANN_ARCH_KEYS = {"hidden", "dropout_rate", "elu_alpha", "l1", "l2"}
-_CNN_ARCH_KEYS = {"n_filters", "kernel_width", "pool", "dropout_rate", "hidden", "l1", "l2"}
+_TRAIN_KEYS = {f.name for f in fields(TrainParams)}
 
 CONFIG_VERSION = 1
 
@@ -71,10 +69,12 @@ class ExperimentConfig:
     config_version: int = CONFIG_VERSION
 
     def validate(self) -> None:
-        if self.config_version != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config_version {self.config_version}")
+        if type(self.config_version) is not int or self.config_version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config_version {self.config_version!r}")
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"task must be binary or multiclass, got {self.task!r}")
+        if not isinstance(self.models, (list, tuple)) or not all(isinstance(m, str) for m in self.models):
+            raise ConfigError("models must be a list of model names")
         unknown = [m for m in self.models if m not in VALID_MODELS]
         if unknown:
             raise ConfigError(f"unknown models {unknown}; valid: {list(VALID_MODELS)}")
@@ -86,16 +86,28 @@ class ExperimentConfig:
             missing = [m for m in HYBRID_MEMBERS[self.task] if m not in self.models]
             if missing:
                 raise ConfigError(f"hybrid needs members {missing} in the model list")
-        if len(self.split) != 3 or any(f < 0 for f in self.split):
-            raise ConfigError("split must be three non-negative fractions")
+        if (
+            not isinstance(self.split, (list, tuple))
+            or len(self.split) != 3
+            or not all(type(f) in (int, float) and 0 <= f <= 1 for f in self.split)
+        ):
+            raise ConfigError("split must be three fractions in [0, 1]")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
-        if self.per_class < 1:
-            raise ConfigError("per_class must be >= 1")
-        if self.cv_folds != 0 and self.cv_folds < 2:
-            raise ConfigError("cv_folds must be 0 (off) or >= 2")
-        if self.seed is None:
-            raise ConfigError("seed is required")
+        if type(self.per_class) is not int or self.per_class < 1:
+            raise ConfigError("per_class must be an integer >= 1")
+        if type(self.cv_folds) is not int or self.cv_folds < 0 or self.cv_folds == 1:
+            raise ConfigError("cv_folds must be 0 (off) or an integer >= 2")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        if self.expected_width is not None and type(self.expected_width) is not int:
+            raise ConfigError("expected_width must be an integer")
+        if not isinstance(self.model_params, dict) or not all(
+            isinstance(p, dict) for p in self.model_params.values()
+        ):
+            raise ConfigError("model_params must map model names to objects")
+        if not isinstance(self.paths, dict) or not all(isinstance(p, str) for p in self.paths.values()):
+            raise ConfigError("paths must map names to path strings")
 
     def to_dict(self) -> dict:
         return {
@@ -113,13 +125,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
         try:
             cfg = cls(
                 task=d["task"],
-                models=list(d["models"]),
+                models=d["models"],
                 per_class=d["per_class"],
                 seed=d["seed"],
-                split=tuple(d.get("split", (0.7, 0.2, 0.1))),
+                split=d.get("split", (0.7, 0.2, 0.1)),
                 cv_folds=d.get("cv_folds", 0),
                 expected_width=d.get("expected_width"),
                 model_params=d.get("model_params", {}),
@@ -129,6 +143,7 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
         cfg.validate()
+        cfg.split = tuple(cfg.split)
         return cfg
 
     @classmethod
@@ -174,13 +189,13 @@ def _derived_seed(seed: int, name: str, extra: int = 0) -> int:
     return int(np.random.SeedSequence([seed, _MODEL_SEED_INDEX[name], extra]).generate_state(1)[0])
 
 
-def _split_train_args(kind: str, overrides: dict) -> tuple[dict, dict]:
-    arch_keys = _ANN_ARCH_KEYS if kind == "ann" else _CNN_ARCH_KEYS
-    arch = {k: v for k, v in overrides.items() if k in arch_keys}
-    if "hidden" in arch and kind == "ann":
-        arch["hidden"] = tuple(arch["hidden"])
-    train = {k: v for k, v in overrides.items() if k not in arch_keys}
-    return arch, train
+def _with_params(kind: str, build, overrides: dict, **derived):
+    """build(**overrides, **derived); a key build does not take, or one the
+    pipeline derives itself, is a config error naming the model kind."""
+    try:
+        return build(**overrides, **derived)
+    except TypeError as exc:
+        raise ConfigError(f"{kind} model_params: {exc}") from exc
 
 
 def train_one_model(
@@ -203,25 +218,23 @@ def train_one_model(
     their validation set.
     """
     if kind == "rf":
-        params = ForestParams(**overrides, seed=_derived_seed(seed, "rf", fold_extra))
+        params = _with_params(kind, ForestParams, overrides, seed=_derived_seed(seed, kind, fold_extra))
         return fit_random_forest(X_train, y_train, params), None
     if kind == "gbm":
-        return fit_gbm(X_es, y_es, X_val, y_val, GbmParams(**overrides))
+        return fit_gbm(X_es, y_es, X_val, y_val, _with_params(kind, GbmParams, overrides))
     if kind == "ada":
-        return fit_adaboost(X_train, y_train, AdaParams(**overrides)), None
+        return fit_adaboost(X_train, y_train, _with_params(kind, AdaParams, overrides)), None
     if kind == "knn":
-        return fit_knn(X_train, y_train, overrides.get("k", 5)), None
+        return _with_params(kind, partial(fit_knn, X_train, y_train), overrides), None
     if kind == "svm":
-        params = SvmParams(
-            **{k: v for k, v in overrides.items() if k != "k"},
-            seed=_derived_seed(seed, "svm", fold_extra),
-        )
+        params = _with_params(kind, SvmParams, overrides, seed=_derived_seed(seed, kind, fold_extra))
         return fit_linear_svm(X_train, 2.0 * y_train - 1.0, params), None
     if kind in ("ann", "cnn"):
-        arch, train = _split_train_args(kind, overrides)
-        width = X_train.shape[1]
-        spec = build_ann(width, n_classes, **arch) if kind == "ann" else build_cnn(width, n_classes, **arch)
-        params = TrainParams(**train, seed=_derived_seed(seed, kind, fold_extra))
+        # TrainParams fields go to training, every other key to the builder
+        build = partial(build_ann if kind == "ann" else build_cnn, X_train.shape[1], n_classes)
+        spec = _with_params(kind, build, {k: v for k, v in overrides.items() if k not in _TRAIN_KEYS})
+        train = {k: v for k, v in overrides.items() if k in _TRAIN_KEYS}
+        params = _with_params(kind, TrainParams, train, seed=_derived_seed(seed, kind, fold_extra))
         return train_network(spec, X_es, y_es, X_val, y_val, params)
     raise ConfigError(f"not a standalone model: {kind!r}")
 
@@ -267,7 +280,7 @@ def run_training(
     parts.phase = "fit_encoders"
     train_flows = parts.rows("train")
     train_records = [f.record for f in train_flows]
-    vocabulary = fit_one_hot([categorical_values(r, cidr) for r in train_records], CATEGORICAL_FIELDS)
+    vocabulary = fit_one_hot(ip_and_categorical_columns(train_records, cidr)[1])
     raw_train, schema = matrix_from_records(train_records, cidr, vocabulary)
     if config.expected_width is not None and schema.width != config.expected_width:
         raise SchemaMismatch(f"finalized width {schema.width} != expected {config.expected_width}")
@@ -345,7 +358,7 @@ def run_training(
         for name, model in trained.items():
             matrix = confusion(y["test"], model.predict(X["test"]), n_classes, class_names)
             report = compute_metrics(matrix)
-            written = export_report(report, matrix, {}, out / "reports" / name, task)
+            written = export_report(report, matrix, out / "reports" / name, task)
             artifact_paths.extend(written)
 
     if config.cv_folds >= 2:

@@ -4,6 +4,7 @@ Zeek-format labeled connection logs with canonical IoT23 label spellings."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,12 +60,17 @@ class SynthSpec:
     def validate(self) -> None:
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"task must be binary or multiclass, got {self.task!r}")
-        if self.rows_per_class < 1:
-            raise ConfigError("rows_per_class must be >= 1")
-        if self.feature_width < 1:
-            raise ConfigError("feature_width must be >= 1")
-        if not 0.0 <= self.label_noise < 0.5:
+        if type(self.rows_per_class) is not int or self.rows_per_class < 1:
+            raise ConfigError("rows_per_class must be an integer >= 1")
+        if type(self.feature_width) is not int or self.feature_width < 1:
+            raise ConfigError("feature_width must be an integer >= 1")
+        numbers = (self.center_spacing, self.spread)
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers) or self.spread < 0:
+            raise ConfigError("center_spacing and spread must be finite numbers, spread >= 0")
+        if type(self.label_noise) not in (int, float) or not 0.0 <= self.label_noise < 0.5:
             raise ConfigError("label_noise must be in [0, 0.5)")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
     def to_dict(self) -> dict:
         return {

@@ -85,10 +85,9 @@ def test_criterion_01_metric_oracle_equivalence():
 
 def test_criterion_02_leakage_guard(tmp_path):
     from iotids.features import (
-        CATEGORICAL_FIELDS,
         CidrTable,
-        categorical_values,
         fit_one_hot,
+        ip_and_categorical_columns,
         matrix_from_records,
     )
     from iotids.flows import balance_sample, class_index
@@ -107,9 +106,7 @@ def test_criterion_02_leakage_guard(tmp_path):
         y = np.array([class_index(f, "binary") for f in sampled.rows])
         split = stratified_split(y, (0.8, 0.2, 0.0), seed)
         records = [f.record for f in sampled.rows]
-        vocab = fit_one_hot(
-            [categorical_values(records[i], table) for i in split.train], CATEGORICAL_FIELDS
-        )
+        vocab = fit_one_hot(ip_and_categorical_columns([records[i] for i in split.train], table)[1])
         raw_all, _ = matrix_from_records(records, table, vocab)
         expected = fit_min_max(raw_all[split.train])
 

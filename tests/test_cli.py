@@ -191,3 +191,50 @@ class TestSelfAgreement:
             (workspace / "run" / "reports" / "rf" / "metrics.json").read_text()
         )["accuracy"]
         assert self_acc >= test_acc - 1e-12
+
+
+PROBE_CONFIG = {"task": "binary", "models": ["rf"], "per_class": 20, "seed": 1, "split": [0.8, 0.2, 0.0]}
+
+
+@pytest.fixture(scope="module")
+def probe_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("probe")
+    (root / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 20, "seed": 4}))
+    assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == EXIT_OK
+    return root / "data"
+
+
+def train_exit(config, data, tmp_path) -> int:
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    return main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(data),
+                 "--out", str(tmp_path / "run")])
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("kind, params", [
+        ("rf", {"bogus": 1}),
+        ("rf", {"seed": 5}),
+        ("ann", {"bogus": 1}),
+        ("knn", {"kk": 9}),
+        ("svm", {"k": 3}),
+    ])
+    def test_unknown_model_params_key(self, probe_data, tmp_path, caplog, kind, params):
+        config = dict(PROBE_CONFIG, models=[kind], model_params={kind: params})
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+        (key,) = params
+        assert f"{kind} model_params" in caplog.text and repr(key) in caplog.text
+
+    @pytest.mark.parametrize("config", [
+        [],
+        dict(PROBE_CONFIG, models=5),
+        dict(PROBE_CONFIG, per_class="x"),
+        dict(PROBE_CONFIG, split=[0.5, "a", 0.5]),
+        dict(PROBE_CONFIG, seed="s"),
+        dict(PROBE_CONFIG, model_params={"rf": [1]}),
+    ], ids=["list", "models", "per_class", "split", "seed", "model_params"])
+    def test_mistyped_config(self, probe_data, tmp_path, config):
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+
+    def test_mistyped_synth_seed(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 5, "seed": "s"}))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG

@@ -11,10 +11,10 @@ from iotids.features import (
     NUMERIC_FIELDS,
     CidrTable,
     build_schema,
-    categorical_values,
     encode_one_hot,
     fit_min_max,
     fit_one_hot,
+    ip_and_categorical_columns,
     ip_scope,
     matrix_from_records,
     permutation_importance,
@@ -55,18 +55,24 @@ def make_record(**overrides) -> RawFlowRecord:
     return RawFlowRecord(**base)
 
 
+def fit_vocab(records, table):
+    return fit_one_hot(ip_and_categorical_columns(records, table)[1])
+
+
 TABLE = CidrTable.from_rows([("8.8.8.0/24", "US"), ("8.0.0.0/8", "XX"), ("1.2.0.0/16", "AU")])
 
 
 class TestIpFeatures:
     def test_private_rfc1918(self):
         record = make_record(orig_h="192.168.1.5")
-        scope, country = ip_scope(record.orig_h), categorical_values(record, TABLE)["orig_country"]
+        _, columns = ip_and_categorical_columns([record], TABLE)
+        scope, country = ip_scope(record.orig_h), columns["orig_country"][0]
         assert scope == "private" and country == "unknown"
 
     def test_global_with_table_entry(self):
         record = make_record(resp_h="8.8.8.8")
-        scope, country = ip_scope(record.resp_h), categorical_values(record, TABLE)["resp_country"]
+        _, columns = ip_and_categorical_columns([record], TABLE)
+        scope, country = ip_scope(record.resp_h), columns["resp_country"][0]
         assert scope == "global" and country == "US"
 
     def test_longest_prefix_wins(self):
@@ -103,37 +109,35 @@ class TestIpFeatures:
 
 class TestOneHot:
     def test_first_seen_order(self):
-        rows = [{"proto": "tcp"}, {"proto": "udp"}, {"proto": "tcp"}]
-        vocab = fit_one_hot(rows, ["proto"])
+        vocab = fit_one_hot({"proto": ["tcp", "udp", "tcp"]})
         assert vocab.categories["proto"] == ("tcp", "udp")
 
     def test_unknown_is_first_class_category(self):
-        rows = [{"service": "unknown"}, {"service": "dns"}]
-        vocab = fit_one_hot(rows, ["service"])
+        vocab = fit_one_hot({"service": ["unknown", "dns"]})
         assert "unknown" in vocab.categories["service"]
         np.testing.assert_array_equal(encode_one_hot(vocab, "service", ["unknown"])[0], [1.0, 0.0])
 
     def test_refit_identical(self):
-        rows = [{"proto": p} for p in ("tcp", "udp", "icmp", "tcp")]
-        assert fit_one_hot(rows, ["proto"]) == fit_one_hot(rows, ["proto"])
+        columns = {"proto": ["tcp", "udp", "icmp", "tcp"]}
+        assert fit_one_hot(columns) == fit_one_hot(columns)
 
     def test_encode_known(self):
-        vocab = fit_one_hot([{"proto": "tcp"}, {"proto": "udp"}], ["proto"])
+        vocab = fit_one_hot({"proto": ["tcp", "udp"]})
         np.testing.assert_array_equal(encode_one_hot(vocab, "proto", ["tcp"])[0], [1.0, 0.0])
 
     def test_encode_unseen_is_zeros_with_warning(self, caplog):
-        vocab = fit_one_hot([{"proto": "tcp"}, {"proto": "udp"}], ["proto"])
+        vocab = fit_one_hot({"proto": ["tcp", "udp"]})
         with caplog.at_level(logging.WARNING, logger="iotids.features"):
             vec = encode_one_hot(vocab, "proto", ["icmp"])[0]
         np.testing.assert_array_equal(vec, [0.0, 0.0])
         assert any("unseen category" in r.message for r in caplog.records)
 
     def test_encode_positional(self):
-        vocab = fit_one_hot([{"x": "a"}, {"x": "b"}, {"x": "c"}], ["x"])
+        vocab = fit_one_hot({"x": ["a", "b", "c"]})
         np.testing.assert_array_equal(encode_one_hot(vocab, "x", ["c"])[0], [0.0, 0.0, 1.0])
 
     def test_sum_property(self):
-        vocab = fit_one_hot([{"x": v} for v in "abcd"], ["x"])
+        vocab = fit_one_hot({"x": list("abcd")})
         for v in "abcd":
             assert encode_one_hot(vocab, "x", [v]).sum() == 1.0
         assert encode_one_hot(vocab, "x", ["z"]).sum() == 0.0
@@ -185,7 +189,7 @@ class TestMinMax:
 
 class TestFeatureMatrix:
     def test_empty_dataset_keeps_schema_width(self):
-        vocab = fit_one_hot([categorical_values(make_record(), TABLE)], CATEGORICAL_FIELDS)
+        vocab = fit_vocab([make_record()], TABLE)
         values, schema = matrix_from_records([], TABLE, vocab)
         assert values.shape == (0, schema.width)
 
@@ -196,7 +200,7 @@ class TestFeatureMatrix:
                          duration=4.0, orig_bytes=8, resp_bytes=16, local_orig=False,
                          local_resp=True, missed_bytes=1, orig_pkts=3,
                          orig_ip_bytes=5, resp_pkts=7, resp_ip_bytes=9)
-        vocab = fit_one_hot([categorical_values(r, TABLE) for r in (r1, r2)], CATEGORICAL_FIELDS)
+        vocab = fit_vocab([r1, r2], TABLE)
         values, schema = matrix_from_records([r1, r2], TABLE, vocab)
         # documented order: 12 numerics, 2 scopes, then one-hot blocks
         # proto [udp, tcp], service [dns, http], conn_state [SF, S0],
@@ -212,7 +216,7 @@ class TestFeatureMatrix:
 
     def test_deterministic_across_runs(self):
         records = [make_record(), make_record(proto="tcp")]
-        vocab = fit_one_hot([categorical_values(r, TABLE) for r in records], CATEGORICAL_FIELDS)
+        vocab = fit_vocab(records, TABLE)
         a_values, a_schema = matrix_from_records(records, TABLE, vocab)
         b_values, b_schema = matrix_from_records(records, TABLE, vocab)
         np.testing.assert_array_equal(a_values, b_values)
@@ -220,7 +224,7 @@ class TestFeatureMatrix:
 
     def test_column_order_is_schema_function(self):
         records = [make_record(), make_record(proto="tcp")]
-        vocab = fit_one_hot([categorical_values(r, TABLE) for r in records], CATEGORICAL_FIELDS)
+        vocab = fit_vocab(records, TABLE)
         schema = build_schema(vocab)
         names = schema.names()
         assert names[: len(NUMERIC_FIELDS)] == NUMERIC_FIELDS
@@ -242,7 +246,7 @@ class TestFeatureMatrix:
 
     def test_scaled_matrix_in_unit_interval(self):
         records = [make_record(), make_record(orig_bytes=9999, duration=50.0)]
-        vocab = fit_one_hot([categorical_values(r, TABLE) for r in records], CATEGORICAL_FIELDS)
+        vocab = fit_vocab(records, TABLE)
         raw, _ = matrix_from_records(records, TABLE, vocab)
         params = fit_min_max(raw)
         scaled, _ = matrix_from_records(records, TABLE, vocab, params)
@@ -301,7 +305,7 @@ class TestColumnwiseMatrix:
     ]
 
     def vocab(self):
-        return fit_one_hot([categorical_values(r, ORACLE_TABLE) for r in self.TRAIN], CATEGORICAL_FIELDS)
+        return fit_vocab(self.TRAIN, ORACLE_TABLE)
 
     def test_bitwise_equal_to_per_record_encoder(self):
         vocab = self.vocab()
@@ -335,7 +339,7 @@ class TestColumnwiseMatrix:
         assert len(calls) == 2 * len(records)
 
     def test_unseen_values_give_one_counted_warning(self, caplog):
-        vocab = fit_one_hot([categorical_values(make_record(), TABLE)], CATEGORICAL_FIELDS)
+        vocab = fit_vocab([make_record()], TABLE)
         records = [make_record(proto=p) for p in ("icmp", "udp", "gre", "icmp")]
         with caplog.at_level(logging.WARNING, logger="iotids.features"):
             matrix_from_records(records, TABLE, vocab)

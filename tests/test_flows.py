@@ -14,6 +14,13 @@ from iotids.errors import (
     MalformedHeader,
     UnknownBinaryLabel,
 )
+from iotids.features import (
+    NUMERIC_FIELDS,
+    CidrTable,
+    fit_one_hot,
+    ip_and_categorical_columns,
+    matrix_from_records,
+)
 from iotids.flows import (
     BinaryClass,
     ClassLabel,
@@ -23,7 +30,6 @@ from iotids.flows import (
     balance_sample,
     canonicalize_label,
     conn_log_header,
-    impute_missing,
     parse_conn_log,
     record_to_line,
     _DETAILED_LABEL_MAP,
@@ -177,34 +183,41 @@ class TestParsing:
         assert reparsed == original
 
 
+def featurized(*rows):
+    """Raw feature rows, keyed by column name, of parsed rows under a
+    vocabulary fitted on those rows."""
+    records, table = parse_conn_log(make_log(*rows)), CidrTable()
+    vocab = fit_one_hot(ip_and_categorical_columns(records, table)[1])
+    values, schema = matrix_from_records(records, table, vocab)
+    return values, [dict(zip(schema.names(), row)) for row in values]
+
+
 class TestImpute:
     def test_missing_numerics_become_zero(self):
-        rec = parse_conn_log(make_log(full_row(duration="-", orig_bytes="-")))[0]
-        fixed = impute_missing(rec)
-        assert fixed.duration == 0.0
-        assert fixed.orig_bytes == 0
+        _, (row,) = featurized(full_row(duration="-", orig_bytes="(empty)"))
+        assert row["duration"] == 0.0
+        assert row["orig_bytes"] == 0.0
 
     def test_missing_service_becomes_unknown(self):
-        rec = parse_conn_log(make_log(full_row(service="-")))[0]
-        assert impute_missing(rec).service == "unknown"
+        _, rows = featurized(full_row(service="-"), full_row(service="(empty)"))
+        assert all(row["service=unknown"] == 1.0 for row in rows)
 
     def test_fully_populated_record_unchanged(self):
         rec = parse_conn_log(make_log(full_row()))[0]
-        assert impute_missing(rec) == rec
+        _, (row,) = featurized(full_row())
+        assert [row[f] for f in NUMERIC_FIELDS] == [float(getattr(rec, f)) for f in NUMERIC_FIELDS]
+        assert row[f"service={rec.service}"] == 1.0
 
     def test_tri_state_bools_default_false(self):
-        rec = parse_conn_log(make_log(full_row(local_orig="-", local_resp="-")))[0]
-        fixed = impute_missing(rec)
-        assert fixed.local_orig is False and fixed.local_resp is False
+        _, (row,) = featurized(full_row(local_orig="-", local_resp="-"))
+        assert row["local_orig"] == 0.0 and row["local_resp"] == 0.0
 
     def test_no_missing_fields_after_full_scan(self):
-        rows = [full_row(duration="-"), full_row(service="-"), full_row(orig_bytes="-", history="-")]
-        for rec in parse_conn_log(make_log(*rows)):
-            fixed = impute_missing(rec)
-            for attr in ("ts", "duration", "orig_bytes", "resp_bytes", "missed_bytes",
-                         "orig_pkts", "orig_ip_bytes", "resp_pkts", "resp_ip_bytes",
-                         "service", "local_orig", "local_resp", "history"):
-                assert getattr(fixed, attr) is not None
+        values, rows = featurized(full_row(duration="-"), full_row(service="-"),
+                                  full_row(orig_bytes="-", history="-"))
+        assert np.isfinite(values).all()
+        for row in rows:
+            assert sum(v for name, v in row.items() if name.startswith("service=")) == 1.0
 
 
 class TestLabels:

@@ -133,7 +133,7 @@ class TestExport:
 
     def test_metrics_file_accuracy(self, tmp_path):
         report, matrix = self._fixture()
-        export_report(report, matrix, {}, tmp_path, "binary")
+        export_report(report, matrix, tmp_path, "binary")
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc["accuracy"] == 0.7  # (4 + 3) / 10
         assert doc["task"] == "binary"
@@ -141,17 +141,17 @@ class TestExport:
 
     def test_no_curve_file_when_empty(self, tmp_path):
         report, matrix = self._fixture()
-        written = export_report(report, matrix, {}, tmp_path, "binary")
+        written = export_report(report, matrix, tmp_path, "binary")
         assert sorted(p.name for p in written) == ["confusion.csv", "metrics.json"]
 
     def test_rewrite_byte_identical(self, tmp_path):
         report, matrix = self._fixture()
-        export_report(report, matrix, {"curve": "round,x\n0,1\n"}, tmp_path, "binary")
+        export_report(report, matrix, tmp_path, "binary")
         first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        export_report(report, matrix, {"curve": "round,x\n0,1\n"}, tmp_path, "binary")
+        export_report(report, matrix, tmp_path, "binary")
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert first == second
-        assert "curve.csv" in first
+        assert sorted(first) == ["confusion.csv", "metrics.json"]
 
     def test_metrics_json_keys(self):
         report, _ = self._fixture()

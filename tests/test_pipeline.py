@@ -5,14 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotids.errors import ConfigError, DataError, ModelDataMismatch
 from iotids.features import (
-    CATEGORICAL_FIELDS,
     CidrTable,
-    categorical_values,
     fit_min_max,
     fit_one_hot,
+    ip_and_categorical_columns,
     matrix_from_records,
 )
 from iotids.flows import balance_sample, class_index
@@ -28,6 +29,27 @@ FAST_BINARY = {
     "gbm": {"max_rounds": 8, "max_depth": 3},
     "svm": {"epochs": 5},
     "knn": {"k": 3},
+}
+
+
+# every value json.loads can return, NaN and infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+DROPPED = object()
+VALID_CONFIG = {
+    "config_version": 1,
+    "task": "binary",
+    "models": ["rf", "gbm", "svm", "knn", "hybrid"],
+    "per_class": 5,
+    "seed": 0,
+    "split": [0.8, 0.2, 0.0],
+    "cv_folds": 2,
+    "expected_width": 30,
+    "model_params": {"rf": {"n_trees": 2}},
+    "paths": {"data": "data"},
 }
 
 
@@ -80,6 +102,20 @@ class TestConfig:
         with pytest.raises(DataError):
             read_labeled_dir("/nonexistent/place")
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(JSON_VALUES, st.dictionaries(
+        st.sampled_from(sorted(VALID_CONFIG)), JSON_VALUES | st.just(DROPPED), max_size=3
+    ).map(lambda changes: {
+        key: value for key, value in {**VALID_CONFIG, **changes}.items() if value is not DROPPED
+    })))
+    def test_from_dict_returns_config_or_config_error(self, d):
+        # a valid config with up to three fields dropped or replaced, or any JSON value
+        try:
+            cfg = ExperimentConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert isinstance(cfg.split, tuple)
+
 
 class TestLeakageGuard:
     def test_pipeline_params_equal_train_only_recount(self, binary_data):
@@ -92,9 +128,7 @@ class TestLeakageGuard:
             y = np.array([class_index(f, "binary") for f in sampled.rows])
             split = stratified_split(y, (0.8, 0.2, 0.0), seed)
             train_records = [sampled.rows[i].record for i in split.train]
-            vocab = fit_one_hot(
-                [categorical_values(r, table) for r in train_records], CATEGORICAL_FIELDS
-            )
+            vocab = fit_one_hot(ip_and_categorical_columns(train_records, table)[1])
             raw_train, _ = matrix_from_records(train_records, table, vocab)
             expected = fit_min_max(raw_train)
 
@@ -116,9 +150,7 @@ class TestLeakageGuard:
             y = np.array([class_index(f, "binary") for f in sampled.rows])
             split = stratified_split(y, (0.8, 0.2, 0.0), seed)
             records = [f.record for f in sampled.rows]
-            vocab = fit_one_hot(
-                [categorical_values(records[i], table) for i in split.train], CATEGORICAL_FIELDS
-            )
+            vocab = fit_one_hot(ip_and_categorical_columns([records[i] for i in split.train], table)[1])
             raw_all, _ = matrix_from_records(records, table, vocab)
             raw_train = raw_all[split.train]
             raw_test = raw_all[split.test].copy()
