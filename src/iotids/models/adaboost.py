@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import EmptyInput, WidthMismatch
-from .tree import DecisionTree, TreeParams, fit_tree
+from .tree import DecisionTree, TreeParams, grow_tree, presort
 
 # floor for the weighted error when a weak learner is perfect; caps the stage weight
 _EPS = 1e-10
@@ -72,10 +72,11 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, params: AdaParams = AdaParams()) 
     )
 
     w = np.full(n, 1.0 / n)
+    sorted_rows = presort(X)  # only the weights change between rounds
     stages: list[tuple[DecisionTree, float]] = []
     for _ in range(params.n_rounds):
-        tree = fit_tree(X, y, w, tree_params)
-        miss = tree.predict(X) != y
+        tree, leaves = grow_tree(X, y, w, tree_params, presorted=sorted_rows)
+        miss = tree.predict_from_leaves(leaves) != y
         err = float(w[miss].sum())
         if err >= 1.0 - 1.0 / n_classes:
             break

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import EmptyInput, EmptyValidation, WidthMismatch
 from ..numerics import cross_entropy_mean, one_hot, softmax
-from .tree import DecisionTree, TreeParams, fit_tree
+from .tree import DecisionTree, TreeParams, grow_tree, presort
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,7 @@ def fit_gbm(
         task="regression",
     )
 
+    sorted_rows = presort(X)  # X is the same for every round and class
     rounds: list[list[DecisionTree]] = []
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -141,8 +142,7 @@ def fit_gbm(
         for c in range(n_classes):
             g = P[:, c] - Y[:, c]
             h = P[:, c] * (1.0 - P[:, c])
-            tree = fit_tree(X, -g, None, tree_params)
-            leaves = tree.apply(X)
+            tree, leaves = grow_tree(X, -g, None, tree_params, presorted=sorted_rows)
             _newton_leaf_scores(tree, leaves, g, h, params.leaf_l2)
             F_train[:, c] += params.learning_rate * tree.leaf_score[leaves]
             F_val[:, c] += params.learning_rate * tree.leaf_score[tree.apply(X_val)]

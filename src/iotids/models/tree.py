@@ -6,6 +6,16 @@ midpoints between consecutive distinct sorted feature values; ties in gain
 break toward the lowest feature index, then the lowest threshold, so an
 exhaustive brute-force split search reproduces the choice exactly.  Rows go
 left when x[feature] <= threshold.
+
+The search is exact and presorted (SLIQ; Mehta, Agrawal & Rissanen, EDBT
+1996): the row ids of a fit matrix are sorted once per varying column, and
+each split hands every child its share of those sorted rows by a stable
+partition, so no node sorts.  Gains are evaluated at cut positions only, for
+a block of candidate features at a time; a block holds at most
+_BLOCK_ELEMENTS node rows x classes, so a large node is searched a few
+features at a time and the search's temporaries stay O(node rows x classes).
+A node's rows stay in ascending row order, so every sum adds its terms in the
+order a per-node stable sort would.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ import numpy as np
 from ..errors import EmptyInput, WidthMismatch
 
 _NO_CHILD = -1
+# bound on candidates x node rows (x classes) per temporary of the split search
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,10 @@ class DecisionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Class labels (argmax of leaf counts, ties to the lowest class index)
         for classification; leaf scores for regression."""
-        leaves = self.apply(X)
+        return self.predict_from_leaves(self.apply(X))
+
+    def predict_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
+        """predict, given each row's leaf node id."""
         if self.params.task == "classification":
             return np.argmax(self.leaf_class_counts[leaves], axis=1)
         return self.leaf_score[leaves]
@@ -94,95 +109,141 @@ class DecisionTree:
         )
 
 
+@dataclass(frozen=True)
+class Presort:
+    """Row ids of one fit matrix, sorted once by each column that varies.
+
+    order[i] holds every row id, stably sorted by column features[i], and
+    values[i] is that column.  A column constant over the whole matrix has
+    no cut at any node, so it is left out.
+    """
+
+    features: np.ndarray  # varying column ids, ascending
+    values: np.ndarray  # len(features) x n, C-contiguous
+    order: np.ndarray  # len(features) x n row ids (int32 below 2**31 rows)
+
+
+def presort(X: np.ndarray) -> Presort:
+    """The Presort of fit matrix X."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    ids = np.int32 if n < 2**31 else np.int64
+    features, orders = [], []
+    for f in range(X.shape[1]):  # a column at a time keeps the transient at n ids
+        order = np.argsort(X[:, f], kind="stable")
+        sv = X[order, f]
+        if (sv[:-1] < sv[1:]).any():
+            features.append(f)
+            orders.append(order.astype(ids))
+    features = np.asarray(features, dtype=np.int64)
+    return Presort(
+        features,
+        np.ascontiguousarray(X[:, features].T),
+        np.asarray(orders, dtype=ids).reshape(features.shape[0], n),
+    )
+
+
 def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
     return 1.0 - ((counts / total[..., None]) ** 2).sum(axis=-1)
 
 
+def _sorted_cuts(values: np.ndarray, order: np.ndarray, candidates: np.ndarray):
+    """Each candidate's sorted node values, and the (candidate, position)
+    pairs whose next sorted value is larger: the only places a split can go.
+    candidates are rows of values (a flat take is faster than X[order, f])."""
+    sv = np.take(values, candidates[:, None] * values.shape[1] + order)
+    cand, pos = np.nonzero(sv[:, :-1] < sv[:, 1:])
+    return sv, cand, pos
+
+
+def _best_cut(block_gains, order: np.ndarray, candidates: np.ndarray, row_elements: int,
+              floor: float) -> tuple[int, float]:
+    """(candidate, threshold) of the best cut, or (-1, 0.0) if none.
+
+    block_gains(order, candidates) scores a block of candidates: it returns
+    the gain at each cut with the sv, cand and pos of _sorted_cuts.  A block
+    holds at most _BLOCK_ELEMENTS // row_elements candidates.  Within a
+    feature the first maximum wins (np.argmax semantics, so a NaN gain rules
+    that feature out); across features, the lowest one whose gain is
+    strictly above floor and above every lower feature's."""
+    best_candidate, best_threshold = _NO_CHILD, 0.0
+    step = max(1, _BLOCK_ELEMENTS // row_elements)
+    for start in range(0, candidates.shape[0], step):
+        gains, cand, pos, sv = block_gains(order[start:start + step], candidates[start:start + step])
+        if gains.size == 0:
+            continue
+        per_cut = np.full((sv.shape[0], sv.shape[1] - 1), -np.inf)
+        per_cut[cand, pos] = gains
+        first = np.argmax(per_cut, axis=1)
+        best = per_cut[np.arange(first.shape[0]), first]
+        best = np.where(np.isnan(best), -np.inf, best)
+        i = int(np.argmax(best))
+        if best[i] > floor:
+            j = first[i]
+            floor = best[i]
+            best_candidate, best_threshold = start + i, float((sv[i, j] + sv[i, j + 1]) / 2.0)
+    return best_candidate, best_threshold
+
+
 def _best_split_classification(
-    X: np.ndarray,
+    values: np.ndarray,
     class_w: np.ndarray,
-    rows: np.ndarray,
+    total_counts: np.ndarray,
+    order: np.ndarray,
     candidates: np.ndarray,
     min_leaf: int,
-) -> tuple[float, int, float]:
-    """Best (gain, feature, threshold) over candidate features; gain 0 if none."""
-    node_w = class_w[rows]
-    total_counts = node_w.sum(axis=0)
+) -> tuple[int, float]:
+    """(candidate, threshold) of the best positive-gain split over the
+    candidate rows of values, whose sorted node rows are the rows of order."""
     total = total_counts.sum()
     parent = float(_gini(total_counts, np.asarray(total)))
-    n = rows.shape[0]
+    n = order.shape[1]
 
-    best_gain, best_feature, best_threshold = 0.0, _NO_CHILD, 0.0
-    for f in candidates:
-        values = X[rows, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        cuts = np.flatnonzero(sv[:-1] < sv[1:])
-        if cuts.size == 0:
-            continue
-        cum = np.cumsum(node_w[order], axis=0)
-        left_counts = cum[cuts]
+    def block_gains(order, candidates):
+        sv, cand, pos = _sorted_cuts(values, order, candidates)
+        left_counts = np.cumsum(class_w[order], axis=1)[cand, pos]
         right_counts = total_counts - left_counts
-        n_left = cuts + 1
+        n_left = pos + 1
         valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        if not valid.any():
-            continue
         left_total = left_counts.sum(axis=1)
         right_total = total - left_total
         gains = parent - (left_total * _gini(left_counts, left_total)
                           + right_total * _gini(right_counts, right_total)) / total
-        gains = np.where(valid, gains, -np.inf)
-        j = int(np.argmax(gains))  # first max -> lowest threshold
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best_feature = int(f)
-            best_threshold = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
-    return best_gain, best_feature, best_threshold
+        return np.where(valid, gains, -np.inf), cand, pos, sv
+
+    return _best_cut(block_gains, order, candidates, n * class_w.shape[1], 0.0)
 
 
 def _best_split_regression(
-    X: np.ndarray,
-    t: np.ndarray,
+    values: np.ndarray,
     w: np.ndarray,
-    rows: np.ndarray,
+    tw: np.ndarray,
+    t2w: np.ndarray,
+    sums: tuple[float, float, float],
+    order: np.ndarray,
     candidates: np.ndarray,
     min_leaf: int,
-) -> tuple[float, int, float]:
-    tw = t[rows] * w[rows]
-    t2w = t[rows] * tw
-    W = float(w[rows].sum())
-    S1 = float(tw.sum())
-    S2 = float(t2w.sum())
+) -> tuple[int, float]:
+    """As _best_split_classification, for squared error; `sums` are the
+    node's sums of w, t*w and t*t*w."""
+    W, S1, S2 = sums
     parent_sse = S2 - S1 * S1 / W
-    n = rows.shape[0]
+    n = order.shape[1]
     # float cancellation makes "zero" gains slightly noisy on regression targets
     min_gain = 1e-12 * max(1.0, abs(parent_sse))
 
-    best_gain, best_feature, best_threshold = min_gain, _NO_CHILD, 0.0
-    for f in candidates:
-        values = X[rows, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        cuts = np.flatnonzero(sv[:-1] < sv[1:])
-        if cuts.size == 0:
-            continue
-        cw = np.cumsum(w[rows][order])
-        c1 = np.cumsum(tw[order])
-        c2 = np.cumsum(t2w[order])
-        wl, s1l, s2l = cw[cuts], c1[cuts], c2[cuts]
+    def block_gains(order, candidates):
+        sv, cand, pos = _sorted_cuts(values, order, candidates)
+        wl = np.cumsum(w[order], axis=1)[cand, pos]
+        s1l = np.cumsum(tw[order], axis=1)[cand, pos]
+        s2l = np.cumsum(t2w[order], axis=1)[cand, pos]
         wr, s1r, s2r = W - wl, S1 - s1l, S2 - s2l
-        n_left = cuts + 1
+        n_left = pos + 1
         valid = (n_left >= min_leaf) & (n - n_left >= min_leaf) & (wl > 0) & (wr > 0)
-        if not valid.any():
-            continue
         sse = (s2l - s1l * s1l / wl) + (s2r - s1r * s1r / wr)
-        gains = np.where(valid, parent_sse - sse, -np.inf)
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best_feature = int(f)
-            best_threshold = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
-    return best_gain, best_feature, best_threshold
+        return np.where(valid, parent_sse - sse, -np.inf), cand, pos, sv
+
+    return _best_cut(block_gains, order, candidates, n, min_gain)
 
 
 def fit_tree(
@@ -193,10 +254,26 @@ def fit_tree(
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
 ) -> DecisionTree:
+    """Grow a tree on X; see grow_tree."""
+    return grow_tree(X, y, sample_weights, params, rng, features_per_split)[0]
+
+
+def grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    sample_weights: np.ndarray | None = None,
+    params: TreeParams = TreeParams(),
+    rng: np.random.Generator | None = None,
+    features_per_split: int | None = None,
+    presorted: Presort | None = None,
+) -> tuple[DecisionTree, np.ndarray]:
     """Grow a tree; stops at max_depth, min_samples_leaf, or zero gain.
 
-    features_per_split (with rng) re-draws that many candidate features,
-    without replacement, at every split; both default to using all features.
+    Returns the tree and the leaf of every training row (what tree.apply(X)
+    gives).  features_per_split (with rng) re-draws that many candidate
+    features, without replacement, at every split; both default to using
+    all features.  presorted is presort(X), computed here when not given;
+    boosting passes one presort to every tree it grows on the same X.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -208,6 +285,10 @@ def fit_tree(
     w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
     if (w < 0).any() or not (w > 0).any():
         raise EmptyInput("sample weights must be non-negative and not all zero")
+    if presorted is None:
+        presorted = presort(X)
+    elif presorted.order.shape[1] != n:
+        raise WidthMismatch(n, presorted.order.shape[1])
 
     classification = params.task == "classification"
     if classification:
@@ -217,8 +298,15 @@ def fit_tree(
         class_w[np.arange(n), y] = w
     else:
         t = y.astype(float)
+        tw = t * w
+        t2w = t * tw
 
-    features = np.arange(d)
+    # presort row of each feature, -1 for a constant one
+    presort_row = np.full(d, -1)
+    all_presort_rows = np.arange(presorted.features.shape[0])
+    presort_row[presorted.features] = all_presort_rows
+    leaves = np.zeros(n, dtype=np.int64)
+    goes_left = np.zeros(n, dtype=bool)  # per split: the side of each node row
     feature_: list[int] = []
     threshold_: list[float] = []
     left_: list[int] = []
@@ -237,14 +325,17 @@ def fit_tree(
             leaf_score_.append(0.0)
         return len(feature_) - 1
 
-    stack = [(new_node(), np.arange(n), 0)]
+    # rows: the node's row ids, ascending; order: its rows of presorted.order
+    stack = [(new_node(), np.arange(n), presorted.order, 0)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows, order, depth = stack.pop()
+        leaves[rows] = node
         if classification:
-            leaf_counts_[node] = class_w[rows].sum(axis=0)
+            counts = class_w[rows].sum(axis=0)
+            leaf_counts_[node] = counts
         else:
-            wr = w[rows]
-            leaf_score_[node] = float((t[rows] * wr).sum() / wr.sum())
+            sums = (float(w[rows].sum()), float(tw[rows].sum()), float(t2w[rows].sum()))
+            leaf_score_[node] = sums[1] / sums[0]
 
         if params.max_depth is not None and depth >= params.max_depth:
             continue
@@ -254,32 +345,41 @@ def fit_tree(
         if features_per_split is not None and features_per_split < d:
             if rng is None:
                 raise ValueError("features_per_split needs an rng")
-            chosen = rng.choice(d, size=features_per_split, replace=False)
-            candidates = np.sort(chosen)
+            candidates = presort_row[np.sort(rng.choice(d, size=features_per_split, replace=False))]
+            candidates = candidates[candidates >= 0]
+            candidate_order = order[candidates]
         else:
-            candidates = features
+            candidates, candidate_order = all_presort_rows, order
 
         if classification:
-            gain, f, thr = _best_split_classification(
-                X, class_w, rows, candidates, params.min_samples_leaf
+            best, thr = _best_split_classification(
+                presorted.values, class_w, counts, candidate_order, candidates, params.min_samples_leaf
             )
         else:
-            gain, f, thr = _best_split_regression(
-                X, t, w, rows, candidates, params.min_samples_leaf
+            best, thr = _best_split_regression(
+                presorted.values, w, tw, t2w, sums, candidate_order, candidates, params.min_samples_leaf
             )
-        if f == _NO_CHILD:
+        if best == _NO_CHILD:
             continue
+        f = int(presorted.features[candidates[best]])
 
         go_left = X[rows, f] <= thr
+        goes_left[rows] = go_left
+        in_left = goes_left[order]
+        n_left = int(go_left.sum())
         feature_[node] = f
         threshold_[node] = thr
         left_child, right_child = new_node(), new_node()
         left_[node], right_[node] = left_child, right_child
+        # a stable partition keeps each child's rows of every feature sorted
+        # (np.compress is several times faster than a 2-D boolean index);
         # push right first so the left subtree is processed (and numbered) first
-        stack.append((right_child, rows[~go_left], depth + 1))
-        stack.append((left_child, rows[go_left], depth + 1))
+        right_order = np.compress(~in_left.ravel(), order).reshape(order.shape[0], rows.shape[0] - n_left)
+        left_order = np.compress(in_left.ravel(), order).reshape(order.shape[0], n_left)
+        stack.append((right_child, rows[~go_left], right_order, depth + 1))
+        stack.append((left_child, rows[go_left], left_order, depth + 1))
 
-    return DecisionTree(
+    tree = DecisionTree(
         feature=np.asarray(feature_, dtype=np.int64),
         threshold=np.asarray(threshold_, dtype=float),
         left=np.asarray(left_, dtype=np.int64),
@@ -293,3 +393,4 @@ def fit_tree(
             n_classes if classification else None,
         ),
     )
+    return tree, leaves

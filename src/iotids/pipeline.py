@@ -10,8 +10,11 @@ row is touched before encoder and scaler fitting completes.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 import time
+import typing
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -108,6 +111,9 @@ class ExperimentConfig:
             raise ConfigError("model_params must map model names to objects")
         if not isinstance(self.paths, dict) or not all(isinstance(p, str) for p in self.paths.values()):
             raise ConfigError("paths must map names to path strings")
+        for kind in self.models:
+            if kind != "hybrid":
+                model_settings(kind, self.model_params.get(kind, {}), self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -189,13 +195,65 @@ def _derived_seed(seed: int, name: str, extra: int = 0) -> int:
     return int(np.random.SeedSequence([seed, _MODEL_SEED_INDEX[name], extra]).generate_state(1)[0])
 
 
-def _with_params(kind: str, build, overrides: dict, **derived):
-    """build(**overrides, **derived); a key build does not take, or one the
-    pipeline derives itself, is a config error naming the model kind."""
-    try:
-        return build(**overrides, **derived)
-    except TypeError as exc:
-        raise ConfigError(f"{kind} model_params: {exc}") from exc
+def _has_type(value, hint) -> bool:
+    """A JSON value against a params annotation: an int is a plain int (not
+    a bool), a float an int or a finite float, `X | None` also takes null
+    and `tuple[X, ...]` a list of X."""
+    if hint in (int, bool):
+        return type(value) is hint
+    if hint is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return value is None or any(_has_type(value, a) for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    return isinstance(value, hint)
+
+
+def _with_params(kind: str, target, overrides: dict, **derived):
+    """partial(target, **overrides, **derived), once every override names a
+    keyword parameter of target and has its annotated type.  Any other key,
+    including one the pipeline derives itself, or a wrong type is a config
+    error naming the model kind and key."""
+    accepted = inspect.signature(target).parameters
+    hints = typing.get_type_hints(target)
+    for key, value in overrides.items():
+        if key in derived:
+            raise ConfigError(f"{kind} model_params: {key!r} is derived from the experiment seed")
+        if key not in accepted or accepted[key].default is inspect.Parameter.empty:
+            raise ConfigError(f"{kind} model_params: unknown key {key!r}")
+        if not _has_type(value, hints[key]):
+            hint = hints[key]
+            expected = str(hint) if typing.get_args(hint) else hint.__name__
+            raise ConfigError(f"{kind} model_params: {key!r} must be {expected}, got {value!r}")
+    return partial(target, **overrides, **derived)
+
+
+def model_settings(kind: str, overrides: dict, seed: int, fold_extra: int = 0):
+    """One standalone model's settings from its model_params entry, checked
+    by _with_params: the params object for rf, gbm, ada and svm, fit_knn
+    bound to its keys for knn, and (builder bound to its keys, TrainParams)
+    for ann and cnn.  No data is needed, so the config is checked before any
+    is read."""
+    if kind == "gbm":
+        return _with_params(kind, GbmParams, overrides)()
+    if kind == "ada":
+        return _with_params(kind, AdaParams, overrides)()
+    if kind == "knn":
+        return _with_params(kind, fit_knn, overrides)
+    if kind not in ("rf", "svm", "ann", "cnn"):
+        raise ConfigError(f"not a standalone model: {kind!r}")
+    seeded = {"seed": _derived_seed(seed, kind, fold_extra)}
+    if kind == "rf":
+        return _with_params(kind, ForestParams, overrides, **seeded)()
+    if kind == "svm":
+        return _with_params(kind, SvmParams, overrides, **seeded)()
+    # TrainParams fields go to training, every other key to the builder
+    build = build_ann if kind == "ann" else build_cnn
+    arch = {k: v for k, v in overrides.items() if k not in _TRAIN_KEYS}
+    train = {k: v for k, v in overrides.items() if k in _TRAIN_KEYS}
+    return _with_params(kind, build, arch), _with_params(kind, TrainParams, train, **seeded)()
 
 
 def train_one_model(
@@ -217,26 +275,19 @@ def train_one_model(
     full train partition when a validation partition exists); X_val/y_val is
     their validation set.
     """
+    settings = model_settings(kind, overrides, seed, fold_extra)
     if kind == "rf":
-        params = _with_params(kind, ForestParams, overrides, seed=_derived_seed(seed, kind, fold_extra))
-        return fit_random_forest(X_train, y_train, params), None
+        return fit_random_forest(X_train, y_train, settings), None
     if kind == "gbm":
-        return fit_gbm(X_es, y_es, X_val, y_val, _with_params(kind, GbmParams, overrides))
+        return fit_gbm(X_es, y_es, X_val, y_val, settings)
     if kind == "ada":
-        return fit_adaboost(X_train, y_train, _with_params(kind, AdaParams, overrides)), None
+        return fit_adaboost(X_train, y_train, settings), None
     if kind == "knn":
-        return _with_params(kind, partial(fit_knn, X_train, y_train), overrides), None
+        return settings(X_train, y_train), None
     if kind == "svm":
-        params = _with_params(kind, SvmParams, overrides, seed=_derived_seed(seed, kind, fold_extra))
-        return fit_linear_svm(X_train, 2.0 * y_train - 1.0, params), None
-    if kind in ("ann", "cnn"):
-        # TrainParams fields go to training, every other key to the builder
-        build = partial(build_ann if kind == "ann" else build_cnn, X_train.shape[1], n_classes)
-        spec = _with_params(kind, build, {k: v for k, v in overrides.items() if k not in _TRAIN_KEYS})
-        train = {k: v for k, v in overrides.items() if k in _TRAIN_KEYS}
-        params = _with_params(kind, TrainParams, train, seed=_derived_seed(seed, kind, fold_extra))
-        return train_network(spec, X_es, y_es, X_val, y_val, params)
-    raise ConfigError(f"not a standalone model: {kind!r}")
+        return fit_linear_svm(X_train, 2.0 * y_train - 1.0, settings), None
+    build, train = settings
+    return train_network(build(X_train.shape[1], n_classes), X_es, y_es, X_val, y_val, train)
 
 
 @dataclass

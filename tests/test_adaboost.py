@@ -94,3 +94,22 @@ def test_retrain_bitwise_identical_predictions():
     b = fit_adaboost(X, y, AdaParams(n_rounds=8, weak_depth=2))
     np.testing.assert_array_equal(a.predict(X), b.predict(X))
     assert [s[1] for s in a.stages] == [s[1] for s in b.stages]
+
+
+def test_one_presort_per_fit(monkeypatch):
+    from iotids.models import adaboost, tree
+
+    calls, presort = [], tree.presort
+
+    def counting_presort(X):
+        calls.append(X.shape)
+        return presort(X)
+
+    monkeypatch.setattr(adaboost, "presort", counting_presort)
+    monkeypatch.setattr(tree, "presort", counting_presort)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(80, 3))
+    y = rng.integers(0, 3, size=80)
+    model = fit_adaboost(X, y, AdaParams(n_rounds=5, weak_depth=1))
+    assert len(model.stages) == 5
+    assert calls == [(80, 3)]

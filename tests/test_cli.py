@@ -5,6 +5,7 @@ import json
 import pytest
 
 from iotids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main
+from iotids.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,51 @@ class TestConfigErrors:
         assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
         (key,) = params
         assert f"{kind} model_params" in caplog.text and repr(key) in caplog.text
+
+    @pytest.mark.parametrize("kind, params", [
+        ("rf", {"n_trees": "x"}),
+        ("gbm", {"learning_rate": "a"}),
+        ("svm", {"epochs": 2.5}),
+        ("rf", {"bootstrap": 1}),
+        ("rf", {"max_depth": True}),
+        ("gbm", {"leaf_l2": float("nan")}),
+        ("knn", {"k": "3"}),
+        ("ann", {"hidden": [8, "4"]}),
+        ("ann", {"hidden": 8}),
+        ("cnn", {"epochs": None}),
+    ])
+    def test_mistyped_model_params_value(self, probe_data, tmp_path, caplog, kind, params):
+        config = dict(PROBE_CONFIG, models=[kind], model_params={kind: params})
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+        (key,) = params
+        assert f"{kind} model_params" in caplog.text and repr(key) in caplog.text
+
+    def test_model_params_checked_before_data(self, probe_data, tmp_path, monkeypatch):
+        from iotids import pipeline
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the config error")
+
+        monkeypatch.setattr(pipeline, "read_labeled_dir", must_not_run)
+        monkeypatch.setattr(pipeline, "train_one_model", must_not_run)
+        params = {"rf": {"n_trees": 2}, "gbm": {"max_rounds": 2}, "knn": {"kk": 5}}
+        config = dict(PROBE_CONFIG, models=["rf", "gbm", "svm", "knn"], model_params=params)
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+        unchecked = pipeline.ExperimentConfig(
+            task="binary", models=["rf", "gbm", "svm", "knn"], per_class=20, seed=1, model_params=params
+        )
+        with pytest.raises(ConfigError, match="'kk'"):
+            pipeline.run_training(unchecked, probe_data, tmp_path / "direct")
+
+    def test_well_typed_model_params_accepted(self):
+        from iotids.pipeline import model_settings
+
+        rf = model_settings("rf", {"max_depth": None, "features_per_split": 3, "bootstrap": False}, 1)
+        assert (rf.max_depth, rf.features_per_split, rf.bootstrap) == (None, 3, False)
+        assert model_settings("gbm", {"learning_rate": 1, "leaf_l2": 0.5}, 1).learning_rate == 1
+        build, train = model_settings("ann", {"hidden": [4, 2], "learning_rate": 0.01, "epochs": 3}, 1)
+        assert [l["n_out"] for l in build(5, 2).layers if l["kind"] == "dense"] == [4, 2, 2]
+        assert (train.learning_rate, train.epochs) == (0.01, 3)
 
     @pytest.mark.parametrize("config", [
         [],

@@ -158,3 +158,22 @@ def test_retrain_bitwise_identical_predictions():
     pa = a.predict_proba(X)
     pb = b.predict_proba(X)
     np.testing.assert_array_equal(pa, pb)
+
+
+def test_one_presort_per_fit(monkeypatch):
+    from iotids.models import gbm, tree
+
+    calls, presort = [], tree.presort
+
+    def counting_presort(X):
+        calls.append(X.shape)
+        return presort(X)
+
+    monkeypatch.setattr(gbm, "presort", counting_presort)
+    monkeypatch.setattr(tree, "presort", counting_presort)
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(90, 3))
+    y = rng.integers(0, 3, size=90)
+    model, curve = fit_gbm(X, y, X[:30], y[:30], GbmParams(max_rounds=4, max_depth=3, patience=4))
+    assert len(model.rounds) == 4 and model.n_classes == 3  # 12 trees
+    assert calls == [(90, 3)]

@@ -1,10 +1,12 @@
-"""CART tree: split selection against an exhaustive brute-force oracle."""
+"""CART tree: split selection against an exhaustive brute-force oracle, and
+the presorted search against a per-node argsort reference."""
 
 import numpy as np
 import pytest
 
 from iotids.errors import EmptyInput
-from iotids.models.tree import DecisionTree, TreeParams, fit_tree
+from iotids.models import tree as tree_module
+from iotids.models.tree import DecisionTree, TreeParams, fit_tree, grow_tree
 
 
 def brute_force_best_split(X, y, n_classes):
@@ -134,3 +136,204 @@ class TestFitTree:
         clone = DecisionTree.from_dict(tree.to_dict())
         np.testing.assert_array_equal(tree.predict(X), clone.predict(X))
         np.testing.assert_array_equal(tree.threshold, clone.threshold)
+
+
+# --- reference: per-node, per-feature argsort split search -------------------------------
+
+
+def _ref_gini(counts, total):
+    return 1.0 - ((counts / total[..., None]) ** 2).sum(axis=-1)
+
+
+def _ref_split_classification(X, class_w, rows, candidates, min_leaf):
+    node_w = class_w[rows]
+    total_counts = node_w.sum(axis=0)
+    total = total_counts.sum()
+    parent = float(_ref_gini(total_counts, np.asarray(total)))
+    n = rows.shape[0]
+    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+    for f in candidates:
+        values = X[rows, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        cuts = np.flatnonzero(sv[:-1] < sv[1:])
+        if cuts.size == 0:
+            continue
+        cum = np.cumsum(node_w[order], axis=0)
+        left_counts = cum[cuts]
+        right_counts = total_counts - left_counts
+        n_left = cuts + 1
+        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+        if not valid.any():
+            continue
+        left_total = left_counts.sum(axis=1)
+        right_total = total - left_total
+        gains = parent - (left_total * _ref_gini(left_counts, left_total)
+                          + right_total * _ref_gini(right_counts, right_total)) / total
+        gains = np.where(valid, gains, -np.inf)
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best_feature = int(f)
+            best_threshold = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
+    return best_gain, best_feature, best_threshold
+
+
+def _ref_split_regression(X, t, w, rows, candidates, min_leaf):
+    tw = t[rows] * w[rows]
+    t2w = t[rows] * tw
+    W = float(w[rows].sum())
+    S1 = float(tw.sum())
+    S2 = float(t2w.sum())
+    parent_sse = S2 - S1 * S1 / W
+    n = rows.shape[0]
+    min_gain = 1e-12 * max(1.0, abs(parent_sse))
+    best_gain, best_feature, best_threshold = min_gain, -1, 0.0
+    for f in candidates:
+        values = X[rows, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        cuts = np.flatnonzero(sv[:-1] < sv[1:])
+        if cuts.size == 0:
+            continue
+        cw = np.cumsum(w[rows][order])
+        c1 = np.cumsum(tw[order])
+        c2 = np.cumsum(t2w[order])
+        wl, s1l, s2l = cw[cuts], c1[cuts], c2[cuts]
+        wr, s1r, s2r = W - wl, S1 - s1l, S2 - s2l
+        n_left = cuts + 1
+        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf) & (wl > 0) & (wr > 0)
+        if not valid.any():
+            continue
+        sse = (s2l - s1l * s1l / wl) + (s2r - s1r * s1r / wr)
+        gains = np.where(valid, parent_sse - sse, -np.inf)
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best_feature = int(f)
+            best_threshold = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
+    return best_gain, best_feature, best_threshold
+
+
+def reference_fit_tree(X, y, sample_weights=None, params=TreeParams(), rng=None, features_per_split=None):
+    """fit_tree as it was before the presorted search: every node sorts every
+    candidate feature with a stable argsort."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
+    classification = params.task == "classification"
+    if classification:
+        y = np.asarray(y).astype(np.int64)
+        n_classes = params.n_classes if params.n_classes is not None else int(y.max()) + 1
+        class_w = np.zeros((n, n_classes))
+        class_w[np.arange(n), y] = w
+    else:
+        t = np.asarray(y).astype(float)
+    feature_, threshold_, left_, right_, leaf_counts_, leaf_score_ = [], [], [], [], [], []
+
+    def new_node():
+        feature_.append(-1)
+        threshold_.append(0.0)
+        left_.append(-1)
+        right_.append(-1)
+        if classification:
+            leaf_counts_.append(np.zeros(n_classes))
+        else:
+            leaf_score_.append(0.0)
+        return len(feature_) - 1
+
+    stack = [(new_node(), np.arange(n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if classification:
+            leaf_counts_[node] = class_w[rows].sum(axis=0)
+        else:
+            wr = w[rows]
+            leaf_score_[node] = float((t[rows] * wr).sum() / wr.sum())
+        if params.max_depth is not None and depth >= params.max_depth:
+            continue
+        if rows.shape[0] < 2 * params.min_samples_leaf or rows.shape[0] < 2:
+            continue
+        if features_per_split is not None and features_per_split < d:
+            candidates = np.sort(rng.choice(d, size=features_per_split, replace=False))
+        else:
+            candidates = np.arange(d)
+        if classification:
+            _, f, thr = _ref_split_classification(X, class_w, rows, candidates, params.min_samples_leaf)
+        else:
+            _, f, thr = _ref_split_regression(X, t, w, rows, candidates, params.min_samples_leaf)
+        if f == -1:
+            continue
+        go_left = X[rows, f] <= thr
+        feature_[node] = f
+        threshold_[node] = thr
+        left_child, right_child = new_node(), new_node()
+        left_[node], right_[node] = left_child, right_child
+        stack.append((right_child, rows[~go_left], depth + 1))
+        stack.append((left_child, rows[go_left], depth + 1))
+
+    return DecisionTree(
+        feature=np.asarray(feature_, dtype=np.int64),
+        threshold=np.asarray(threshold_, dtype=float),
+        left=np.asarray(left_, dtype=np.int64),
+        right=np.asarray(right_, dtype=np.int64),
+        leaf_class_counts=np.stack(leaf_counts_) if classification else None,
+        leaf_score=np.asarray(leaf_score_) if not classification else None,
+        params=TreeParams(params.max_depth, params.min_samples_leaf, params.task,
+                          n_classes if classification else None),
+    )
+
+
+def random_case(rng):
+    """A small fit problem mixing the cases the presorted search must not
+    change: heavy ties, duplicate rows, constant and all-but-one-constant
+    columns, zero weights, leaf size, depth and feature subsampling."""
+    n = int(rng.integers(1, 80))
+    d = int(rng.integers(1, 7))
+    if rng.random() < 0.5:
+        X = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)).astype(float)
+    else:
+        X = rng.normal(size=(n, d))
+    if rng.random() < 0.3:  # duplicate rows
+        X = X[rng.integers(0, max(1, n // 3), size=n)]
+    for f in range(d):
+        roll = rng.random()
+        if roll < 0.2:
+            X[:, f] = 7.0
+        elif roll < 0.35:
+            X[:, f] = -1.0
+            X[rng.integers(0, n), f] = 2.0
+    weights = None
+    if rng.random() < 0.5:
+        weights = rng.random(n) * rng.integers(0, 3, size=n)  # about a third zero
+        weights[rng.integers(0, n)] = 0.5
+    if rng.random() < 0.5:
+        n_classes = int(rng.integers(2, 5))
+        y = rng.integers(0, n_classes, size=n)
+        params = TreeParams(n_classes=n_classes if rng.random() < 0.5 else None)
+    else:
+        y = rng.normal(size=n) if rng.random() < 0.5 else rng.integers(0, 3, size=n).astype(float)
+        params = TreeParams(task="regression")
+    max_depth = None if rng.random() < 0.5 else int(rng.integers(0, 5))
+    params = TreeParams(max_depth, int(rng.integers(1, 5)), params.task, params.n_classes)
+    features_per_split = int(rng.integers(1, d + 1)) if rng.random() < 0.5 else None
+    return X, y, weights, params, features_per_split
+
+
+class TestPresortedSearchEquivalence:
+    @pytest.mark.parametrize("part", range(5))
+    def test_same_tree_as_per_node_argsort(self, part, monkeypatch):
+        """Also checks the leaves grow_tree returns against apply, and runs a
+        third of the cases with one candidate per search block and a third
+        with a few, so the cross-block tie rule is exercised."""
+        rng = np.random.default_rng(9000 + part)
+        budgets = [tree_module._BLOCK_ELEMENTS, 1, 100]
+        for case in range(50):
+            X, y, weights, params, fps = random_case(rng)
+            split_seed = int(rng.integers(1 << 30))
+            monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", budgets[case % 3])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got, leaves = grow_tree(X, y, weights, params, np.random.default_rng(split_seed), fps)
+                want = reference_fit_tree(X, y, weights, params, np.random.default_rng(split_seed), fps)
+            assert got.to_dict() == want.to_dict(), f"part {part} case {case}"
+            assert np.array_equal(leaves, got.apply(X)), f"part {part} case {case}"
