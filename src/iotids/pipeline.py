@@ -211,11 +211,39 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
+# the meaningful range of every numeric model_params key, by name (a key
+# means the same thing in every model that has it); null passes, and each
+# entry of a list is checked
+_VALUE_RANGES = {
+    **dict.fromkeys(
+        ("n_trees", "max_depth", "min_samples_leaf", "features_per_split", "max_rounds", "patience",
+         "n_rounds", "weak_depth", "k", "epochs", "batch_size", "hidden", "n_filters", "kernel_width",
+         "pool"),
+        _AT_LEAST_ONE,
+    ),
+    **dict.fromkeys(("learning_rate", "C", "lr0", "eps"), _POSITIVE),
+    **dict.fromkeys(("leaf_l2", "decay", "l1", "l2", "elu_alpha"), _NON_NEGATIVE),
+    **dict.fromkeys(("dropout_rate", "beta1", "beta2"), _FRACTION),
+}
+
+
+def _in_range(key: str, value) -> bool:
+    if key not in _VALUE_RANGES or value is None:
+        return True
+    values = value if isinstance(value, (list, tuple)) else (value,)
+    return all(_VALUE_RANGES[key][0](v) for v in values)
+
+
 def _with_params(kind: str, target, overrides: dict, **derived):
     """partial(target, **overrides, **derived), once every override names a
-    keyword parameter of target and has its annotated type.  Any other key,
-    including one the pipeline derives itself, or a wrong type is a config
-    error naming the model kind and key."""
+    keyword parameter of target and has its annotated type and a value in
+    its _VALUE_RANGES range.  Any other key, including one the pipeline
+    derives itself, a wrong type or a value out of range is a config error
+    naming the model kind and key."""
     accepted = inspect.signature(target).parameters
     hints = typing.get_type_hints(target)
     for key, value in overrides.items():
@@ -227,6 +255,8 @@ def _with_params(kind: str, target, overrides: dict, **derived):
             hint = hints[key]
             expected = str(hint) if typing.get_args(hint) else hint.__name__
             raise ConfigError(f"{kind} model_params: {key!r} must be {expected}, got {value!r}")
+        if not _in_range(key, value):
+            raise ConfigError(f"{kind} model_params: {key!r} must be {_VALUE_RANGES[key][1]}, got {value!r}")
     return partial(target, **overrides, **derived)
 
 

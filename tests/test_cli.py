@@ -243,6 +243,59 @@ class TestConfigErrors:
         (key,) = params
         assert f"{kind} model_params" in caplog.text and repr(key) in caplog.text
 
+    @pytest.mark.parametrize("kind, params", [
+        ("knn", {"k": 0}),
+        ("knn", {"k": -1}),
+        ("rf", {"n_trees": 0}),
+        ("rf", {"max_depth": -1}),
+        ("rf", {"features_per_split": 0}),
+        ("gbm", {"max_rounds": 0}),
+        ("gbm", {"learning_rate": -1}),
+        ("svm", {"epochs": 0}),
+        ("svm", {"C": 0}),
+        ("svm", {"decay": -0.5}),
+        ("gbm", {"leaf_l2": -1e-9}),
+        ("ada", {"weak_depth": 0}),
+        ("ann", {"hidden": [8, 0]}),
+        ("ann", {"dropout_rate": 1.0}),
+        ("cnn", {"pool": 0}),
+    ])
+    def test_out_of_range_model_params_value(self, probe_data, tmp_path, caplog, monkeypatch, kind, params):
+        from iotids import pipeline
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("data read before the config error")
+
+        monkeypatch.setattr(pipeline, "read_labeled_dir", must_not_run)
+        config = dict(PROBE_CONFIG, models=[kind], model_params={kind: params})
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+        (key,) = params
+        assert f"{kind} model_params" in caplog.text and repr(key) in caplog.text
+
+    def test_k_above_train_rows_is_a_model_error(self, probe_data, tmp_path):
+        # the train row count depends on the data, so fit_knn checks it
+        config = dict(PROBE_CONFIG, models=["knn"], model_params={"knn": {"k": 1000}})
+        assert train_exit(config, probe_data, tmp_path) == EXIT_MODEL
+
+    def test_every_numeric_model_param_has_a_range(self):
+        import inspect
+        import typing
+
+        from iotids.models.adaboost import AdaParams
+        from iotids.models.forest import ForestParams
+        from iotids.models.gbm import GbmParams
+        from iotids.models.knn import fit_knn
+        from iotids.models.svm import SvmParams
+        from iotids.nn.network import build_ann, build_cnn
+        from iotids.nn.training import TrainParams
+        from iotids.pipeline import _VALUE_RANGES
+
+        for target in (GbmParams, AdaParams, fit_knn, ForestParams, SvmParams, build_ann, build_cnn, TrainParams):
+            hints = typing.get_type_hints(target)
+            for name, param in inspect.signature(target).parameters.items():
+                if param.default is not inspect.Parameter.empty and name != "seed" and hints[name] is not bool:
+                    assert name in _VALUE_RANGES, f"{target.__name__}.{name}"
+
     def test_model_params_checked_before_data(self, probe_data, tmp_path, monkeypatch):
         from iotids import pipeline
 
@@ -266,6 +319,10 @@ class TestConfigErrors:
         rf = model_settings("rf", {"max_depth": None, "features_per_split": 3, "bootstrap": False}, 1)
         assert (rf.max_depth, rf.features_per_split, rf.bootstrap) == (None, 3, False)
         assert model_settings("gbm", {"learning_rate": 1, "leaf_l2": 0.5}, 1).learning_rate == 1
+        gbm = model_settings("gbm", {"learning_rate": 1e-12, "leaf_l2": 0, "max_depth": 1, "patience": 1}, 1)
+        assert (gbm.learning_rate, gbm.leaf_l2, gbm.max_depth) == (1e-12, 0, 1)
+        assert model_settings("svm", {"decay": 0, "epochs": 1}, 1).decay == 0
+        assert model_settings("knn", {"k": 1}, 1).keywords == {"k": 1}
         build, train = model_settings("ann", {"hidden": [4, 2], "learning_rate": 0.01, "epochs": 3}, 1)
         assert [l["n_out"] for l in build(5, 2).layers if l["kind"] == "dense"] == [4, 2, 2]
         assert (train.learning_rate, train.epochs) == (0.01, 3)

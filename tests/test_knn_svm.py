@@ -1,9 +1,12 @@
 """Nearest-neighbour and linear SVM contracts, oracle-checked."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from iotids.errors import BadK, SingleClass, WidthMismatch
+from iotids.models import knn as knn_module
 from iotids.models.knn import fit_knn, predict_knn
 from iotids.models.svm import (
     SvmClassifier,
@@ -108,6 +111,134 @@ class TestKnn:
         model = fit_knn(np.zeros((3, 2)), np.array([0, 1, 0]), k=1)
         with pytest.raises(WidthMismatch):
             predict_knn(model, np.zeros((1, 3)))
+
+
+def reference_predict_knn(model, X_query):
+    """predict_knn as it was before the GEMM shortlist: every distance
+    elementwise, 64 query rows at a time, a full stable argsort per row and
+    a per-row majority loop."""
+    X_query = np.asarray(X_query, dtype=float)
+    n_classes = int(model.y.max()) + 1
+    out = np.empty(X_query.shape[0], dtype=np.int64)
+    for start in range(0, X_query.shape[0], 64):
+        chunk = X_query[start : start + 64]
+        dists = np.sqrt(((chunk[:, None, :] - model.X[None, :, :]) ** 2).sum(axis=-1))
+        order = np.argsort(dists, axis=1, kind="stable")[:, : model.k]
+        for i in range(chunk.shape[0]):
+            nn = order[i]
+            labels = model.y[nn]
+            counts = np.bincount(labels, minlength=n_classes)
+            top = counts.max()
+            tied = np.flatnonzero(counts == top)
+            if tied.shape[0] == 1:
+                out[start + i] = tied[0]
+                continue
+            sums = np.array([dists[i, nn[labels == c]].sum() for c in tied])
+            out[start + i] = tied[np.argmin(sums)]
+    return out
+
+
+def sequential_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def summed_distance_case(rng):
+    """d = 1, query at 0, k = n = 16: class a's 8 distances have a numpy
+    (pairwise) sum that differs from their left-to-right sum; class b has 7
+    zero distances and one equal to that pairwise sum, so the count tie is an
+    exact summed-distance tie that goes to the lower class index, and a
+    left-to-right sum of class a picks the other class."""
+    while True:
+        a = np.sort(1.0 + rng.random(8))
+        pairwise = a.sum()
+        if sequential_sum(a) != pairwise:
+            break
+    a_class = int(sequential_sum(a) < pairwise)  # the other order must pick the wrong class
+    points = np.concatenate([a, np.zeros(7), [pairwise]])
+    signs = rng.choice([-1.0, 1.0], size=16)
+    y = np.array([a_class] * 8 + [1 - a_class] * 8)
+    perm = rng.permutation(16)
+    return (points * signs)[perm, None], y[perm], 16, np.zeros((1, 1))
+
+
+def knn_case(rng):
+    """A tie-heavy random case: integer grids at a random scale and offset
+    (some far outside [0, 1], where the GEMM form rounds), duplicate stored
+    rows with conflicting labels, queries on stored rows and on the grid."""
+    if rng.random() < 0.06:
+        return summed_distance_case(rng)
+    n = int(rng.choice([1, int(rng.integers(2, 40))] + [int(rng.integers(40, 150))] * 3))
+    d = int(rng.choice([1, 1, 2, 3, 5, 9]))
+    n_classes = int(rng.integers(2, 5))
+    levels = int(rng.integers(2, 6))
+    if rng.random() < 0.2:
+        grid = rng.normal(size=(n, d))  # no exact ties
+    else:
+        grid = rng.integers(0, levels, size=(n, d)).astype(float)
+    scale = float(rng.choice([1.0, 0.1, 0.37, 1e-3, 3e5, 1e-150, 1e-160, 1e150, 4e153, 1e160]))
+    offset = float(rng.choice([0.0, 0.0, 0.3, -7.1, 1e3 + 0.1, 1e6 / 3, 1e8 + 0.5, 1e12]))
+    X = offset + scale * grid
+    y = rng.integers(0, n_classes, n)
+    if n > 1 and rng.random() < 0.5:  # duplicates with their own labels
+        dup = rng.integers(0, n, size=n // 3 + 1)
+        X = np.vstack([X, X[dup]])
+        y = np.concatenate([y, rng.integers(0, n_classes, dup.shape[0])])
+        perm = rng.permutation(X.shape[0])
+        X, y = X[perm], y[perm]
+    n = X.shape[0]
+    k = int(rng.choice([1, n, min(n, int(rng.integers(8, 13))), int(rng.integers(1, min(n, 6) + 1))]))
+    m = int(rng.choice([0, 1, int(rng.integers(2, 30)), int(rng.integers(30, 90))]))
+    on_grid = offset + scale * rng.integers(-1, levels + 1, size=(m, d))
+    Q = np.where(rng.random((m, 1)) < 0.4, X[rng.integers(0, n, m)], on_grid)
+    if m and rng.random() < 0.05:
+        Q[rng.integers(0, m)] = rng.choice([np.inf, np.nan])
+    return X, y, k, Q
+
+
+class TestShortlistEquivalence:
+    @pytest.mark.parametrize("part", range(5))
+    def test_same_predictions_as_exhaustive_search(self, part, monkeypatch):
+        """A third of the cases run with a shortlist of exactly k and one
+        query row per block, so uncertified queries take the full search and
+        every block edge is crossed; the rest run with the default settings."""
+        rng = np.random.default_rng(6000 + part)
+        full_searches = []
+        search = knn_module._nearest
+
+        def counted_search(Q, X, candidates, k):
+            full_searches.append(candidates.shape[1] == X.shape[0])
+            return search(Q, X, candidates, k)
+
+        monkeypatch.setattr(knn_module, "_nearest", counted_search)
+        for case in range(48):
+            X, y, k, Q = knn_case(rng)
+            forced = case % 3 == 0
+            monkeypatch.setattr(knn_module, "_SHORTLIST_EXTRA", 0 if forced else 16)
+            monkeypatch.setattr(knn_module, "_BLOCK_ELEMENTS", 1 if forced else 1 << 18)
+            model = fit_knn(X, y, k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = predict_knn(model, Q)
+                want = reference_predict_knn(model, Q)
+            assert got.dtype == np.int64 and got.shape == (Q.shape[0],)
+            np.testing.assert_array_equal(got, want, f"part {part} case {case}")
+        assert any(full_searches) and not all(full_searches)
+
+    def test_peak_memory_is_bounded(self):
+        """20,000 x 20 store, 1,000 queries: the old 64-row chunks allocated
+        64 x 20,000 x 20 doubles twice (about 410 MB)."""
+        rng = np.random.default_rng(20)
+        model = fit_knn(rng.random((20_000, 20)), rng.integers(0, 2, 20_000), k=5)
+        Q = rng.random((1_000, 20))
+        tracemalloc.start()
+        try:
+            predict_knn(model, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def separable(seed=0, n=40):
