@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IoFailure, ModelError
 from .features import permutation_importance
-from .flows import class_index, parse_conn_log_file
+from .flows import parse_conn_log_file
 from .metrics import compute_metrics, confusion, metrics_to_json
 from .persist import load_bundle
 from .pipeline import ExperimentConfig, read_labeled_dir, run_training
@@ -58,13 +58,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _labeled_task_rows(bundle, data_path):
     """(records, targets) for the bundle's task; sentinel rows dropped."""
     dataset = read_labeled_dir(data_path)
-    records, targets = [], []
-    for flow in dataset.rows:
-        c = class_index(flow, bundle.task)
-        if c is not None:
-            records.append(flow.record)
-            targets.append(c)
-    return records, np.asarray(targets, dtype=np.int64)
+    kept = dataset.subset(np.flatnonzero(dataset.targets(bundle.task) >= 0))
+    return kept.records, kept.targets(bundle.task)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -105,6 +100,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_importance(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     bundle = load_bundle(args.model)
     records, y_true = _labeled_task_rows(bundle, args.data)
     X = bundle.featurize(records)

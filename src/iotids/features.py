@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BadIpSyntax, ColumnMismatch, SchemaMismatch
+from .errors import BadIpSyntax, ColumnMismatch, DataError, IoFailure, SchemaMismatch
 from .flows import RawFlowRecord
 
 log = logging.getLogger(__name__)
@@ -89,12 +89,27 @@ class CidrTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CidrTable":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["cidr", "country"]:
-                raise ValueError(f"{path}: expected CSV header 'cidr,country'")
-            return cls.from_rows((row[0].strip(), row[1].strip()) for row in reader if row)
+        """The table in a 'cidr,country' CSV; a bad header or row is a
+        DataError naming the file and line."""
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header[:2]] != ["cidr", "country"]:
+                    raise DataError(f"{path}: expected CSV header 'cidr,country'")
+                entries = []
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        entries.append((ipaddress.ip_network(row[0].strip()), row[1].strip()))
+                    except (IndexError, ValueError) as exc:
+                        raise DataError(f"{path} line {reader.line_num}: bad CIDR row {row!r}: {exc}") from None
+                return cls(tuple(entries))
+        except OSError as exc:
+            raise IoFailure(f"cannot read CIDR table {path}: {exc}") from exc
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not a CSV text file: {exc}") from None
 
     def country(self, address: str) -> str:
         return self.lookup(_parse_ip(address))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 from pathlib import Path
@@ -22,7 +22,9 @@ import numpy as np
 from .errors import (
     BadNumeric,
     ColumnCountMismatch,
+    DataError,
     EmptyClass,
+    IoFailure,
     MalformedHeader,
     UnknownBinaryLabel,
 )
@@ -94,6 +96,8 @@ class MultiClass(IntEnum):
 
 BINARY_CLASS_NAMES = ["Benign", "Malicious"]
 MULTI_CLASS_NAMES = ["Benign", "CcHeartBeat", "DDoS", "Okiru", "PortScan", "Cc", "Attack"]
+# each task's class names; a task's position is its column in Dataset.labels
+TASK_CLASS_NAMES = {"binary": BINARY_CLASS_NAMES, "multiclass": MULTI_CLASS_NAMES}
 
 _NAME_TO_MULTI = {name: MultiClass(i) for i, name in enumerate(MULTI_CLASS_NAMES)}
 
@@ -138,31 +142,26 @@ class RawFlowRecord:
     raw_detailed_label: str
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    binary: BinaryClass
-    multi: MultiClass | None  # None = outside the seven canonical classes
-
-
-@dataclass(frozen=True)
-class LabeledFlow:
-    record: RawFlowRecord
-    label: ClassLabel
-
-
-@dataclass(frozen=True)
-class Provenance:
-    source_files: tuple[str, ...] = ()
-    seed: int | None = None
-
-
 @dataclass
 class Dataset:
-    rows: list[LabeledFlow] = field(default_factory=list)
-    provenance: Provenance = Provenance()
+    """Parsed records and their canonical labels: row i of the n x 2 int64
+    labels is record i's binary class and its 7-class index, -1 for the
+    sentinel (a malicious row outside the seven classes)."""
+
+    records: list[RawFlowRecord]
+    labels: np.ndarray
+    source_files: tuple[str, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.records)
+
+    def targets(self, task: str) -> np.ndarray:
+        """Each row's class index in the task; -1 marks a sentinel row."""
+        task_class_names(task)  # rejects an unknown task
+        return self.labels[:, list(TASK_CLASS_NAMES).index(task)]
+
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset([self.records[i] for i in indices], self.labels[indices], self.source_files)
 
 
 def _coerce(column: str, token: str, line_no: int):
@@ -259,8 +258,20 @@ def parse_conn_log(source: str | bytes | IO[str] | Iterable[str], *, allow_unlab
 
 
 def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> list[RawFlowRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(iter_conn_log(fh, allow_unlabeled=allow_unlabeled))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return list(iter_conn_log(fh, allow_unlabeled=allow_unlabeled))
+    except OSError as exc:
+        raise IoFailure(f"cannot read conn log {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the streaming decoder's offsets are per chunk; find the line in the bytes
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
 
 
 def _format_cell(column: str, value) -> str:
@@ -298,47 +309,40 @@ def _normalize_label_token(token: str) -> str:
     return " ".join(token.strip().lower().split())
 
 
-def canonicalize_label(raw_label: str, raw_detailed_label: str) -> ClassLabel:
-    """Map raw IoT23 label strings to the canonical binary + 7-class labels.
+def canonicalize_label(raw_label: str, raw_detailed_label: str) -> tuple[BinaryClass, MultiClass | None]:
+    """Map raw IoT23 label strings to the canonical (binary, 7-class) pair.
 
     The detailed-label table (shipped as a versioned data file) normalizes
     spelling variants; detailed labels outside the seven canonical classes
-    map to the sentinel (multi=None) and are dropped from the 7-class task.
+    map to the sentinel (None) and are dropped from the 7-class task.
     """
     binary_token = _normalize_label_token(raw_label)
     if binary_token == "benign":
-        return ClassLabel(BinaryClass.BENIGN, MultiClass.BENIGN)
+        return BinaryClass.BENIGN, MultiClass.BENIGN
     if binary_token != "malicious":
         raise UnknownBinaryLabel(raw_label)
     detailed = _DETAILED_LABEL_MAP.get(_normalize_label_token(raw_detailed_label))
     if detailed is None or detailed == MultiClass.BENIGN:
         # unknown detailed label, or one that contradicts the malicious flag
-        return ClassLabel(BinaryClass.MALICIOUS, None)
-    return ClassLabel(BinaryClass.MALICIOUS, detailed)
+        return BinaryClass.MALICIOUS, None
+    return BinaryClass.MALICIOUS, detailed
 
 
 def label_rows(records: Iterable[RawFlowRecord], *, source_files: tuple[str, ...] = ()) -> Dataset:
     """Label a parsed record stream into a Dataset; missing values stay
     None until featurization."""
-    rows = [LabeledFlow(rec, canonicalize_label(rec.raw_label, rec.raw_detailed_label)) for rec in records]
-    return Dataset(rows, Provenance(source_files=source_files))
-
-
-def class_index(flow: LabeledFlow, task: str) -> int | None:
-    """Task-level class index of a row; None when outside the task's classes."""
-    if task == "binary":
-        return int(flow.label.binary)
-    if task == "multiclass":
-        return None if flow.label.multi is None else int(flow.label.multi)
-    raise ValueError(f"unknown task {task!r}")
+    records = list(records)
+    labels = []
+    for rec in records:
+        binary, multi = canonicalize_label(rec.raw_label, rec.raw_detailed_label)
+        labels.append((binary, -1 if multi is None else multi))
+    return Dataset(records, np.array(labels, dtype=np.int64).reshape(-1, 2), source_files)
 
 
 def task_class_names(task: str) -> list[str]:
-    if task == "binary":
-        return list(BINARY_CLASS_NAMES)
-    if task == "multiclass":
-        return list(MULTI_CLASS_NAMES)
-    raise ValueError(f"unknown task {task!r}")
+    if task not in TASK_CLASS_NAMES:
+        raise ValueError(f"unknown task {task!r}")
+    return list(TASK_CLASS_NAMES[task])
 
 
 def balance_sample(dataset: Dataset, task: str, per_class: int, seed: int) -> Dataset:
@@ -350,22 +354,12 @@ def balance_sample(dataset: Dataset, task: str, per_class: int, seed: int) -> Da
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
-    names = task_class_names(task)
-    by_class: dict[int, list[int]] = {c: [] for c in range(len(names))}
-    for i, flow in enumerate(dataset.rows):
-        c = class_index(flow, task)
-        if c is not None:
-            by_class[c].append(i)
-
-    picked: list[int] = []
-    for c, indices in by_class.items():
-        if not indices:
-            raise EmptyClass(names[c])
+    y = dataset.targets(task)
+    picked = []
+    for c, name in enumerate(task_class_names(task)):
+        indices = np.flatnonzero(y == c)
+        if not len(indices):
+            raise EmptyClass(name)
         rng = np.random.default_rng([seed, c])
-        take = min(per_class, len(indices))
-        chosen = rng.choice(len(indices), size=take, replace=False)
-        picked.extend(indices[j] for j in chosen)
-
-    rows = [dataset.rows[i] for i in picked]
-    prov = Provenance(source_files=dataset.provenance.source_files, seed=seed)
-    return Dataset(rows, prov)
+        picked.append(indices[rng.choice(len(indices), size=min(per_class, len(indices)), replace=False)])
+    return dataset.subset(np.concatenate(picked))

@@ -221,13 +221,13 @@ class Network:
         for layer in body:
             h = layer.forward(h, training, rng)
         probs = softmax(h)
-        loss = cross_entropy_mean(probs, y) + self.penalty()
+        penalty, pen_grads = elastic_net_penalty(self.penalized_weights(), self.spec.l1, self.spec.l2)
+        loss = cross_entropy_mean(probs, y) + penalty
 
         grad = (probs - one_hot(y, self.spec.class_count)) / X.shape[0]
         for layer in reversed(body):
             grad = layer.backward(grad)
 
-        _, pen_grads = elastic_net_penalty(self.penalized_weights(), self.spec.l1, self.spec.l2)
         pen_iter = iter(pen_grads)
         grads: list[np.ndarray] = []
         for layer in self.layers:

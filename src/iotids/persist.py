@@ -29,15 +29,11 @@ BUNDLE_VERSION = 1
 class PreprocState:
     vocabulary: OneHotVocabulary
     min_max: MinMaxParams
-    cidr_rows: tuple[tuple[str, str], ...]
+    cidr: CidrTable
 
     @property
     def schema(self) -> FeatureSchema:
         return build_schema(self.vocabulary)
-
-    @property
-    def cidr_table(self) -> CidrTable:
-        return CidrTable.from_rows(self.cidr_rows)
 
     def to_dict(self) -> dict:
         return {
@@ -47,7 +43,7 @@ class PreprocState:
                 "x_max": self.min_max.x_max.tolist(),
                 "fitted_on": self.min_max.fitted_on,
             },
-            "cidr": [list(row) for row in self.cidr_rows],
+            "cidr": [[str(network), country] for network, country in self.cidr.entries],
         }
 
     @classmethod
@@ -58,7 +54,7 @@ class PreprocState:
             np.asarray(d["min_max"]["x_max"], dtype=float),
             d["min_max"]["fitted_on"],
         )
-        return cls(vocab, mm, tuple((r[0], r[1]) for r in d["cidr"]))
+        return cls(vocab, mm, CidrTable.from_rows((r[0], r[1]) for r in d["cidr"]))
 
 
 @dataclass
@@ -75,7 +71,7 @@ class ModelBundle:
 
     def featurize(self, records: list[RawFlowRecord]) -> np.ndarray:
         values, _ = matrix_from_records(
-            records, self.preproc.cidr_table, self.preproc.vocabulary, self.preproc.min_max
+            records, self.preproc.cidr, self.preproc.vocabulary, self.preproc.min_max
         )
         return values
 
@@ -118,12 +114,17 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ModelDataMismatch(f"unsupported bundle version {version}")
     try:
         kind = doc["kind"]
+        class_names = task_class_names(doc["task"])
+        if doc["class_names"] != class_names:
+            raise ModelDataMismatch(f"a {doc['task']} bundle has classes {class_names}, got {doc['class_names']}")
         preproc = PreprocState.from_dict(doc["preprocessing"])
         model = MODEL_CLASSES[kind].from_dict(doc["model"])
         if model.n_features != preproc.schema.width:
             raise ModelDataMismatch(
                 f"model expects {model.n_features} features but bundled schema has {preproc.schema.width}"
             )
+        if model.n_classes > len(class_names):
+            raise ModelDataMismatch(f"model predicts {model.n_classes} classes, a {doc['task']} bundle has {len(class_names)}")
         return ModelBundle(kind, doc["task"], model, preproc, doc["seed"])
     except (LookupError, TypeError, ValueError, SchemaMismatch) as exc:
         raise ModelDataMismatch(f"malformed model bundle {path}: {exc!r}") from exc

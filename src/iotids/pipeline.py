@@ -31,10 +31,9 @@ from .features import (
 )
 from .flows import (
     Dataset,
-    LabeledFlow,
     LABEL_MAP_VERSION,
+    RawFlowRecord,
     balance_sample,
-    class_index,
     label_rows,
     parse_conn_log_file,
     task_class_names,
@@ -164,14 +163,14 @@ class PartitionedDataset:
     """Partition-scoped row access with a (phase, partition) log."""
 
     def __init__(self, dataset: Dataset, split: SplitIndices):
-        self._rows = dataset.rows
+        self._records = dataset.records
         self.split = split
         self.phase = "init"
         self.access_log: list[tuple[str, str]] = []
 
-    def rows(self, partition: str) -> list[LabeledFlow]:
+    def rows(self, partition: str) -> list[RawFlowRecord]:
         self.access_log.append((self.phase, partition))
-        return [self._rows[i] for i in self.split.partitions()[partition]]
+        return [self._records[i] for i in self.split.partitions()[partition]]
 
 
 def read_labeled_dir(data_path: str | Path) -> Dataset:
@@ -351,30 +350,27 @@ def run_training(
 
     dataset = read_labeled_dir(data_path)
     sampled = balance_sample(dataset, task, config.per_class, config.seed)
-    y_all = np.array([class_index(f, task) for f in sampled.rows], dtype=np.int64)
+    y_all = sampled.targets(task)
     split = stratified_split(y_all, config.split, config.seed)
     parts = PartitionedDataset(sampled, split)
     cidr = CidrTable.from_csv(cidr_path) if cidr_path else CidrTable()
-    cidr_rows = tuple((str(net), country) for net, country in cidr.entries)
 
     # fit encoders and scaler on the training partition only
     parts.phase = "fit_encoders"
-    train_flows = parts.rows("train")
-    train_records = [f.record for f in train_flows]
+    train_records = parts.rows("train")
     vocabulary = fit_one_hot(ip_and_categorical_columns(train_records, cidr)[1])
     raw_train, schema = matrix_from_records(train_records, cidr, vocabulary)
     if config.expected_width is not None and schema.width != config.expected_width:
         raise SchemaMismatch(f"finalized width {schema.width} != expected {config.expected_width}")
     min_max = fit_min_max(raw_train)
-    preproc = PreprocState(vocabulary, min_max, cidr_rows)
+    preproc = PreprocState(vocabulary, min_max, cidr)
 
     parts.phase = "transform"
     X: dict[str, np.ndarray] = {}
     y: dict[str, np.ndarray] = {}
     for part in ("train", "test", "val"):
-        flows_part = parts.rows(part)
-        X[part], _ = matrix_from_records([f.record for f in flows_part], cidr, vocabulary, min_max)
-        y[part] = np.array([class_index(f, task) for f in flows_part], dtype=np.int64)
+        X[part], _ = matrix_from_records(parts.rows(part), cidr, vocabulary, min_max)
+        y[part] = y_all[split.partitions()[part]]
 
     # validation source for early-stopping models: the val partition when
     # present, otherwise the first rotation of the (cv_folds or 5)-fold plan
@@ -454,10 +450,10 @@ def run_training(
         "manifest_version": 1,
         "config": config.to_dict(),
         "provenance": {
-            "source_files": list(sampled.provenance.source_files),
+            "source_files": list(sampled.source_files),
             "seed": config.seed,
             "label_map_version": LABEL_MAP_VERSION,
-            "sampled_rows": len(sampled.rows),
+            "sampled_rows": len(sampled),
             "partition_sizes": {k: int(len(v)) for k, v in split.partitions().items()},
             "feature_width": schema.width,
         },

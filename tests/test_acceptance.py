@@ -90,7 +90,7 @@ def test_criterion_02_leakage_guard(tmp_path):
         ip_and_categorical_columns,
         matrix_from_records,
     )
-    from iotids.flows import balance_sample, class_index
+    from iotids.flows import balance_sample
     from iotids.pipeline import ExperimentConfig, read_labeled_dir, run_training
     from iotids.synth import write_synth_dataset
 
@@ -103,9 +103,8 @@ def test_criterion_02_leakage_guard(tmp_path):
     for seed in range(20):
         # independent train-only recount
         sampled = balance_sample(dataset, "binary", 60, seed)
-        y = np.array([class_index(f, "binary") for f in sampled.rows])
-        split = stratified_split(y, (0.8, 0.2, 0.0), seed)
-        records = [f.record for f in sampled.rows]
+        split = stratified_split(sampled.targets("binary"), (0.8, 0.2, 0.0), seed)
+        records = sampled.records
         vocab = fit_one_hot(ip_and_categorical_columns([records[i] for i in split.train], table)[1])
         raw_all, _ = matrix_from_records(records, table, vocab)
         expected = fit_min_max(raw_all[split.train])

@@ -341,3 +341,73 @@ class TestConfigErrors:
     def test_mistyped_synth_seed(self, tmp_path):
         (tmp_path / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 5, "seed": "s"}))
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG
+
+
+class TestCidrTableErrors:
+    @pytest.mark.parametrize("name, text, where", [
+        ("header.csv", "prefix,cc\n8.8.8.0/24,US\n", "header.csv: expected CSV header"),
+        ("bad_cidr.csv", "cidr,country\n8.8.8.0/24,US\nnot-a-cidr,US\n", "bad_cidr.csv line 3"),
+        ("one_column.csv", "cidr,country\n8.8.8.0/24\n", "one_column.csv line 2"),
+    ])
+    def test_bad_table_is_data_error(self, probe_data, tmp_path, caplog, name, text, where):
+        (tmp_path / name).write_text(text)
+        (tmp_path / "cfg.json").write_text(json.dumps(PROBE_CONFIG))
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(probe_data),
+                     "--out", str(tmp_path / "run"), "--cidr", str(tmp_path / name)]) == EXIT_DATA
+        assert where in caplog.text
+
+    def test_missing_table_is_data_error(self, probe_data, tmp_path, caplog):
+        (tmp_path / "cfg.json").write_text(json.dumps(PROBE_CONFIG))
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(probe_data),
+                     "--out", str(tmp_path / "run"), "--cidr", str(tmp_path / "nope.csv")]) == EXIT_DATA
+        assert "cannot read CIDR table" in caplog.text and "nope.csv" in caplog.text
+
+    def test_bad_bundled_row_is_model_error(self, workspace, tmp_path):
+        doc = json.loads((workspace / "run" / "models" / "rf.json").read_text())
+        doc["preprocessing"]["cidr"] = [["bad", "US"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(bad), "--input", str(workspace / "data" / "synth_binary.labeled"),
+                     "--output", str(tmp_path / "preds.csv")]) == EXIT_MODEL
+
+
+@pytest.fixture
+def latin1_data(workspace, tmp_path):
+    """A copy of the workspace data with one non-UTF-8 byte on line 10."""
+    lines = (workspace / "data" / "synth_binary.labeled").read_bytes().split(b"\n")
+    lines[9] = lines[9].replace(b"\t", b"\t\xe9", 1)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "latin1.labeled").write_bytes(b"\n".join(lines))
+    return tmp_path / "data"
+
+
+class TestUnreadableConnLog:
+    def test_predict_missing_input(self, workspace, tmp_path, caplog):
+        assert main(["predict", "--model", str(workspace / "run" / "models" / "rf.json"),
+                     "--input", str(tmp_path / "nope.log"), "--output", str(tmp_path / "p.csv")]) == EXIT_DATA
+        assert "nope.log" in caplog.text
+
+    def test_predict_non_utf8(self, workspace, latin1_data, tmp_path, caplog):
+        assert main(["predict", "--model", str(workspace / "run" / "models" / "rf.json"),
+                     "--input", str(latin1_data / "latin1.labeled"),
+                     "--output", str(tmp_path / "p.csv")]) == EXIT_DATA
+        assert "latin1.labeled line 10: not UTF-8" in caplog.text
+
+    def test_evaluate_non_utf8(self, workspace, latin1_data, tmp_path, caplog):
+        assert main(["evaluate", "--model", str(workspace / "run" / "models" / "rf.json"),
+                     "--data", str(latin1_data), "--report", str(tmp_path / "r.json")]) == EXIT_DATA
+        assert "latin1.labeled line 10: not UTF-8" in caplog.text
+
+    def test_train_non_utf8(self, workspace, latin1_data, tmp_path, caplog):
+        assert main(["train", "--config", str(workspace / "cfg.json"), "--data", str(latin1_data),
+                     "--out", str(tmp_path / "run")]) == EXIT_DATA
+        assert "latin1.labeled line 10: not UTF-8" in caplog.text
+
+
+class TestImportanceArguments:
+    @pytest.mark.parametrize("flag, value", [("--repeats", "0"), ("--seed", "-1")])
+    def test_out_of_range_is_config_error(self, workspace, tmp_path, caplog, flag, value):
+        assert main(["importance", "--model", str(workspace / "run" / "models" / "rf.json"),
+                     "--data", str(workspace / "data"), flag, value,
+                     "--out", str(tmp_path / "imp.csv")]) == EXIT_CONFIG
+        assert flag in caplog.text

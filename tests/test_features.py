@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from iotids.errors import BadIpSyntax, ColumnMismatch, SchemaMismatch
+from iotids.errors import BadIpSyntax, ColumnMismatch, DataError, SchemaMismatch
 from iotids.features import (
     CATEGORICAL_FIELDS,
     NUMERIC_FIELDS,
@@ -103,7 +103,7 @@ class TestIpFeatures:
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "cidr.csv"
         path.write_text("prefix,cc\n8.8.8.0/24,US\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="cidr.csv"):
             CidrTable.from_csv(path)
 
 

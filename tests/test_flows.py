@@ -1,5 +1,6 @@
 """Conn-log parsing, imputation, label canonicalization, and sampling."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,9 @@ from iotids.cli import EXIT_DATA, EXIT_OK, main
 from iotids.errors import (
     BadNumeric,
     ColumnCountMismatch,
+    DataError,
     EmptyClass,
+    IoFailure,
     MalformedHeader,
     UnknownBinaryLabel,
 )
@@ -23,15 +26,17 @@ from iotids.features import (
 )
 from iotids.flows import (
     BinaryClass,
-    ClassLabel,
     Dataset,
-    LabeledFlow,
     MultiClass,
+    RawFlowRecord,
     balance_sample,
     canonicalize_label,
     conn_log_header,
+    label_rows,
     parse_conn_log,
+    parse_conn_log_file,
     record_to_line,
+    task_class_names,
     _DETAILED_LABEL_MAP,
 )
 
@@ -222,28 +227,28 @@ class TestImpute:
 
 class TestLabels:
     def test_benign(self):
-        assert canonicalize_label("Benign", "-") == ClassLabel(BinaryClass.BENIGN, MultiClass.BENIGN)
+        assert canonicalize_label("Benign", "-") == (BinaryClass.BENIGN, MultiClass.BENIGN)
 
     def test_portscan_dataset_spelling(self):
         lbl = canonicalize_label("Malicious", "PartOfAHorizontalPortScan")
-        assert lbl == ClassLabel(BinaryClass.MALICIOUS, MultiClass.PORT_SCAN)
+        assert lbl == (BinaryClass.MALICIOUS, MultiClass.PORT_SCAN)
 
     def test_portscan_variant_spelling(self):
-        lbl = canonicalize_label("malicious", "PartOfHorizontalPortscan")
-        assert lbl.multi == MultiClass.PORT_SCAN
+        _, multi = canonicalize_label("malicious", "PartOfHorizontalPortscan")
+        assert multi == MultiClass.PORT_SCAN
 
     def test_heartbeat_and_cc(self):
-        assert canonicalize_label("Malicious", "C&C-HeartBeat").multi == MultiClass.CC_HEARTBEAT
-        assert canonicalize_label("Malicious", "C&C").multi == MultiClass.CC
+        assert canonicalize_label("Malicious", "C&C-HeartBeat")[1] == MultiClass.CC_HEARTBEAT
+        assert canonicalize_label("Malicious", "C&C")[1] == MultiClass.CC
 
     def test_heartbeat_spaced_variant(self):
         # spelling with a stray space after the dash also canonicalizes
-        assert canonicalize_label("Malicious", "C&C- HeartBeat").multi == MultiClass.CC_HEARTBEAT
+        assert canonicalize_label("Malicious", "C&C- HeartBeat")[1] == MultiClass.CC_HEARTBEAT
 
     def test_torii_maps_to_sentinel(self):
-        lbl = canonicalize_label("Malicious", "C&C-Torii")
-        assert lbl.binary == BinaryClass.MALICIOUS
-        assert lbl.multi is None
+        binary, multi = canonicalize_label("Malicious", "C&C-Torii")
+        assert binary == BinaryClass.MALICIOUS
+        assert multi is None
 
     def test_unknown_binary_label(self):
         with pytest.raises(UnknownBinaryLabel):
@@ -252,27 +257,24 @@ class TestLabels:
     def test_binary_benign_iff_multi_benign(self):
         # malicious rows can never land on the Benign multiclass bucket
         for detailed in ("-", "(empty)", "Benign", "C&C", "DDoS", "NoSuchLabel"):
-            lbl = canonicalize_label("Malicious", detailed)
-            assert lbl.multi != MultiClass.BENIGN
+            _, multi = canonicalize_label("Malicious", detailed)
+            assert multi != MultiClass.BENIGN
 
     def test_total_over_mapping_table(self):
         # every table entry maps to one of the 7 classes or the sentinel
         for key in _DETAILED_LABEL_MAP:
-            lbl = canonicalize_label("Malicious", key)
-            assert lbl.multi is None or isinstance(lbl.multi, MultiClass)
+            _, multi = canonicalize_label("Malicious", key)
+            assert multi is None or isinstance(multi, MultiClass)
 
     def test_unlisted_label_is_sentinel(self):
-        assert canonicalize_label("Malicious", "BrandNewMalware2031").multi is None
+        assert canonicalize_label("Malicious", "BrandNewMalware2031")[1] is None
 
 
 def _toy_dataset() -> Dataset:
-    rec = parse_conn_log(make_log(full_row()))[0]
-    rows = []
-    for i in range(6):
-        rows.append(LabeledFlow(rec, ClassLabel(BinaryClass.BENIGN, MultiClass.BENIGN)))
-    for i in range(4):
-        rows.append(LabeledFlow(rec, ClassLabel(BinaryClass.MALICIOUS, MultiClass.DDOS)))
-    return Dataset(rows)
+    # ten distinct records (uid 0..9): 6 benign, then 4 DDoS
+    records = [parse_conn_log(make_log(full_row(uid=str(i))))[0] for i in range(10)]
+    labels = np.array([(BinaryClass.BENIGN, MultiClass.BENIGN)] * 6 + [(BinaryClass.MALICIOUS, MultiClass.DDOS)] * 4)
+    return Dataset(records, labels)
 
 
 class TestBalanceSample:
@@ -282,8 +284,9 @@ class TestBalanceSample:
         # default_rng([42, 1]).choice(4, 3) -> [3, 2, 1] -> rows [9, 8, 7]
         ds = _toy_dataset()
         out = balance_sample(ds, "binary", per_class=3, seed=42)
-        assert len(out.rows) == 6
-        assert [int(r.label.binary) for r in out.rows] == [0, 0, 0, 1, 1, 1]
+        assert len(out) == 6
+        assert out.targets("binary").tolist() == [0, 0, 0, 1, 1, 1]
+        assert [r.uid for r in out.records] == ["5", "0", "3", "9", "8", "7"]
         rng_b = np.random.default_rng([42, 0])
         rng_m = np.random.default_rng([42, 1])
         expected_b = list(rng_b.choice(6, size=3, replace=False))
@@ -294,31 +297,29 @@ class TestBalanceSample:
         ds = _toy_dataset()
         a = balance_sample(ds, "binary", 3, seed=42)
         b = balance_sample(ds, "binary", 3, seed=42)
-        assert a.rows == b.rows
+        assert a.records == b.records
+        np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_per_class_larger_than_population(self):
         out = balance_sample(_toy_dataset(), "binary", per_class=50, seed=0)
-        counts = {0: 0, 1: 0}
-        for r in out.rows:
-            counts[int(r.label.binary)] += 1
-        assert counts == {0: 6, 1: 4}
+        assert np.bincount(out.targets("binary")).tolist() == [6, 4]
 
     def test_empty_class_raises(self):
         ds = _toy_dataset()
-        benign_only = Dataset([r for r in ds.rows if r.label.binary == BinaryClass.BENIGN])
+        benign_only = ds.subset(np.flatnonzero(ds.targets("binary") == BinaryClass.BENIGN))
         with pytest.raises(EmptyClass):
             balance_sample(benign_only, "binary", 2, seed=0)
 
     def test_sentinel_rows_binary_vs_multiclass(self):
         rec = parse_conn_log(make_log(full_row()))[0]
-        rows = [
-            LabeledFlow(rec, ClassLabel(BinaryClass.BENIGN, MultiClass.BENIGN)),
-            LabeledFlow(rec, ClassLabel(BinaryClass.MALICIOUS, None)),  # e.g. C&C-Torii
-            LabeledFlow(rec, ClassLabel(BinaryClass.MALICIOUS, MultiClass.DDOS)),
-        ]
-        ds = Dataset(rows)
+        labels = np.array([
+            (BinaryClass.BENIGN, MultiClass.BENIGN),
+            (BinaryClass.MALICIOUS, -1),  # e.g. C&C-Torii
+            (BinaryClass.MALICIOUS, MultiClass.DDOS),
+        ])
+        ds = Dataset([rec] * 3, labels)
         binary = balance_sample(ds, "binary", 5, seed=1)
-        assert sum(1 for r in binary.rows if r.label.binary == BinaryClass.MALICIOUS) == 2
+        assert int(np.sum(binary.targets("binary") == BinaryClass.MALICIOUS)) == 2
         with pytest.raises(EmptyClass):
             balance_sample(ds, "multiclass", 1, seed=1)  # five classes have no rows
 
@@ -326,8 +327,117 @@ class TestBalanceSample:
         ds = _toy_dataset()
         for seed in range(10):
             out = balance_sample(ds, "binary", 2, seed=seed)
-            counts = {0: 0, 1: 0}
-            for r in out.rows:
-                counts[int(r.label.binary)] += 1
-            assert len(out.rows) <= 2 * 2
-            assert all(v <= 2 for v in counts.values())
+            counts = np.bincount(out.targets("binary"), minlength=2)
+            assert len(out) <= 2 * 2
+            assert all(v <= 2 for v in counts)
+
+
+# --- equivalence with the per-row label-object path ----------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _OldLabel:
+    binary: BinaryClass
+    multi: MultiClass | None
+
+
+@dataclasses.dataclass(frozen=True)
+class _OldFlow:
+    record: RawFlowRecord
+    label: _OldLabel
+
+
+def _old_class_index(flow, task):
+    if task == "binary":
+        return int(flow.label.binary)
+    return None if flow.label.multi is None else int(flow.label.multi)
+
+
+def _old_label_and_sample(records, task, per_class, seed):
+    """The label-object pipeline as it was: one (record, label) object per
+    row, class indices recomputed per row; returns (records, targets)."""
+    flows = [_OldFlow(r, _OldLabel(*canonicalize_label(r.raw_label, r.raw_detailed_label))) for r in records]
+    if per_class < 1:
+        raise ValueError("per_class must be >= 1")
+    names = task_class_names(task)
+    by_class = {c: [] for c in range(len(names))}
+    for i, flow in enumerate(flows):
+        c = _old_class_index(flow, task)
+        if c is not None:
+            by_class[c].append(i)
+    picked = []
+    for c, indices in by_class.items():
+        if not indices:
+            raise EmptyClass(names[c])
+        rng = np.random.default_rng([seed, c])
+        chosen = rng.choice(len(indices), size=min(per_class, len(indices)), replace=False)
+        picked.extend(indices[j] for j in chosen)
+    return [flows[i].record for i in picked], [_old_class_index(flows[i], task) for i in picked]
+
+
+# (label, detailed-label) spellings: canonical, spacing/case variants and sentinels
+_LABEL_POOL = [
+    ("Benign", "-"), (" Benign ", "-"), ("benign", "(empty)"), ("Malicious", "C&C-HeartBeat"),
+    ("Malicious", "C&C- HeartBeat"), ("Malicious", "DDoS"), ("Malicious", "Okiru"),
+    ("Malicious", "PartOfAHorizontalPortScan"), ("Malicious", "PartOfHorizontalPortScan"),
+    ("Malicious", "C&C"), ("Malicious", "Attack"), ("Malicious", "C&C-Torii"),
+    ("Malicious", "Okiru-Attack"), ("malicious", "NoSuchLabel"),
+]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (EmptyClass, UnknownBinaryLabel, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _new_label_and_sample(records, task, per_class, seed):
+    sampled = balance_sample(label_rows(records), task, per_class, seed)
+    return sampled.records, sampled.targets(task).tolist()
+
+
+class TestLabelArrayEquivalence:
+    def test_matches_label_object_path(self):
+        template = parse_conn_log(make_log(full_row()))[0]
+        outcomes = []
+        for corpus in range(60):
+            rng = np.random.default_rng([2031, corpus])
+            n = int(rng.integers(1, 120))
+            pool = _LABEL_POOL[: int(rng.integers(3, len(_LABEL_POOL) + 1))]
+            records = []
+            for i in rng.integers(0, len(pool), size=n):
+                label, detailed = pool[i]
+                records.append(dataclasses.replace(
+                    template, uid=f"C{len(records)}", raw_label=label, raw_detailed_label=detailed))
+            if corpus % 15 == 7:
+                records[int(rng.integers(0, n))] = dataclasses.replace(template, raw_label="Suspicious")
+            for task in ("binary", "multiclass"):
+                per_class = int(rng.integers(0, n // 3 + 3))  # 0 checks the per_class guard
+                seed = int(rng.integers(0, 1000))
+                old = _outcome(_old_label_and_sample, records, task, per_class, seed)
+                new = _outcome(_new_label_and_sample, records, task, per_class, seed)
+                if isinstance(old[0], type):
+                    assert new == old, (corpus, task)
+                    outcomes.append(old[0])
+                    continue
+                assert [id(r) for r in new[0]] == [id(r) for r in old[0]], (corpus, task)
+                assert new[1] == old[1], (corpus, task)
+                available = np.bincount(label_rows(records).targets(task) + 1)[1:]
+                outcomes.extend("above" if a < per_class else "below" for a in available if a != per_class)
+        # the corpora reach every outcome: per_class above and below what a
+        # class has, empty classes, bad labels and a bad per_class
+        assert {"above", "below", EmptyClass, UnknownBinaryLabel, ValueError} <= set(outcomes)
+        assert outcomes.count("above") >= 50 and outcomes.count("below") >= 50
+
+
+class TestConnLogFile:
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure, match="nope.labeled"):
+            parse_conn_log_file(tmp_path / "nope.labeled")
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.labeled"
+        path.write_bytes(make_log(full_row(), full_row(), full_row(service="caf\xe9")).encode("latin-1"))
+        with pytest.raises(DataError, match=r"latin1\.labeled line 4: not UTF-8"):
+            parse_conn_log_file(path)

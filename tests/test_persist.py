@@ -110,3 +110,31 @@ def test_mistyped_knn_k_is_model_error(runs, tmp_path, k):
                  "--input", str(runs / "binary_data" / "synth_binary.labeled"),
                  "--output", str(tmp_path / "preds.csv")])
     assert code == EXIT_MODEL
+
+
+def predict_and_evaluate_exits(runs, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data = runs / "binary_data" / "synth_binary.labeled"
+    return (
+        main(["predict", "--model", str(bad), "--input", str(data), "--output", str(tmp_path / "p.csv")]),
+        main(["evaluate", "--model", str(bad), "--data", str(data), "--report", str(tmp_path / "r.json")]),
+    )
+
+
+def test_unknown_task_is_model_error(runs, tmp_path):
+    doc = json.loads((runs / "binary" / "models" / "rf.json").read_text())
+    doc["task"] = "tertiary"
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+def test_task_not_matching_class_names_is_model_error(runs, tmp_path):
+    doc = json.loads((runs / "binary" / "models" / "rf.json").read_text())
+    doc["task"] = "multiclass"
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+def test_more_model_classes_than_class_names_is_model_error(runs, tmp_path):
+    doc = json.loads((runs / "binary" / "models" / "rf.json").read_text())
+    doc["model"]["n_classes"] = 7
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)

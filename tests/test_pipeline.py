@@ -16,7 +16,7 @@ from iotids.features import (
     ip_and_categorical_columns,
     matrix_from_records,
 )
-from iotids.flows import balance_sample, class_index
+from iotids.flows import balance_sample
 from iotids.metrics import compute_metrics, confusion
 from iotids.persist import load_bundle
 from iotids.pipeline import ExperimentConfig, read_labeled_dir, run_training, train_one_model
@@ -125,9 +125,8 @@ class TestLeakageGuard:
         table = CidrTable()
         for seed in range(20):
             sampled = balance_sample(dataset, "binary", 60, seed)
-            y = np.array([class_index(f, "binary") for f in sampled.rows])
-            split = stratified_split(y, (0.8, 0.2, 0.0), seed)
-            train_records = [sampled.rows[i].record for i in split.train]
+            split = stratified_split(sampled.targets("binary"), (0.8, 0.2, 0.0), seed)
+            train_records = [sampled.records[i] for i in split.train]
             vocab = fit_one_hot(ip_and_categorical_columns(train_records, table)[1])
             raw_train, _ = matrix_from_records(train_records, table, vocab)
             expected = fit_min_max(raw_train)
@@ -147,9 +146,8 @@ class TestLeakageGuard:
         table = CidrTable()
         for seed in range(20):
             sampled = balance_sample(dataset, "binary", 60, seed)
-            y = np.array([class_index(f, "binary") for f in sampled.rows])
-            split = stratified_split(y, (0.8, 0.2, 0.0), seed)
-            records = [f.record for f in sampled.rows]
+            split = stratified_split(sampled.targets("binary"), (0.8, 0.2, 0.0), seed)
+            records = sampled.records
             vocab = fit_one_hot(ip_and_categorical_columns([records[i] for i in split.train], table)[1])
             raw_all, _ = matrix_from_records(records, table, vocab)
             raw_train = raw_all[split.train]
@@ -352,8 +350,8 @@ class TestMulticlassPipeline:
 
         dataset = read_labeled_dir(data_dir)
         sampled = balance_sample(dataset, "binary", 31, seed=0)
-        malicious = [f for f in sampled.rows if f.label.binary == BinaryClass.MALICIOUS]
-        assert len(malicious) == 31  # 30 DDoS rows + the Torii row
+        malicious = sampled.targets("binary") == BinaryClass.MALICIOUS
+        assert int(malicious.sum()) == 31  # 30 DDoS rows + the Torii row
 
 
 class TestNeuralPipeline:

@@ -64,8 +64,8 @@ class TestZeekEmission:
         with caplog.at_level(logging.WARNING):
             dataset = label_rows(parse_conn_log_file(path))
         assert not caplog.records
-        assert len(dataset.rows) == 140
-        names = {MULTI_CLASS_NAMES[int(f.label.multi)] for f in dataset.rows}
+        assert len(dataset.records) == 140
+        names = {MULTI_CLASS_NAMES[c] for c in dataset.targets("multiclass")}
         assert names == set(MULTI_CLASS_NAMES)
 
     def test_numeric_fields_stay_non_negative(self, tmp_path):
