@@ -96,8 +96,9 @@ class MultiClass(IntEnum):
 
 BINARY_CLASS_NAMES = ["Benign", "Malicious"]
 MULTI_CLASS_NAMES = ["Benign", "CcHeartBeat", "DDoS", "Okiru", "PortScan", "Cc", "Attack"]
-# each task's class names; a task's position is its column in Dataset.labels
 TASK_CLASS_NAMES = {"binary": BINARY_CLASS_NAMES, "multiclass": MULTI_CLASS_NAMES}
+# each task's column in Dataset.labels
+_TASK_COLUMN = {"binary": 0, "multiclass": 1}
 
 _NAME_TO_MULTI = {name: MultiClass(i) for i, name in enumerate(MULTI_CLASS_NAMES)}
 
@@ -157,8 +158,9 @@ class Dataset:
 
     def targets(self, task: str) -> np.ndarray:
         """Each row's class index in the task; -1 marks a sentinel row."""
-        task_class_names(task)  # rejects an unknown task
-        return self.labels[:, list(TASK_CLASS_NAMES).index(task)]
+        if task not in _TASK_COLUMN:
+            raise ValueError(f"unknown task {task!r}")
+        return self.labels[:, _TASK_COLUMN[task]]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset([self.records[i] for i in indices], self.labels[indices], self.source_files)
