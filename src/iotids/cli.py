@@ -56,16 +56,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _labeled_task_rows(bundle, data_path):
-    """(records, targets) for the bundle's task; sentinel rows dropped."""
+    """(table, targets) for the bundle's task; sentinel rows dropped."""
     dataset = read_labeled_dir(data_path)
-    kept = dataset.subset(np.flatnonzero(dataset.targets(bundle.task) >= 0))
-    return kept.records, kept.targets(bundle.task)
+    kept = dataset.take(np.flatnonzero(dataset.targets(bundle.task) >= 0))
+    return kept.table, kept.targets(bundle.task)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
-    records, y_true = _labeled_task_rows(bundle, args.data)
-    X = bundle.featurize(records)
+    table, y_true = _labeled_task_rows(bundle, args.data)
+    X = bundle.featurize(table)
     matrix = confusion(y_true, bundle.predict(X), len(bundle.class_names), bundle.class_names)
     report = compute_metrics(matrix)
     report_path = Path(args.report)
@@ -78,8 +78,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
-    records = parse_conn_log_file(args.input, allow_unlabeled=True)
-    X = bundle.featurize(records)
+    table = parse_conn_log_file(args.input, allow_unlabeled=True)
+    X = bundle.featurize(table)
     labels = bundle.predict(X)
     probs = bundle.predict_proba(X)
 
@@ -105,8 +105,8 @@ def _cmd_importance(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     bundle = load_bundle(args.model)
-    records, y_true = _labeled_task_rows(bundle, args.data)
-    X = bundle.featurize(records)
+    table, y_true = _labeled_task_rows(bundle, args.data)
+    X = bundle.featurize(table)
     report = permutation_importance(
         bundle,
         X,

@@ -11,15 +11,17 @@ from __future__ import annotations
 import csv
 import ipaddress
 import logging
-import operator
+import re
+import socket
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BadIpSyntax, ColumnMismatch, DataError, IoFailure, SchemaMismatch
-from .flows import RawFlowRecord
+from .errors import BadIpSyntax, ColumnMismatch, DataError, EmptyMatrix, IoFailure, SchemaMismatch
+from .flows import FlowTable
 
 log = logging.getLogger(__name__)
 
@@ -76,9 +78,22 @@ def _parse_ip(address: str):
         raise BadIpSyntax(address) from None
 
 
+# a dotted quad as ipaddress accepts it: four decimal octets 0-255 without leading zeros
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
+
+
+def _ipv4_mask(prefixlen: int) -> int:
+    return (0xFFFFFFFF << (32 - prefixlen)) & 0xFFFFFFFF
+
+
 @dataclass(frozen=True)
 class CidrTable:
-    """Offline CIDR -> country table; longest-prefix match, default "unknown"."""
+    """Offline CIDR -> country table; longest-prefix match, default "unknown".
+
+    Among entries with the same network, the first one wins.  A lookup
+    costs one search per distinct prefix length, whatever the table size.
+    """
 
     entries: tuple[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, str], ...] = ()
 
@@ -111,41 +126,104 @@ class CidrTable:
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: not a CSV text file: {exc}") from None
 
+    @cached_property
+    def _prefixes(self) -> tuple[list, list]:
+        """The IPv4 and the IPv6 lookup lists, one item per distinct prefix
+        length, longest first: (mask, sorted uint32 networks, their
+        countries) for IPv4 and (host bits, network int -> country) for
+        IPv6.  Each network appears once, with its first entry's country."""
+        groups: dict[tuple[int, int], dict[int, str]] = {}
+        for network, country in self.entries:
+            group = groups.setdefault((network.version, network.prefixlen), {})
+            group.setdefault(int(network.network_address), country)
+        ipv4, ipv6 = [], []
+        for version, prefixlen in sorted(groups, key=lambda key: -key[1]):
+            group = groups[(version, prefixlen)]
+            if version == 4:
+                networks = sorted(group)
+                countries = np.array([group[v] for v in networks], dtype=object)
+                ipv4.append((np.uint32(_ipv4_mask(prefixlen)), np.array(networks, dtype=np.uint32), countries))
+            else:
+                ipv6.append((128 - prefixlen, group))
+        return ipv4, ipv6
+
+    def ipv4_countries(self, addresses: np.ndarray) -> np.ndarray:
+        """The country of each uint32 IPv4 address, as an object array: one
+        searchsorted per prefix length, longest first."""
+        countries = np.full(len(addresses), "unknown", dtype=object)
+        pending = np.ones(len(addresses), dtype=bool)
+        for mask, networks, names in self._prefixes[0]:
+            masked = addresses & mask
+            at = np.minimum(np.searchsorted(networks, masked), len(networks) - 1)
+            hit = pending & (networks[at] == masked)
+            countries[hit] = names[at[hit]]
+            pending &= ~hit
+        return countries
+
     def country(self, address: str) -> str:
         return self.lookup(_parse_ip(address))
 
     def lookup(self, ip: ipaddress.IPv4Address | ipaddress.IPv6Address) -> str:
-        best: str | None = None
-        best_len = -1
-        for network, country in self.entries:
-            if network.version == ip.version and ip in network and network.prefixlen > best_len:
-                best, best_len = country, network.prefixlen
-        return best if best is not None else "unknown"
+        if ip.version == 4:
+            return self.ipv4_countries(np.array([int(ip)], dtype=np.uint32))[0]
+        for host_bits, networks in self._prefixes[1]:
+            country = networks.get(int(ip) >> host_bits << host_bits)
+            if country is not None:
+                return country
+        return "unknown"
 
 
 def _is_private(ip: ipaddress.IPv4Address | ipaddress.IPv6Address) -> bool:
     return any(network.version == ip.version and ip in network for network in _PRIVATE_RANGES)
 
 
+_PRIVATE_IPV4 = [
+    (np.uint32(int(n.network_address)), np.uint32(_ipv4_mask(n.prefixlen))) for n in _PRIVATE_RANGES if n.version == 4
+]
+
+
 def ip_scope(address: str) -> str:
     return "private" if _is_private(_parse_ip(address)) else "global"
 
 
-def ip_and_categorical_columns(
-    records: Sequence[RawFlowRecord], table: CidrTable
-) -> tuple[np.ndarray, dict[str, list[str]]]:
+def _address_features(addresses: list[str], table: CidrTable) -> tuple[np.ndarray, np.ndarray]:
+    """(private, country) of each address.  Dotted quads are parsed into
+    uint32 values and matched with array ops; any other token goes through
+    _parse_ip once, so the first bad one in list order raises BadIpSyntax."""
+    private = np.zeros(len(addresses), dtype=bool)
+    countries = np.full(len(addresses), "unknown", dtype=object)
+    is_v4 = np.fromiter((m is not None for m in map(_IPV4.fullmatch, addresses)), bool, len(addresses))
+    v4 = np.flatnonzero(is_v4)
+    if len(v4):
+        quads = [addresses[k] for k in v4.tolist()]
+        ints = np.frombuffer(b"".join(map(socket.inet_aton, quads)), dtype=">u4").astype(np.uint32)
+        private[v4] = np.any([(ints & mask) == net for net, mask in _PRIVATE_IPV4], axis=0)
+        countries[v4] = table.ipv4_countries(ints)
+    for k in np.flatnonzero(~is_v4).tolist():
+        ip = _parse_ip(addresses[k])
+        private[k] = _is_private(ip)
+        countries[k] = table.lookup(ip)
+    return private, countries
+
+
+def ip_and_categorical_columns(table: FlowTable, cidr: CidrTable) -> tuple[np.ndarray, dict[str, list[str]]]:
     """The scope block (rows x [orig, resp]; 0 private, 1 global) and each
     categorical feature's column in CATEGORICAL_FIELDS order, a missing or
-    empty service as "unknown"; every address is parsed once."""
-    ips = [_parse_ip(address) for r in records for address in (r.orig_h, r.resp_h)]
-    scopes = np.array([0.0 if _is_private(ip) else 1.0 for ip in ips]).reshape(-1, 2)
-    countries = [table.lookup(ip) for ip in ips]
-    return scopes, {
-        "proto": [r.proto for r in records],
-        "service": [r.service or "unknown" for r in records],
-        "conn_state": [r.conn_state for r in records],
-        "orig_country": countries[0::2],
-        "resp_country": countries[1::2],
+    empty service as "unknown"; each distinct address is parsed once."""
+    addresses = [""] * (2 * len(table))
+    addresses[0::2] = table["orig_h"]
+    addresses[1::2] = table["resp_h"]
+    distinct = list(dict.fromkeys(addresses))  # first-seen order: the first bad address raises
+    code = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(code.__getitem__, addresses), np.intp, len(addresses))
+    private, countries = _address_features(distinct, cidr)
+    row_countries = countries[codes]
+    return np.where(private[codes], 0.0, 1.0).reshape(-1, 2), {
+        "proto": table["proto"],
+        "service": [s or "unknown" for s in table["service"]],
+        "conn_state": table["conn_state"],
+        "orig_country": row_countries[0::2].tolist(),
+        "resp_country": row_countries[1::2].tolist(),
     }
 
 
@@ -240,25 +318,25 @@ def build_schema(vocabulary: OneHotVocabulary) -> FeatureSchema:
 
 
 def matrix_from_records(
-    records: Sequence[RawFlowRecord],
-    table: CidrTable,
+    table: FlowTable,
+    cidr: CidrTable,
     vocabulary: OneHotVocabulary,
     params: MinMaxParams | None = None,
 ) -> tuple[np.ndarray, FeatureSchema]:
-    """Raw (unscaled) or scaled matrix for parsed records, plus its schema.
+    """Raw (unscaled) or scaled matrix for a parsed table, plus its schema.
 
-    Columns are the numerics (missing values, tri-state bools included, as
-    0), the IP scopes, then one-hot blocks; their order is a pure function
-    of the schema.
+    Columns are the numerics (missing values, tri-state bools included,
+    imputed as 0), the IP scopes, then one-hot blocks; their order is a pure
+    function of the schema.
     """
     schema = build_schema(vocabulary)
-    values = np.zeros((len(records), schema.width))
-    numerics = operator.attrgetter(*NUMERIC_FIELDS)
+    values = np.zeros((len(table), schema.width))
     start = len(NUMERIC_FIELDS)
-    values[:, :start] = np.array(
-        [[0.0 if v is None else v for v in numerics(r)] for r in records], dtype=float
-    ).reshape(-1, start)
-    scopes, columns = ip_and_categorical_columns(records, table)
+    numerics = values[:, :start]  # a view into values
+    for j, name in enumerate(NUMERIC_FIELDS):
+        numerics[:, j] = table[name]
+    numerics[np.isnan(numerics)] = 0.0
+    scopes, columns = ip_and_categorical_columns(table, cidr)
     values[:, start : start + 2] = scopes
     start += 2
     for feature in CATEGORICAL_FIELDS:
@@ -312,11 +390,14 @@ def permutation_importance(
 
     Shuffles are independent per (feature, repeat); the sub-seed for pair
     (j, r) derives as default_rng([seed, j, r]) so any cell is recomputable
-    in isolation.  Negative importances are reported as-is.
+    in isolation.  Negative importances are reported as-is.  Zero rows are
+    an EmptyMatrix error: accuracy is undefined.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     y_val = np.asarray(y_val)
+    if not len(y_val):
+        raise EmptyMatrix("permutation importance needs at least one labeled row")
     base = float(np.mean(model.predict(X_val) == y_val))
     n, d = X_val.shape
     drops = np.zeros((d, repeats))

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
+from itertools import islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,7 +117,8 @@ LABEL_MAP_VERSION, _DETAILED_LABEL_MAP = _load_label_map()
 
 @dataclass(frozen=True)
 class RawFlowRecord:
-    """One parsed conn-log row; None marks a missing value."""
+    """One conn-log row as record_to_line writes it (the synthetic-data
+    writer's row type); None marks a missing value."""
 
     ts: float | None
     uid: str
@@ -143,18 +145,60 @@ class RawFlowRecord:
     raw_detailed_label: str
 
 
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Parsed conn-log rows as columns keyed by RawFlowRecord attribute.
+
+    Numeric and bool columns are float64 arrays with NaN for a missing
+    value (a missing port is 0, bools are 1.0/0.0); text columns are lists
+    in which a repeated value is one shared str (service and history keep
+    None for unset).  ``line_no`` is each row's line in its source file.
+    """
+
+    columns: dict[str, np.ndarray | list]
+    line_no: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.line_no)
+
+    def __getitem__(self, attr: str) -> np.ndarray | list:
+        return self.columns[attr]
+
+    def take(self, indices: np.ndarray) -> "FlowTable":
+        """The rows at `indices`, in that order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        rows = indices.tolist()
+        return FlowTable(
+            {a: c[indices] if isinstance(c, np.ndarray) else [c[i] for i in rows] for a, c in self.columns.items()},
+            self.line_no[indices],
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["FlowTable"]) -> "FlowTable":
+        """The rows of every table, in order."""
+        if len(tables) == 1:
+            return tables[0]
+        columns = {}
+        for attr, first in tables[0].columns.items():
+            if isinstance(first, np.ndarray):
+                columns[attr] = np.concatenate([t.columns[attr] for t in tables])
+            else:
+                columns[attr] = [v for t in tables for v in t.columns[attr]]
+        return cls(columns, np.concatenate([t.line_no for t in tables]))
+
+
 @dataclass
 class Dataset:
-    """Parsed records and their canonical labels: row i of the n x 2 int64
-    labels is record i's binary class and its 7-class index, -1 for the
+    """Parsed rows and their canonical labels: row i of the n x 2 int64
+    labels is row i's binary class and its 7-class index, -1 for the
     sentinel (a malicious row outside the seven classes)."""
 
-    records: list[RawFlowRecord]
+    table: FlowTable
     labels: np.ndarray
     source_files: tuple[str, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table)
 
     def targets(self, task: str) -> np.ndarray:
         """Each row's class index in the task; -1 marks a sentinel row."""
@@ -162,37 +206,75 @@ class Dataset:
             raise ValueError(f"unknown task {task!r}")
         return self.labels[:, _TASK_COLUMN[task]]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset([self.records[i] for i in indices], self.labels[indices], self.source_files)
+    def take(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.table.take(indices), self.labels[indices], self.source_files)
 
 
-def _coerce(column: str, token: str, line_no: int):
-    """Convert one cell token to its typed value (None for missing)."""
+def _coerce(column: str, token: str) -> float | None:
+    """One numeric or bool cell's value (None for missing, a bool as 1.0 or
+    0.0); ValueError or OverflowError for a token the column rejects."""
     if token == UNSET:
         return None
-    if column in FLOAT_COLUMNS or column in INT_COLUMNS:
-        if token == EMPTY:
-            return None
-        try:
-            value = float(token) if column in FLOAT_COLUMNS else int(token)
-        except ValueError:
-            raise BadNumeric(line_no, column, token) from None
-        if column in PORT_COLUMNS and not 0 <= value <= 65535:
-            raise BadNumeric(line_no, column, token)
-        if (column in INT_COLUMNS or column == "duration") and value < 0:
-            raise BadNumeric(line_no, column, token)
-        if not math.isfinite(value):  # nan/inf would reach the scaler's min/max
-            raise BadNumeric(line_no, column, token)
-        return value
     if column in BOOL_COLUMNS:
         if token in ("T", "true", "1"):
-            return True
+            return 1.0
         if token in ("F", "false", "0"):
-            return False
-        raise BadNumeric(line_no, column, token)
+            return 0.0
+        raise ValueError(token)
     if token == EMPTY:
-        return ""
-    return token
+        return None
+    value = float(token) if column in FLOAT_COLUMNS else int(token)
+    if column in PORT_COLUMNS and not 0 <= value <= 65535:
+        raise ValueError(token)
+    if (column in INT_COLUMNS or column == "duration") and value < 0:
+        raise ValueError(token)
+    value = float(value)  # an int beyond float64 raises OverflowError
+    if not math.isfinite(value):  # nan/inf would reach the scaler's min/max
+        raise ValueError(token)
+    return value
+
+
+def _numeric_column(column: str, tokens: Sequence[str]) -> np.ndarray:
+    """One numeric or bool column's float64 values: NaN for a missing value
+    and inf for a token the column rejects (no accepted value is infinite).
+
+    A column of plain numbers converts with one map of int or float, the
+    conversions _coerce makes; any other column converts each distinct
+    token once through _coerce."""
+    n = len(tokens)
+    if column not in BOOL_COLUMNS:
+        try:
+            values = np.fromiter(map(float if column in FLOAT_COLUMNS else int, tokens), np.float64, n)
+        except (ValueError, OverflowError):
+            pass  # a missing value or a bad token: convert per distinct token
+        else:
+            bad = ~np.isfinite(values)
+            if column in INT_COLUMNS or column == "duration":
+                bad |= values < 0
+            if column in PORT_COLUMNS:
+                bad |= values > 65535
+            values[bad] = np.inf
+            return values
+    distinct = {}
+    for token in set(tokens):
+        try:
+            value = _coerce(column, token)
+        except (ValueError, OverflowError):
+            value = np.inf
+        distinct[token] = np.nan if value is None else value
+    return np.fromiter(map(distinct.__getitem__, tokens), np.float64, n)
+
+
+def _text_value(attr: str, token: str) -> str | None:
+    """One text cell's value, with the defaults for an unset or empty one."""
+    value = None if token == UNSET else "" if token == EMPTY else token
+    if attr == "proto":
+        return value if value in KNOWN_PROTOS else "other"
+    if attr == "raw_detailed_label":
+        return value or UNSET
+    if attr in ("service", "history"):
+        return value
+    return value or ""
 
 
 def _repair_trailing_labels(parts: list[str], expected: int) -> list[str]:
@@ -210,59 +292,148 @@ def _repair_trailing_labels(parts: list[str], expected: int) -> list[str]:
     return parts
 
 
-def iter_conn_log(lines: Iterable[str], *, allow_unlabeled: bool = False) -> Iterator[RawFlowRecord]:
-    """Stream RawFlowRecords from conn-log lines; errors carry line numbers."""
-    columns: list[str] | None = None
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("#fields"):
-                columns = line.split("\t")[1:]
-            continue
-        if columns is None:
-            raise MalformedHeader(line_no)
-        parts = line.split("\t")
-        parts = _repair_trailing_labels(parts, len(columns))
-        if len(parts) != len(columns):
-            raise ColumnCountMismatch(line_no, len(columns), len(parts))
+# lines read and converted at a time; bounds the parser's working memory
+BLOCK_LINES = 1024
 
-        values: dict[str, object] = {attr: None for attr in ZEEK_TO_ATTR.values()}
-        for column, token in zip(columns, parts):
+_NUMERIC_ATTRS = {ZEEK_TO_ATTR[c] for c in FLOAT_COLUMNS | INT_COLUMNS | BOOL_COLUMNS}
+_PORT_ATTRS = {ZEEK_TO_ATTR[c] for c in PORT_COLUMNS}
+# the text tokens whose value is not the token itself, apart from proto's
+_SPECIAL_TOKENS = {UNSET, EMPTY, ""}
+
+
+class _TableBuilder:
+    """Accumulates converted blocks of data rows into FlowTable columns."""
+
+    def __init__(self, allow_unlabeled: bool):
+        self.allow_unlabeled = allow_unlabeled
+        self.numeric: dict[str, list[np.ndarray]] = {a: [] for a in _NUMERIC_ATTRS}
+        self.text: dict[str, list] = {a: [] for a in ZEEK_TO_ATTR.values() if a not in _NUMERIC_ATTRS}
+        # per text column: token -> value, so a repeated value is one str
+        self.values: dict[str, dict[str, str | None]] = {a: {} for a in self.text}
+        self.line_no: list[np.ndarray] = []
+
+    def add(self, header: list[str], lines: list[str], first_line: int) -> None:
+        """Convert consecutive data lines (the first at line `first_line`)
+        under one #fields header.  The error raised is the one the first
+        bad row has; within a row, the first bad column in header order,
+        and a missing label after every column."""
+        width = len(header)
+        errors: list[tuple[int, int, DataError]] = []  # (row, position, error)
+        if list(map(str.count, lines, repeat("\t"))).count(width - 1) == len(lines):
+            # every row has the header's width: split the run once, slice out columns
+            n = len(lines)
+            flat = "\t".join(lines).split("\t")
+            cells: list[Sequence[str]] = [flat[j::width] for j in range(width)]
+        else:
+            rows = [line.split("\t") for line in lines]
+            for i, parts in enumerate(rows):
+                if len(parts) != width:
+                    rows[i] = parts = _repair_trailing_labels(parts, width)
+                    if len(parts) != width:
+                        errors.append((i, -1, ColumnCountMismatch(first_line + i, width, len(parts))))
+                        del rows[i:]
+                        break
+            n = len(rows)
+            cells = list(zip(*rows)) if rows else [()] * width
+        block: dict[str, np.ndarray | list] = {}
+        for j, (column, tokens) in enumerate(zip(header, cells)):
             attr = ZEEK_TO_ATTR.get(column)
             if attr is None:
                 continue  # unknown column: not part of the schema
-            values[attr] = _coerce(column, token, line_no)
+            if attr in _NUMERIC_ATTRS:
+                values = _numeric_column(column, tokens)
+                bad = np.flatnonzero(np.isinf(values))
+                if len(bad):
+                    row = int(bad[0])
+                    errors.append((row, j, BadNumeric(first_line + row, column, tokens[row])))
+                if attr in _PORT_ATTRS:
+                    values[np.isnan(values)] = 0.0
+                block[attr] = values
+            else:
+                known = self.values[attr]
+                new = set(tokens).difference(known)
+                if attr == "proto":
+                    known.update((token, _text_value(attr, token)) for token in new)
+                else:
+                    known.update(zip(new, new))  # a plain token is its own value
+                    known.update((token, _text_value(attr, token)) for token in new & _SPECIAL_TOKENS)
+                block[attr] = list(map(known.__getitem__, tokens))
+        if not self.allow_unlabeled and n:
+            labels = block.get("raw_label", [""])
+            if "" in labels:
+                row = labels.index("")
+                message = "row has no label; pass allow_unlabeled for prediction input"
+                errors.append((row, width, MalformedHeader(first_line + row, message)))
+        if errors:
+            raise min(errors, key=lambda e: e[:2])[2]
+        for attr, chunks in self.numeric.items():
+            chunks.append(block[attr] if attr in block else np.full(n, 0.0 if attr in _PORT_ATTRS else np.nan))
+        for attr, column in self.text.items():
+            column.extend(block[attr] if attr in block else [_text_value(attr, UNSET)] * n)
+        self.line_no.append(np.arange(first_line, first_line + n))
 
-        for attr in ("uid", "orig_h", "resp_h", "conn_state", "tunnel_parents"):
-            if values[attr] is None:
-                values[attr] = ""
-        proto = values["proto"] or ""
-        values["proto"] = proto if proto in KNOWN_PROTOS else "other"
-        for attr in ("orig_p", "resp_p"):
-            if values[attr] is None:
-                values[attr] = 0
-        values["raw_label"] = values["raw_label"] or ""
-        values["raw_detailed_label"] = values["raw_detailed_label"] or UNSET
-        if not values["raw_label"] and not allow_unlabeled:
-            raise MalformedHeader(line_no, "row has no label; pass allow_unlabeled for prediction input")
-        yield RawFlowRecord(**values)  # type: ignore[arg-type]
+    def table(self) -> FlowTable:
+        columns: dict[str, np.ndarray | list] = {}
+        for attr in ZEEK_TO_ATTR.values():
+            if attr in self.numeric:
+                columns[attr] = np.concatenate(self.numeric[attr]) if self.numeric[attr] else np.zeros(0)
+            else:
+                columns[attr] = self.text[attr]
+        line_no = np.concatenate(self.line_no) if self.line_no else np.zeros(0, dtype=np.int64)
+        return FlowTable(columns, line_no)
 
 
-def parse_conn_log(source: str | bytes | IO[str] | Iterable[str], *, allow_unlabeled: bool = False) -> list[RawFlowRecord]:
+def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Up to BLOCK_LINES lines at a time.  When decoding fails part-way,
+    the lines read before it form one last block before the error."""
+    it = iter(lines)
+    while True:
+        block: list[str] = []
+        try:
+            block.extend(islice(it, BLOCK_LINES))  # keeps what was read if decoding fails
+        except UnicodeDecodeError:
+            yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _parse_lines(lines: Iterable[str], allow_unlabeled: bool) -> FlowTable:
+    """A FlowTable of conn-log lines; errors carry line numbers."""
+    builder = _TableBuilder(allow_unlabeled)
+    header: list[str] | None = None
+    line_no = 0  # lines before the block
+    for block in _blocks(lines):
+        block = [line.rstrip("\n").rstrip("\r") for line in block]
+        # blank and directive lines split the block into runs of data lines
+        breaks = [i for i, line in enumerate(block) if not line or line[0] == "#"]
+        start = 0
+        for stop in breaks + [len(block)]:
+            if stop > start:
+                if header is None:
+                    raise MalformedHeader(line_no + start + 1)
+                builder.add(header, block[start:stop], line_no + start + 1)
+            if stop < len(block) and block[stop].startswith("#fields"):
+                header = block[stop].split("\t")[1:]
+            start = stop + 1
+        line_no += len(block)
+    return builder.table()
+
+
+def parse_conn_log(source: str | bytes | IO[str] | Iterable[str], *, allow_unlabeled: bool = False) -> FlowTable:
     """Parse a whole conn log from text, bytes, an open file, or lines."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
         source = source.splitlines()
-    return list(iter_conn_log(source, allow_unlabeled=allow_unlabeled))
+    return _parse_lines(source, allow_unlabeled)
 
 
-def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> list[RawFlowRecord]:
+def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> FlowTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return list(iter_conn_log(fh, allow_unlabeled=allow_unlabeled))
+            return _parse_lines(fh, allow_unlabeled)
     except OSError as exc:
         raise IoFailure(f"cannot read conn log {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -330,15 +501,18 @@ def canonicalize_label(raw_label: str, raw_detailed_label: str) -> tuple[BinaryC
     return BinaryClass.MALICIOUS, detailed
 
 
-def label_rows(records: Iterable[RawFlowRecord], *, source_files: tuple[str, ...] = ()) -> Dataset:
-    """Label a parsed record stream into a Dataset; missing values stay
-    None until featurization."""
-    records = list(records)
-    labels = []
-    for rec in records:
-        binary, multi = canonicalize_label(rec.raw_label, rec.raw_detailed_label)
-        labels.append((binary, -1 if multi is None else multi))
-    return Dataset(records, np.array(labels, dtype=np.int64).reshape(-1, 2), source_files)
+def label_rows(table: FlowTable, *, source_files: tuple[str, ...] = ()) -> Dataset:
+    """Label a parsed table into a Dataset, canonicalizing each distinct
+    (label, detailed-label) pair once; missing values stay NaN until
+    featurization."""
+    pairs = list(zip(table["raw_label"], table["raw_detailed_label"]))
+    code = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}  # first-seen order: first bad row raises
+    canonical = []
+    for pair in code:
+        binary, multi = canonicalize_label(*pair)
+        canonical.append((binary, -1 if multi is None else multi))
+    canonical = np.array(canonical, dtype=np.int64).reshape(-1, 2)
+    return Dataset(table, canonical[np.fromiter(map(code.__getitem__, pairs), np.intp, len(pairs))], source_files)
 
 
 def task_class_names(task: str) -> list[str]:
@@ -364,4 +538,4 @@ def balance_sample(dataset: Dataset, task: str, per_class: int, seed: int) -> Da
             raise EmptyClass(name)
         rng = np.random.default_rng([seed, c])
         picked.append(indices[rng.choice(len(indices), size=min(per_class, len(indices)), replace=False)])
-    return dataset.subset(np.concatenate(picked))
+    return dataset.take(np.concatenate(picked))

@@ -19,7 +19,7 @@ from .features import (
     build_schema,
     matrix_from_records,
 )
-from .flows import RawFlowRecord, task_class_names
+from .flows import FlowTable, task_class_names
 from .voting import MODEL_CLASSES, Model
 
 BUNDLE_VERSION = 1
@@ -69,9 +69,9 @@ class ModelBundle:
     def class_names(self) -> list[str]:
         return task_class_names(self.task)
 
-    def featurize(self, records: list[RawFlowRecord]) -> np.ndarray:
+    def featurize(self, table: FlowTable) -> np.ndarray:
         values, _ = matrix_from_records(
-            records, self.preproc.cidr, self.preproc.vocabulary, self.preproc.min_max
+            table, self.preproc.cidr, self.preproc.vocabulary, self.preproc.min_max
         )
         return values
 

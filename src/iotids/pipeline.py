@@ -31,8 +31,8 @@ from .features import (
 )
 from .flows import (
     Dataset,
+    FlowTable,
     LABEL_MAP_VERSION,
-    RawFlowRecord,
     balance_sample,
     label_rows,
     parse_conn_log_file,
@@ -163,14 +163,14 @@ class PartitionedDataset:
     """Partition-scoped row access with a (phase, partition) log."""
 
     def __init__(self, dataset: Dataset, split: SplitIndices):
-        self._records = dataset.records
+        self._table = dataset.table
         self.split = split
         self.phase = "init"
         self.access_log: list[tuple[str, str]] = []
 
-    def rows(self, partition: str) -> list[RawFlowRecord]:
+    def rows(self, partition: str) -> FlowTable:
         self.access_log.append((self.phase, partition))
-        return [self._records[i] for i in self.split.partitions()[partition]]
+        return self._table.take(self.split.partitions()[partition])
 
 
 def read_labeled_dir(data_path: str | Path) -> Dataset:
@@ -184,10 +184,8 @@ def read_labeled_dir(data_path: str | Path) -> Dataset:
         raise DataError(f"data path {p} does not exist")
     if not files:
         raise DataError(f"no .labeled files under {p}")
-    records = []
-    for f in files:
-        records.extend(parse_conn_log_file(f))
-    return label_rows(records, source_files=tuple(f.name for f in files))
+    table = FlowTable.concat([parse_conn_log_file(f) for f in files])
+    return label_rows(table, source_files=tuple(f.name for f in files))
 
 
 def _derived_seed(seed: int, name: str, extra: int = 0) -> int:
@@ -357,9 +355,9 @@ def run_training(
 
     # fit encoders and scaler on the training partition only
     parts.phase = "fit_encoders"
-    train_records = parts.rows("train")
-    vocabulary = fit_one_hot(ip_and_categorical_columns(train_records, cidr)[1])
-    raw_train, schema = matrix_from_records(train_records, cidr, vocabulary)
+    train_rows = parts.rows("train")
+    vocabulary = fit_one_hot(ip_and_categorical_columns(train_rows, cidr)[1])
+    raw_train, schema = matrix_from_records(train_rows, cidr, vocabulary)
     if config.expected_width is not None and schema.width != config.expected_width:
         raise SchemaMismatch(f"finalized width {schema.width} != expected {config.expected_width}")
     min_max = fit_min_max(raw_train)

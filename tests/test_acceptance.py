@@ -104,9 +104,9 @@ def test_criterion_02_leakage_guard(tmp_path):
         # independent train-only recount
         sampled = balance_sample(dataset, "binary", 60, seed)
         split = stratified_split(sampled.targets("binary"), (0.8, 0.2, 0.0), seed)
-        records = sampled.records
-        vocab = fit_one_hot(ip_and_categorical_columns([records[i] for i in split.train], table)[1])
-        raw_all, _ = matrix_from_records(records, table, vocab)
+        rows = sampled.table
+        vocab = fit_one_hot(ip_and_categorical_columns(rows.take(split.train), table)[1])
+        raw_all, _ = matrix_from_records(rows, table, vocab)
         expected = fit_min_max(raw_all[split.train])
 
         cfg = ExperimentConfig("binary", ["knn"], 60, seed, split=(0.8, 0.2, 0.0),

@@ -143,6 +143,15 @@ class TestImportance:
         names = [line.split(",")[0] for line in lines[1:]]
         assert "duration" in names and "orig_scope" in names
 
+    def test_no_task_rows_is_data_error(self, workspace, tmp_path, caplog):
+        # accuracy over zero rows is undefined: exit 3, as evaluate does, not a report of NaNs
+        empty = tmp_path / "empty.labeled"
+        empty.write_text("#fields\tts\tuid\n")
+        out = tmp_path / "imp.csv"
+        assert main(["importance", "--model", str(workspace / "run" / "models" / "rf.json"),
+                     "--data", str(empty), "--out", str(out)]) == EXIT_DATA
+        assert "at least one labeled row" in caplog.text and not out.exists()
+
 
 class TestLogging:
     def test_bad_log_level_is_config_error(self, workspace, monkeypatch):
@@ -175,11 +184,11 @@ class TestSelfAgreement:
 
         from iotids.flows import parse_conn_log_file
 
-        records = parse_conn_log_file(tmp_path / "data" / "synth_binary.labeled")
+        table = parse_conn_log_file(tmp_path / "data" / "synth_binary.labeled")
         lines = out.read_text().strip().split("\n")[1:]
-        assert len(lines) == len(records)
-        for line, rec in zip(lines, records):
-            assert line.split(",")[1] == rec.raw_label
+        assert len(lines) == len(table)
+        for line, label in zip(lines, table["raw_label"]):
+            assert line.split(",")[1] == label
 
     def test_train_partition_evaluation_is_optimistic(self, workspace, tmp_path):
         # separable fixture: accuracy on the model's own training data is

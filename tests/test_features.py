@@ -1,11 +1,12 @@
 """IP feature engineering, one-hot encoding, min-max scaling, importance."""
 
+import ipaddress
 import logging
 
 import numpy as np
 import pytest
 
-from iotids.errors import BadIpSyntax, ColumnMismatch, DataError, SchemaMismatch
+from iotids.errors import BadIpSyntax, ColumnMismatch, DataError, EmptyMatrix, SchemaMismatch
 from iotids.features import (
     CATEGORICAL_FIELDS,
     NUMERIC_FIELDS,
@@ -20,9 +21,9 @@ from iotids.features import (
     permutation_importance,
     transform_min_max,
 )
-from iotids.flows import RawFlowRecord
+from iotids.flows import RawFlowRecord, parse_conn_log
 from iotids.pipeline import ExperimentConfig, run_training
-from iotids.synth import SynthSpec, write_synth_dataset
+from iotids.synth import SynthSpec, render_zeek_log, write_synth_dataset
 
 
 def make_record(**overrides) -> RawFlowRecord:
@@ -55,8 +56,13 @@ def make_record(**overrides) -> RawFlowRecord:
     return RawFlowRecord(**base)
 
 
+def table_of(records):
+    """A FlowTable of records, through the conn-log text they render to."""
+    return parse_conn_log(render_zeek_log(list(records)))
+
+
 def fit_vocab(records, table):
-    return fit_one_hot(ip_and_categorical_columns(records, table)[1])
+    return fit_one_hot(ip_and_categorical_columns(table_of(records), table)[1])
 
 
 TABLE = CidrTable.from_rows([("8.8.8.0/24", "US"), ("8.0.0.0/8", "XX"), ("1.2.0.0/16", "AU")])
@@ -65,13 +71,13 @@ TABLE = CidrTable.from_rows([("8.8.8.0/24", "US"), ("8.0.0.0/8", "XX"), ("1.2.0.
 class TestIpFeatures:
     def test_private_rfc1918(self):
         record = make_record(orig_h="192.168.1.5")
-        _, columns = ip_and_categorical_columns([record], TABLE)
+        _, columns = ip_and_categorical_columns(table_of([record]), TABLE)
         scope, country = ip_scope(record.orig_h), columns["orig_country"][0]
         assert scope == "private" and country == "unknown"
 
     def test_global_with_table_entry(self):
         record = make_record(resp_h="8.8.8.8")
-        _, columns = ip_and_categorical_columns([record], TABLE)
+        _, columns = ip_and_categorical_columns(table_of([record]), TABLE)
         scope, country = ip_scope(record.resp_h), columns["resp_country"][0]
         assert scope == "global" and country == "US"
 
@@ -190,7 +196,7 @@ class TestMinMax:
 class TestFeatureMatrix:
     def test_empty_dataset_keeps_schema_width(self):
         vocab = fit_vocab([make_record()], TABLE)
-        values, schema = matrix_from_records([], TABLE, vocab)
+        values, schema = matrix_from_records(table_of([]), TABLE, vocab)
         assert values.shape == (0, schema.width)
 
     def test_two_row_matrix_hand_assembled(self):
@@ -201,7 +207,7 @@ class TestFeatureMatrix:
                          local_resp=True, missed_bytes=1, orig_pkts=3,
                          orig_ip_bytes=5, resp_pkts=7, resp_ip_bytes=9)
         vocab = fit_vocab([r1, r2], TABLE)
-        values, schema = matrix_from_records([r1, r2], TABLE, vocab)
+        values, schema = matrix_from_records(table_of([r1, r2]), TABLE, vocab)
         # documented order: 12 numerics, 2 scopes, then one-hot blocks
         # proto [udp, tcp], service [dns, http], conn_state [SF, S0],
         # orig_country [unknown], resp_country [US, AU]
@@ -217,8 +223,8 @@ class TestFeatureMatrix:
     def test_deterministic_across_runs(self):
         records = [make_record(), make_record(proto="tcp")]
         vocab = fit_vocab(records, TABLE)
-        a_values, a_schema = matrix_from_records(records, TABLE, vocab)
-        b_values, b_schema = matrix_from_records(records, TABLE, vocab)
+        a_values, a_schema = matrix_from_records(table_of(records), TABLE, vocab)
+        b_values, b_schema = matrix_from_records(table_of(records), TABLE, vocab)
         np.testing.assert_array_equal(a_values, b_values)
         assert a_schema == b_schema
 
@@ -247,10 +253,32 @@ class TestFeatureMatrix:
     def test_scaled_matrix_in_unit_interval(self):
         records = [make_record(), make_record(orig_bytes=9999, duration=50.0)]
         vocab = fit_vocab(records, TABLE)
-        raw, _ = matrix_from_records(records, TABLE, vocab)
+        raw, _ = matrix_from_records(table_of(records), TABLE, vocab)
         params = fit_min_max(raw)
-        scaled, _ = matrix_from_records(records, TABLE, vocab, params)
+        scaled, _ = matrix_from_records(table_of(records), TABLE, vocab, params)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
+
+
+_LINEAR_PRIVATE = [ipaddress.ip_network(p) for p in (
+    "10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16", "127.0.0.0/8", "169.254.0.0/16", "fc00::/7", "::1/128", "fe80::/10",
+)]
+
+
+def linear_is_private(address):
+    """Reference scope test: the address against every private network."""
+    ip = ipaddress.ip_address(address)
+    return any(network.version == ip.version and ip in network for network in _LINEAR_PRIVATE)
+
+
+def linear_country(table, address):
+    """Reference CIDR lookup: a scan of every entry, the longest prefix
+    winning and the first entry among equal networks."""
+    ip = ipaddress.ip_address(address)
+    best, best_len = None, -1
+    for network, country in table.entries:
+        if network.version == ip.version and ip in network and network.prefixlen > best_len:
+            best, best_len = country, network.prefixlen
+    return best if best is not None else "unknown"
 
 
 def per_record_matrix(records, table, vocabulary, params=None):
@@ -259,13 +287,13 @@ def per_record_matrix(records, table, vocabulary, params=None):
 
     def encode(record):
         row = [float(v) if v is not None else 0.0 for v in (getattr(record, f) for f in NUMERIC_FIELDS)]
-        row += [0.0 if ip_scope(a) == "private" else 1.0 for a in (record.orig_h, record.resp_h)]
+        row += [0.0 if linear_is_private(a) else 1.0 for a in (record.orig_h, record.resp_h)]
         values = {
             "proto": record.proto,
             "service": record.service or "unknown",
             "conn_state": record.conn_state,
-            "orig_country": table.country(record.orig_h),
-            "resp_country": table.country(record.resp_h),
+            "orig_country": linear_country(table, record.orig_h),
+            "resp_country": linear_country(table, record.resp_h),
         }
         parts = [np.asarray(row)]
         for feature in CATEGORICAL_FIELDS:
@@ -309,43 +337,107 @@ class TestColumnwiseMatrix:
 
     def test_bitwise_equal_to_per_record_encoder(self):
         vocab = self.vocab()
-        raw_train, _ = matrix_from_records(self.TRAIN, ORACLE_TABLE, vocab)
+        raw_train, _ = matrix_from_records(table_of(self.TRAIN), ORACLE_TABLE, vocab)
         assert raw_train.tobytes() == per_record_matrix(self.TRAIN, ORACLE_TABLE, vocab).tobytes()
         params = fit_min_max(raw_train)
         for records in (self.TRAIN, self.TEST, self.TRAIN + self.TEST, []):
-            raw, _ = matrix_from_records(records, ORACLE_TABLE, vocab)
-            scaled, _ = matrix_from_records(records, ORACLE_TABLE, vocab, params)
+            raw, _ = matrix_from_records(table_of(records), ORACLE_TABLE, vocab)
+            scaled, _ = matrix_from_records(table_of(records), ORACLE_TABLE, vocab, params)
             assert raw.shape == (len(records), build_schema(vocab).width)
             assert raw.tobytes() == per_record_matrix(records, ORACLE_TABLE, vocab).tobytes()
             assert scaled.tobytes() == per_record_matrix(records, ORACLE_TABLE, vocab, params).tobytes()
 
     def test_each_unseen_feature_is_an_all_zero_block(self):
         vocab = self.vocab()
-        raw, schema = matrix_from_records(self.TEST, ORACLE_TABLE, vocab)
+        raw, schema = matrix_from_records(table_of(self.TEST), ORACLE_TABLE, vocab)
         names = schema.names()
         for row, feature in zip(raw, CATEGORICAL_FIELDS):
             block = [j for j, n in enumerate(names) if n.startswith(feature + "=")]
             assert row[block].sum() == 0.0, feature
 
     def test_each_address_parsed_once(self, monkeypatch):
+        # dotted quads take the array path; every other distinct address
+        # goes through _parse_ip exactly once
         import iotids.features as features
 
         vocab = self.vocab()
-        records = self.TRAIN + self.TEST
+        records = self.TRAIN + self.TEST + self.TRAIN
         calls = []
         parse = features._parse_ip
         monkeypatch.setattr(features, "_parse_ip", lambda a: calls.append(a) or parse(a))
-        matrix_from_records(records, ORACLE_TABLE, vocab)
-        assert len(calls) == 2 * len(records)
+        matrix_from_records(table_of(records), ORACLE_TABLE, vocab)
+        assert sorted(calls) == sorted({a for r in records for a in (r.orig_h, r.resp_h) if ":" in a})
 
     def test_unseen_values_give_one_counted_warning(self, caplog):
         vocab = fit_vocab([make_record()], TABLE)
         records = [make_record(proto=p) for p in ("icmp", "udp", "gre", "icmp")]
         with caplog.at_level(logging.WARNING, logger="iotids.features"):
-            matrix_from_records(records, TABLE, vocab)
+            matrix_from_records(table_of(records), TABLE, vocab)
         warnings = [r.getMessage() for r in caplog.records if "unseen category" in r.getMessage()]
         assert len(warnings) == 1
         assert "3 rows" in warnings[0] and "'proto'" in warnings[0]
+
+
+def _cidr_corpus(rng):
+    """A 1,000-entry table with nested prefixes, networks listed twice with
+    different countries and IPv6 entries, and addresses that hit it at every
+    depth, miss it, or are IPv6 or IPv4-mapped IPv6."""
+    bases = [int(rng.integers(0, 2**32)) for _ in range(60)] + [0x08080808, 0x0A000001, 0xC0A80105]
+    entries = []
+    while len(entries) < 900:
+        base = bases[int(rng.integers(0, len(bases)))]
+        prefixlen = int(rng.choice([8, 12, 16, 20, 23, 24, 28, 31, 32]))
+        network = ipaddress.ip_network((base >> (32 - prefixlen) << (32 - prefixlen), prefixlen))
+        entries.append((str(network), f"C{len(entries) % 37}"))
+        if rng.random() < 0.1:
+            entries.append((str(network), f"D{len(entries)}"))  # duplicate network, later entry loses
+    for k in range(100 - (len(entries) - 900)):
+        v6 = ["2001:db8::/32", f"2001:db8:{k:x}::/48", "::ffff:0:0/96", f"::ffff:{k % 256}.0.0.0/104",
+              "fe80::/10", "2001:db8::/32"][k % 6]
+        entries.append((v6, f"V{k % 5}"))
+    table = CidrTable.from_rows(entries[:1000])
+    assert len(table.entries) == 1000
+    addresses = []
+    for _ in range(400):
+        base = bases[int(rng.integers(0, len(bases)))]
+        near = (base ^ int(rng.integers(0, 2 ** int(rng.integers(0, 33))))) & 0xFFFFFFFF
+        addresses.append(str(ipaddress.IPv4Address(near)))
+    addresses += ["0.0.0.0", "255.255.255.255", "172.31.255.255", "172.32.0.0", "169.254.1.1", "127.0.0.1",
+                  "2001:db8::5", "2001:db8:3::1", "2001:db8:ffff::1", "fe80::1", "::1", "fc00::5", "2a00::1",
+                  "::ffff:8.8.8.8", "::ffff:10.1.2.3", "::ffff:7.1.2.3"]
+    return table, addresses
+
+
+class TestScopeCountryEquivalence:
+    def test_matches_linear_lookup(self):
+        rng = np.random.default_rng(2024)
+        table, addresses = _cidr_corpus(rng)
+        records = [make_record(orig_h=addresses[int(rng.integers(0, len(addresses)))],
+                               resp_h=addresses[int(rng.integers(0, len(addresses)))]) for _ in range(600)]
+        records += [make_record(orig_h=a, resp_h=addresses[-1 - i]) for i, a in enumerate(addresses)]
+        vocab = fit_vocab(records, table)
+        raw, _ = matrix_from_records(table_of(records), table, vocab)
+        assert raw.tobytes() == per_record_matrix(records, table, vocab).tobytes()
+        countries = [linear_country(table, a) for a in addresses]
+        assert [table.country(a) for a in addresses] == countries
+        # the corpus reaches nested hits, IPv4 and IPv6 misses and the IPv6 entries
+        assert len(set(countries)) > 20 and any(c.startswith("V") for c in countries)
+        assert "unknown" in countries[:400] and "unknown" in countries[400:]
+        assert not any(c.startswith("D") for c in countries)  # a duplicate network never wins
+        assert [ip_scope(a) for a in addresses] == ["private" if linear_is_private(a) else "global" for a in addresses]
+        catch_all = CidrTable.from_rows([("0.0.0.0/0", "ANY"), ("8.0.0.0/8", "XX"), ("::/0", "ANY6")])
+        assert [catch_all.country(a) for a in addresses] == [linear_country(catch_all, a) for a in addresses]
+
+    @pytest.mark.parametrize("bad", ["10.0.0.256", "01.2.3.4", "1.2.3", "1.2.3.4 ", "１.2.3.4", "host", ""])
+    def test_first_bad_address_raises(self, bad):
+        table, addresses = _cidr_corpus(np.random.default_rng(7))
+        records = [make_record(orig_h=a, resp_h="::ffff:1.2.3.4") for a in addresses[:50]]
+        records[30] = make_record(resp_h=bad)
+        records[40] = make_record(orig_h="999.1.1.1")
+        vocab = fit_vocab(records[:30], table)
+        with pytest.raises(BadIpSyntax) as exc:
+            matrix_from_records(table_of(records), table, vocab)
+        assert exc.value.address == bad
 
 
 class _ThresholdModel:
@@ -396,6 +488,10 @@ class TestPermutationImportance:
         assert lines[0] == "feature,mean_importance,repeat_values"
         assert lines[1].startswith("a,")
         assert lines[1].count(";") == 3
+
+    def test_no_rows_is_empty_matrix(self):
+        with pytest.raises(EmptyMatrix):
+            permutation_importance(_ThresholdModel(), np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
     def test_same_seed_same_report(self):
         X = np.random.default_rng(2).random((30, 3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,14 @@ from iotids.features import (
     ip_and_categorical_columns,
     matrix_from_records,
 )
+from iotids import flows
 from iotids.flows import (
+    BOOL_COLUMNS,
+    FLOAT_COLUMNS,
+    INT_COLUMNS,
+    KNOWN_PROTOS,
+    PORT_COLUMNS,
+    ZEEK_TO_ATTR,
     BinaryClass,
     Dataset,
     MultiClass,
@@ -39,6 +47,7 @@ from iotids.flows import (
     task_class_names,
     _DETAILED_LABEL_MAP,
 )
+from iotids.synth import render_zeek_log
 
 FIELDS = (
     "ts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto\tservice\tduration\t"
@@ -83,46 +92,54 @@ def make_log(*rows: str) -> str:
     return "#fields\t" + FIELDS + "\n" + "\n".join(rows) + "\n"
 
 
+def column_values(table, attr):
+    """One table column as Python values: None for NaN, as RawFlowRecord
+    holds a missing value."""
+    return [None if isinstance(v, float) and v != v else v for v in list(table[attr])]
+
+
 class TestParsing:
     def test_missing_duration_token(self):
-        rec = parse_conn_log(make_log(full_row(duration="-")))[0]
-        assert rec.duration is None
+        table = parse_conn_log(make_log(full_row(duration="-")))
+        assert np.isnan(table["duration"][0])
 
     def test_fully_populated_row_identity(self):
-        rec = parse_conn_log(make_log(full_row()))[0]
-        assert rec.ts == 1532985600.1
-        assert rec.uid == "CxUID1"
-        assert rec.orig_h == "192.168.1.5"
-        assert rec.orig_p == 49152
-        assert rec.resp_p == 53
-        assert rec.proto == "udp"
-        assert rec.service == "dns"
-        assert rec.duration == 0.25
-        assert rec.orig_bytes == 100
-        assert rec.resp_bytes == 200
-        assert rec.conn_state == "SF"
-        assert rec.local_orig is True
-        assert rec.local_resp is False
-        assert rec.history == "Dd"
-        assert rec.tunnel_parents == ""
-        assert rec.raw_label == "Benign"
-        assert rec.raw_detailed_label == "-"
+        table = parse_conn_log(make_log(full_row()))
+        assert table["ts"][0] == 1532985600.1
+        assert table["uid"] == ["CxUID1"]
+        assert table["orig_h"] == ["192.168.1.5"]
+        assert table["orig_p"][0] == 49152
+        assert table["resp_p"][0] == 53
+        assert table["proto"] == ["udp"]
+        assert table["service"] == ["dns"]
+        assert table["duration"][0] == 0.25
+        assert table["orig_bytes"][0] == 100
+        assert table["resp_bytes"][0] == 200
+        assert table["conn_state"] == ["SF"]
+        assert table["local_orig"][0] == 1.0
+        assert table["local_resp"][0] == 0.0
+        assert table["history"] == ["Dd"]
+        assert table["tunnel_parents"] == [""]
+        assert table["raw_label"] == ["Benign"]
+        assert table["raw_detailed_label"] == ["-"]
+        assert table.line_no.tolist() == [2]
 
     def test_space_separated_trailing_labels(self):
         # known IoT23 quirk: last three logical columns glued by spaces
         base = full_row().split("\t")
         glued = "\t".join(base[:-3]) + "\t" + "(empty)   Malicious   PartOfAHorizontalPortScan"
         normal = full_row(label="Benign")
-        records = parse_conn_log("#fields\t" + FIELDS + "\n" + glued + "\n" + normal + "\n")
-        assert len(records) == 2
-        assert records[0].raw_label == "Malicious"
-        assert records[0].raw_detailed_label == "PartOfAHorizontalPortScan"
-        assert records[0].tunnel_parents == ""
-        assert records[1].raw_label == "Benign"
+        table = parse_conn_log("#fields\t" + FIELDS + "\n" + glued + "\n" + normal + "\n")
+        assert len(table) == 2
+        assert table["raw_label"] == ["Malicious", "Benign"]
+        assert table["raw_detailed_label"][0] == "PartOfAHorizontalPortScan"
+        assert table["tunnel_parents"][0] == ""
 
     def test_directives_and_blank_lines_skipped(self):
         text = "#separator \\x09\n#path\tconn\n\n" + make_log(full_row()) + "#close\t2020\n"
-        assert len(parse_conn_log(text)) == 1
+        table = parse_conn_log(text)
+        assert len(table) == 1
+        assert table.line_no.tolist() == [5]
 
     def test_no_fields_directive_raises_with_line_number(self):
         with pytest.raises(MalformedHeader) as exc:
@@ -139,6 +156,23 @@ class TestParsing:
             parse_conn_log(make_log(full_row(orig_bytes="lots")))
         assert exc.value.column == "orig_bytes"
         assert exc.value.line_no == 2
+
+    def test_oversized_integer_is_bad_numeric(self, tmp_path):
+        # an integer beyond float64 is a typed error naming its line and column, not a crash
+        huge = "1" + "0" * 400
+        with pytest.raises(BadNumeric) as exc:
+            parse_conn_log(make_log(full_row(), full_row(orig_bytes=huge)))
+        assert (exc.value.line_no, exc.value.column, exc.value.token) == (3, "orig_bytes", huge)
+        (tmp_path / "in.labeled").write_text(make_log(full_row(orig_bytes=huge)))
+        (tmp_path / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 20, "seed": 1}))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_OK
+        cfg = {"config_version": 1, "task": "binary", "models": ["rf"], "per_class": 10, "seed": 1,
+               "split": [0.8, 0.2, 0.0], "cv_folds": 0, "model_params": {"rf": {"n_trees": 2, "max_depth": 2}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert main(["predict", "--model", str(tmp_path / "run" / "models" / "rf.json"),
+                     "--input", str(tmp_path / "in.labeled"), "--output", str(tmp_path / "p.csv")]) == EXIT_DATA
 
     def test_port_out_of_range_rejected(self):
         with pytest.raises(BadNumeric):
@@ -178,22 +212,42 @@ class TestParsing:
         lines += "\t".join(full_row().split("\t")[:-2]) + "\n"
         with pytest.raises(MalformedHeader):
             parse_conn_log(lines)
-        rec = parse_conn_log(lines, allow_unlabeled=True)[0]
-        assert rec.raw_label == ""
+        table = parse_conn_log(lines, allow_unlabeled=True)
+        assert table["raw_label"] == [""]
 
     def test_round_trip_preserves_values(self):
         original = parse_conn_log(make_log(full_row(), full_row(duration="-", service="-")))
-        text = conn_log_header() + "\n" + "\n".join(record_to_line(r) for r in original)
-        reparsed = parse_conn_log(text)
-        assert reparsed == original
+        records = table_records(original)
+        reparsed = parse_conn_log(conn_log_header() + "\n" + "\n".join(record_to_line(r) for r in records))
+        for attr in ZEEK_TO_ATTR.values():
+            assert column_values(reparsed, attr) == column_values(original, attr), attr
+
+
+def table_records(table):
+    """The table's rows as RawFlowRecords."""
+    return [
+        RawFlowRecord(**{attr: _record_value(attr, table[attr][i]) for attr in ZEEK_TO_ATTR.values()})
+        for i in range(len(table))
+    ]
+
+
+def _record_value(attr, value):
+    """A table cell as the RawFlowRecord field holds it."""
+    if isinstance(value, float) and value != value:
+        return None
+    if attr in ("local_orig", "local_resp"):
+        return bool(value)
+    if attr in ("ts", "duration") or not isinstance(value, float):
+        return value
+    return int(value)
 
 
 def featurized(*rows):
     """Raw feature rows, keyed by column name, of parsed rows under a
     vocabulary fitted on those rows."""
-    records, table = parse_conn_log(make_log(*rows)), CidrTable()
-    vocab = fit_one_hot(ip_and_categorical_columns(records, table)[1])
-    values, schema = matrix_from_records(records, table, vocab)
+    parsed, table = parse_conn_log(make_log(*rows)), CidrTable()
+    vocab = fit_one_hot(ip_and_categorical_columns(parsed, table)[1])
+    values, schema = matrix_from_records(parsed, table, vocab)
     return values, [dict(zip(schema.names(), row)) for row in values]
 
 
@@ -208,10 +262,10 @@ class TestImpute:
         assert all(row["service=unknown"] == 1.0 for row in rows)
 
     def test_fully_populated_record_unchanged(self):
-        rec = parse_conn_log(make_log(full_row()))[0]
+        table = parse_conn_log(make_log(full_row()))
         _, (row,) = featurized(full_row())
-        assert [row[f] for f in NUMERIC_FIELDS] == [float(getattr(rec, f)) for f in NUMERIC_FIELDS]
-        assert row[f"service={rec.service}"] == 1.0
+        assert [row[f] for f in NUMERIC_FIELDS] == [float(table[f][0]) for f in NUMERIC_FIELDS]
+        assert row[f"service={table['service'][0]}"] == 1.0
 
     def test_tri_state_bools_default_false(self):
         _, (row,) = featurized(full_row(local_orig="-", local_resp="-"))
@@ -271,10 +325,10 @@ class TestLabels:
 
 
 def _toy_dataset() -> Dataset:
-    # ten distinct records (uid 0..9): 6 benign, then 4 DDoS
-    records = [parse_conn_log(make_log(full_row(uid=str(i))))[0] for i in range(10)]
+    # ten distinct rows (uid 0..9): 6 benign, then 4 DDoS
+    table = parse_conn_log(make_log(*(full_row(uid=str(i)) for i in range(10))))
     labels = np.array([(BinaryClass.BENIGN, MultiClass.BENIGN)] * 6 + [(BinaryClass.MALICIOUS, MultiClass.DDOS)] * 4)
-    return Dataset(records, labels)
+    return Dataset(table, labels)
 
 
 class TestBalanceSample:
@@ -286,7 +340,8 @@ class TestBalanceSample:
         out = balance_sample(ds, "binary", per_class=3, seed=42)
         assert len(out) == 6
         assert out.targets("binary").tolist() == [0, 0, 0, 1, 1, 1]
-        assert [r.uid for r in out.records] == ["5", "0", "3", "9", "8", "7"]
+        assert out.table["uid"] == ["5", "0", "3", "9", "8", "7"]
+        assert out.table.line_no.tolist() == [7, 2, 5, 11, 10, 9]
         rng_b = np.random.default_rng([42, 0])
         rng_m = np.random.default_rng([42, 1])
         expected_b = list(rng_b.choice(6, size=3, replace=False))
@@ -297,7 +352,7 @@ class TestBalanceSample:
         ds = _toy_dataset()
         a = balance_sample(ds, "binary", 3, seed=42)
         b = balance_sample(ds, "binary", 3, seed=42)
-        assert a.records == b.records
+        assert a.table["uid"] == b.table["uid"]
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_per_class_larger_than_population(self):
@@ -306,18 +361,18 @@ class TestBalanceSample:
 
     def test_empty_class_raises(self):
         ds = _toy_dataset()
-        benign_only = ds.subset(np.flatnonzero(ds.targets("binary") == BinaryClass.BENIGN))
+        benign_only = ds.take(np.flatnonzero(ds.targets("binary") == BinaryClass.BENIGN))
         with pytest.raises(EmptyClass):
             balance_sample(benign_only, "binary", 2, seed=0)
 
     def test_sentinel_rows_binary_vs_multiclass(self):
-        rec = parse_conn_log(make_log(full_row()))[0]
+        table = parse_conn_log(make_log(full_row(), full_row(), full_row()))
         labels = np.array([
             (BinaryClass.BENIGN, MultiClass.BENIGN),
             (BinaryClass.MALICIOUS, -1),  # e.g. C&C-Torii
             (BinaryClass.MALICIOUS, MultiClass.DDOS),
         ])
-        ds = Dataset([rec] * 3, labels)
+        ds = Dataset(table, labels)
         binary = balance_sample(ds, "binary", 5, seed=1)
         assert int(np.sum(binary.targets("binary") == BinaryClass.MALICIOUS)) == 2
         with pytest.raises(EmptyClass):
@@ -393,13 +448,14 @@ def _outcome(fn, *args):
 
 
 def _new_label_and_sample(records, task, per_class, seed):
-    sampled = balance_sample(label_rows(records), task, per_class, seed)
-    return sampled.records, sampled.targets(task).tolist()
+    table = parse_conn_log(render_zeek_log(records))
+    sampled = balance_sample(label_rows(table), task, per_class, seed)
+    return sampled.table["uid"], sampled.targets(task).tolist()
 
 
 class TestLabelArrayEquivalence:
     def test_matches_label_object_path(self):
-        template = parse_conn_log(make_log(full_row()))[0]
+        (template,) = table_records(parse_conn_log(make_log(full_row())))
         outcomes = []
         for corpus in range(60):
             rng = np.random.default_rng([2031, corpus])
@@ -421,9 +477,9 @@ class TestLabelArrayEquivalence:
                     assert new == old, (corpus, task)
                     outcomes.append(old[0])
                     continue
-                assert [id(r) for r in new[0]] == [id(r) for r in old[0]], (corpus, task)
+                assert new[0] == [r.uid for r in old[0]], (corpus, task)
                 assert new[1] == old[1], (corpus, task)
-                available = np.bincount(label_rows(records).targets(task) + 1)[1:]
+                available = np.bincount(label_rows(parse_conn_log(render_zeek_log(records))).targets(task) + 1)[1:]
                 outcomes.extend("above" if a < per_class else "below" for a in available if a != per_class)
         # the corpora reach every outcome: per_class above and below what a
         # class has, empty classes, bad labels and a bad per_class
@@ -441,3 +497,257 @@ class TestConnLogFile:
         path.write_bytes(make_log(full_row(), full_row(), full_row(service="caf\xe9")).encode("latin-1"))
         with pytest.raises(DataError, match=r"latin1\.labeled line 4: not UTF-8"):
             parse_conn_log_file(path)
+
+
+# --- equivalence with the per-row parser -------------------------------------------
+
+
+def _old_coerce(column, token, line_no):
+    """The per-cell conversion as it was, with an int beyond float64 a
+    BadNumeric instead of an OverflowError."""
+    if token == "-":
+        return None
+    if column in FLOAT_COLUMNS or column in INT_COLUMNS:
+        if token == "(empty)":
+            return None
+        try:
+            value = float(token) if column in FLOAT_COLUMNS else int(token)
+        except ValueError:
+            raise BadNumeric(line_no, column, token) from None
+        if column in PORT_COLUMNS and not 0 <= value <= 65535:
+            raise BadNumeric(line_no, column, token)
+        if (column in INT_COLUMNS or column == "duration") and value < 0:
+            raise BadNumeric(line_no, column, token)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise BadNumeric(line_no, column, token) from None
+        if not finite:
+            raise BadNumeric(line_no, column, token)
+        return value
+    if column in BOOL_COLUMNS:
+        if token in ("T", "true", "1"):
+            return True
+        if token in ("F", "false", "0"):
+            return False
+        raise BadNumeric(line_no, column, token)
+    if token == "(empty)":
+        return ""
+    return token
+
+
+def _old_repair(parts, expected):
+    deficit = expected - len(parts)
+    if deficit <= 0:
+        return parts
+    tail = parts[-1].split()
+    if len(tail) == deficit + 1:
+        return parts[:-1] + tail
+    return parts
+
+
+def _old_iter_conn_log(lines, allow_unlabeled=False):
+    """The per-row parser as it was: one dict and one record per row;
+    yields (line number, record)."""
+    columns = None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("#fields"):
+                columns = line.split("\t")[1:]
+            continue
+        if columns is None:
+            raise MalformedHeader(line_no)
+        parts = _old_repair(line.split("\t"), len(columns))
+        if len(parts) != len(columns):
+            raise ColumnCountMismatch(line_no, len(columns), len(parts))
+        values = {attr: None for attr in ZEEK_TO_ATTR.values()}
+        for column, token in zip(columns, parts):
+            attr = ZEEK_TO_ATTR.get(column)
+            if attr is None:
+                continue
+            values[attr] = _old_coerce(column, token, line_no)
+        for attr in ("uid", "orig_h", "resp_h", "conn_state", "tunnel_parents"):
+            if values[attr] is None:
+                values[attr] = ""
+        proto = values["proto"] or ""
+        values["proto"] = proto if proto in KNOWN_PROTOS else "other"
+        for attr in ("orig_p", "resp_p"):
+            if values[attr] is None:
+                values[attr] = 0
+        values["raw_label"] = values["raw_label"] or ""
+        values["raw_detailed_label"] = values["raw_detailed_label"] or "-"
+        if not values["raw_label"] and not allow_unlabeled:
+            raise MalformedHeader(line_no, "row has no label; pass allow_unlabeled for prediction input")
+        yield line_no, RawFlowRecord(**values)
+
+
+_COLUMNS = FIELDS.split("\t")
+# per column kind: tokens a mutated cell takes, good and bad
+_BAD_NUMBERS = ["lots", "", " ", "1.5.2", "nan", "inf", "-inf", "1e400", "-1", "-0.5", "1" + "0" * 400, "0x10"]
+_CELL_TOKENS = {
+    "float": ["-", "(empty)", "0", "-0.0", "1e3", " 2.5 ", "1_0.5", "12"] + _BAD_NUMBERS,
+    "int": ["-", "(empty)", "0", "-0", "007", " 42 ", "1_000", "65535", "65536", "70000", "2.0"] + _BAD_NUMBERS,
+    "bool": ["-", "(empty)", "T", "F", "true", "false", "1", "0", "yes", "t", ""],
+    "text": ["-", "(empty)", "", "x y", "tcp", "udp", "icmp", "gre", "Benign", "Malicious", "C&C"],
+}
+
+
+def _kind(column):
+    if column in FLOAT_COLUMNS:
+        return "float"
+    if column in INT_COLUMNS:
+        return "int"
+    return "bool" if column in BOOL_COLUMNS else "text"
+
+
+def _corpus_lines(rng, n_rows):
+    """Conn-log lines with a seeded mix of directives, blank lines, header
+    variants and malformed cells or rows; every row is bad with a small
+    probability so that clean files are common too."""
+    header = list(_COLUMNS)
+    lines = []
+    if rng.random() > 0.05:
+        lines += ["#separator \\x09", "#fields\t" + "\t".join(header)]
+    error_rate = rng.choice([0.0, 0.0, 0.01, 0.05, 0.3])
+    missing_rate = rng.choice([0.0, 0.0, 0.1, 1.0])
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.01:
+            lines.append(rng.choice(["", "#close\t2020", "#path\tconn", "" if rng.random() < 0.9 else " "]))
+            continue
+        if roll < 0.015:  # a new header: reordered, missing label columns, unknown or duplicate columns
+            variant = rng.integers(0, 4)
+            if variant == 0:
+                header = list(_COLUMNS)
+            elif variant == 1:
+                header = list(_COLUMNS[:-2])
+            elif variant == 2:
+                header = list(_COLUMNS) + ["extra"]
+            else:
+                header = list(rng.permutation(_COLUMNS)) + ["proto"]
+            lines.append("#fields\t" + "\t".join(header))
+            continue
+        cells = {"extra": "zzz"}
+        base = full_row(uid=f"C{len(lines)}", **{"id.orig_p": str(rng.integers(0, 65536))}).split("\t")
+        cells.update(zip(_COLUMNS, base))
+        if rng.random() < 0.3:
+            label, detailed = _LABEL_POOL[rng.integers(0, len(_LABEL_POOL))]
+            cells["label"], cells["detailed-label"] = label, detailed
+        if rng.random() < missing_rate:  # a missing cell, which is no error
+            column = _COLUMNS[rng.integers(0, len(_COLUMNS) - 2)]
+            cells[column] = "-" if _kind(column) == "bool" else rng.choice(["-", "(empty)"])
+        row = [cells[c] for c in header]
+        if rng.random() < error_rate:
+            fault = rng.integers(0, 6)
+            if fault <= 2:  # one cell, most often a numeric one, gets a token its column may reject
+                typed = [j for j, c in enumerate(header) if _kind(c) != "text"]
+                j = rng.choice(typed) if typed and rng.random() < 0.8 else rng.integers(0, len(header))
+                tokens = _CELL_TOKENS[_kind(header[j])]
+                row[j] = tokens[rng.integers(0, len(tokens))]
+            elif fault == 3:  # short or long row
+                row = row[: rng.integers(1, len(row))] if rng.random() < 0.5 else row + ["x"]
+            elif fault == 4:  # unlabeled row
+                if "label" in header:
+                    row[header.index("label")] = rng.choice(["-", "(empty)", ""])
+            else:  # labels glued by spaces; sometimes too few to repair
+                k = rng.integers(2, 4)
+                row = row[:-k] + ["   ".join(row[-k:][: rng.integers(1, k + 1)])]
+        elif rng.random() < 0.05:  # glued labels that repair
+            row = row[:-3] + ["   ".join(row[-3:])]
+        lines.append("\t".join(row))
+    return lines
+
+
+def _outcome_of(parse):
+    try:
+        return parse()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def _same(table, old):
+    """A FlowTable against the old parser's (line, record) pairs: equal
+    values (None as NaN, bools as 1.0/0.0) and the same lines."""
+    if isinstance(old, tuple):
+        assert table == old
+        return
+    assert not isinstance(table, tuple), table
+    assert table.line_no.tolist() == [line for line, _ in old]
+    for attr in ZEEK_TO_ATTR.values():
+        expected = [getattr(r, attr) for _, r in old]
+        got = table[attr]
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.float64, attr
+            expected = np.array([np.nan if v is None else float(v) for v in expected], dtype=np.float64)
+            assert got.tobytes() == expected.tobytes(), attr
+        else:
+            assert got == expected, attr
+
+
+class TestParserEquivalence:
+    def test_matches_per_row_parser(self, tmp_path, monkeypatch):
+        # small blocks, so that runs, errors and #fields lines fall on
+        # every side of a block boundary
+        seen = []
+        for corpus in range(200):
+            rng = np.random.default_rng([77, corpus])
+            monkeypatch.setattr(flows, "BLOCK_LINES", int(rng.choice([1, 2, 5, 16, 64])))
+            lines = _corpus_lines(rng, int(rng.integers(0, 120)))
+            crlf = bool(rng.random() < 0.3)
+            ending = "\r\n" if crlf else "\n"
+            path = tmp_path / f"c{corpus}.labeled"
+            path.write_bytes((ending.join(lines) + ending).encode())
+            for allow in (False, True):
+                old = _outcome_of(lambda: list(_old_iter_conn_log(open(path, encoding="utf-8"), allow)))
+                _same(_outcome_of(lambda: parse_conn_log_file(path, allow_unlabeled=allow)), old)
+                # lines that keep their endings, as an iterable of lines does
+                raw = [line + ending for line in lines]
+                _same(_outcome_of(lambda: parse_conn_log(raw, allow_unlabeled=allow)),
+                      _outcome_of(lambda: list(_old_iter_conn_log(raw, allow))))
+                seen.append("ok" if isinstance(old, list) else old[0].__name__)
+        # the corpus reaches clean files and every parse error
+        assert {"ok", "BadNumeric", "ColumnCountMismatch", "MalformedHeader"} <= set(seen)
+        assert seen.count("ok") >= 50 and seen.count("BadNumeric") >= 50
+
+    def test_every_typed_column_and_token(self):
+        # each numeric or bool column holding each token, in a column of
+        # plain numbers and in one that also holds a missing value
+        for column in [c for c in _COLUMNS if _kind(c) != "text"]:
+            for token in _CELL_TOKENS[_kind(column)]:
+                for other in ("", "-"):
+                    rows = [full_row(uid=f"C{i}") for i in range(6)]
+                    rows[3] = full_row(**{column: token})
+                    if other:
+                        rows[5] = full_row(**{column: other})
+                    lines = make_log(*rows).splitlines()
+                    _same(_outcome_of(lambda: parse_conn_log(lines)),
+                          _outcome_of(lambda: list(_old_iter_conn_log(lines))))
+
+    def test_bad_row_before_undecodable_bytes(self, tmp_path):
+        # rows decoded before a non-UTF-8 chunk are checked before the decode error is
+        rows = [full_row(uid=f"C{i}") for i in range(300)]
+        rows[1] = full_row(orig_pkts="many")
+        path = tmp_path / "mixed.labeled"
+        path.write_bytes(make_log(*rows).encode() + b"\xff\n")
+        old = _outcome_of(lambda: list(_old_iter_conn_log(open(path, encoding="utf-8"))))
+        assert old[0] is BadNumeric
+        _same(_outcome_of(lambda: parse_conn_log_file(path)), old)
+
+    @pytest.mark.parametrize("bad_line", [flows.BLOCK_LINES - 1, flows.BLOCK_LINES, flows.BLOCK_LINES + 1,
+                                          flows.BLOCK_LINES + 2])
+    @pytest.mark.parametrize("fault", ["cell", "width", "unlabeled"])
+    def test_error_next_to_block_boundary(self, tmp_path, bad_line, fault):
+        # line 1 is the header, so data line k is line k + 1 of the file
+        rows = [full_row(uid=f"C{i}") for i in range(flows.BLOCK_LINES + 40)]
+        later = {"cell": full_row(resp_bytes="x"), "width": "a\tb", "unlabeled": full_row(label="-")}
+        rows[bad_line + 5] = later[fault]  # a second, later error must not be the one reported
+        rows[bad_line - 2] = {"cell": full_row(local_resp="maybe"), "width": full_row() + "\tz",
+                              "unlabeled": full_row(label="(empty)")}[fault]
+        path = tmp_path / "big.labeled"
+        path.write_text(make_log(*rows))
+        old = _outcome_of(lambda: list(_old_iter_conn_log(open(path, encoding="utf-8"))))
+        assert isinstance(old, tuple) and f"line {bad_line}:" in old[1]
+        _same(_outcome_of(lambda: parse_conn_log_file(path)), old)

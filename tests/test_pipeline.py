@@ -126,9 +126,9 @@ class TestLeakageGuard:
         for seed in range(20):
             sampled = balance_sample(dataset, "binary", 60, seed)
             split = stratified_split(sampled.targets("binary"), (0.8, 0.2, 0.0), seed)
-            train_records = [sampled.records[i] for i in split.train]
-            vocab = fit_one_hot(ip_and_categorical_columns(train_records, table)[1])
-            raw_train, _ = matrix_from_records(train_records, table, vocab)
+            train_rows = sampled.table.take(split.train)
+            vocab = fit_one_hot(ip_and_categorical_columns(train_rows, table)[1])
+            raw_train, _ = matrix_from_records(train_rows, table, vocab)
             expected = fit_min_max(raw_train)
 
             cfg = ExperimentConfig("binary", ["knn"], 60, seed, split=(0.8, 0.2, 0.0),
@@ -147,9 +147,9 @@ class TestLeakageGuard:
         for seed in range(20):
             sampled = balance_sample(dataset, "binary", 60, seed)
             split = stratified_split(sampled.targets("binary"), (0.8, 0.2, 0.0), seed)
-            records = sampled.records
-            vocab = fit_one_hot(ip_and_categorical_columns([records[i] for i in split.train], table)[1])
-            raw_all, _ = matrix_from_records(records, table, vocab)
+            rows = sampled.table
+            vocab = fit_one_hot(ip_and_categorical_columns(rows.take(split.train), table)[1])
+            raw_all, _ = matrix_from_records(rows, table, vocab)
             raw_train = raw_all[split.train]
             raw_test = raw_all[split.test].copy()
             raw_test[0, 2] = raw_train[:, 2].max() + 100.0  # duration beyond train range

@@ -54,23 +54,22 @@ class TestZeekEmission:
 
     def test_seven_by_fifty_row_accounting(self, tmp_path):
         path = write_synth_dataset(SynthSpec("multiclass", 50, seed=4), tmp_path)
-        records = parse_conn_log_file(path)
-        assert len(records) == 350
-        detailed = {r.raw_detailed_label for r in records}
-        assert len(detailed) == 7
+        table = parse_conn_log_file(path)
+        assert len(table) == 350
+        assert len(set(table["raw_detailed_label"])) == 7
 
     def test_parses_without_warnings(self, tmp_path, caplog):
         path = write_synth_dataset(SynthSpec("multiclass", 20, seed=5), tmp_path)
         with caplog.at_level(logging.WARNING):
             dataset = label_rows(parse_conn_log_file(path))
         assert not caplog.records
-        assert len(dataset.records) == 140
+        assert len(dataset.table) == 140
         # every synth spelling canonicalizes: no sentinel (-1) rows, 20 rows per class
         counts = np.bincount(dataset.targets("multiclass"), minlength=len(MULTI_CLASS_NAMES))
         assert counts.tolist() == [20] * len(MULTI_CLASS_NAMES)
 
     def test_numeric_fields_stay_non_negative(self, tmp_path):
         path = write_synth_dataset(SynthSpec("binary", 50, seed=6), tmp_path)
-        for rec in parse_conn_log_file(path):
-            assert rec.duration >= 0.0
-            assert rec.orig_bytes >= 0 and rec.resp_bytes >= 0
+        table = parse_conn_log_file(path)
+        assert (table["duration"] >= 0.0).all()
+        assert (table["orig_bytes"] >= 0).all() and (table["resp_bytes"] >= 0).all()
