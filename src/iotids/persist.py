@@ -92,7 +92,7 @@ class ModelBundle:
             "preprocessing": self.preproc.to_dict(),
             "model": self.model.to_dict(),
         }
-        return json.dumps(doc, indent=1) + "\n"
+        return json.dumps(doc, separators=(",", ":")) + "\n"
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
