@@ -44,8 +44,9 @@ class BadNumeric(DataError):
 
 
 class UnknownBinaryLabel(DataError):
-    def __init__(self, raw_label: str):
-        super().__init__(f"label {raw_label!r} is neither benign nor malicious")
+    def __init__(self, raw_label: str, where: str = ""):
+        message = f"label {raw_label!r} is neither benign nor malicious"
+        super().__init__(f"{where}: {message}" if where else message)
         self.raw_label = raw_label
 
 

@@ -501,15 +501,26 @@ def canonicalize_label(raw_label: str, raw_detailed_label: str) -> tuple[BinaryC
     return BinaryClass.MALICIOUS, detailed
 
 
-def label_rows(table: FlowTable, *, source_files: tuple[str, ...] = ()) -> Dataset:
+def label_rows(
+    table: FlowTable, *, source_files: tuple[str, ...] = (), file_rows: tuple[int, ...] = ()
+) -> Dataset:
     """Label a parsed table into a Dataset, canonicalizing each distinct
     (label, detailed-label) pair once; missing values stay NaN until
-    featurization."""
+    featurization.  A table concatenated from several files gives each
+    file's row count in `file_rows`, so that a bad label names its file."""
     pairs = list(zip(table["raw_label"], table["raw_detailed_label"]))
     code = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}  # first-seen order: first bad row raises
     canonical = []
     for pair in code:
-        binary, multi = canonicalize_label(*pair)
+        try:
+            binary, multi = canonicalize_label(*pair)
+        except UnknownBinaryLabel as exc:
+            row = pairs.index(pair)
+            where = f"line {table.line_no[row]}"
+            if file_rows:
+                k = int(np.searchsorted(np.cumsum(file_rows), row, side="right"))
+                where = f"{source_files[k]} {where}"
+            raise UnknownBinaryLabel(exc.raw_label, where) from None
         canonical.append((binary, -1 if multi is None else multi))
     canonical = np.array(canonical, dtype=np.int64).reshape(-1, 2)
     return Dataset(table, canonical[np.fromiter(map(code.__getitem__, pairs), np.intp, len(pairs))], source_files)

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import EmptyInput, WidthMismatch
+from ..jsontypes import bundle_field
 from .tree import DecisionTree, TreeParams, grow_tree, presort
 
 # floor for the weighted error when a weak learner is perfect; caps the stage weight
@@ -42,10 +43,13 @@ class AdaModel:
     @classmethod
     def from_dict(cls, d: dict) -> "AdaModel":
         return cls(
-            stages=[(DecisionTree.from_dict(s["tree"]), s["alpha"]) for s in d["stages"]],
-            n_classes=d["n_classes"],
-            n_features=d["n_features"],
-            params=AdaParams(**d["params"]),
+            stages=[
+                (DecisionTree.from_dict(s["tree"]), bundle_field(s, "alpha", float))
+                for s in bundle_field(d, "stages", list)
+            ],
+            n_classes=bundle_field(d, "n_classes", int),
+            n_features=bundle_field(d, "n_features", int),
+            params=AdaParams(**bundle_field(d, "params", AdaParams)),
         )
 
 

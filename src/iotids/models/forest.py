@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import EmptyInput, WidthMismatch
+from ..jsontypes import bundle_field
 from .tree import DecisionTree, TreeParams, fit_tree
 
 
@@ -57,12 +58,12 @@ class ForestModel:
     @classmethod
     def from_dict(cls, d: dict) -> "ForestModel":
         return cls(
-            trees=[DecisionTree.from_dict(t) for t in d["trees"]],
-            tree_seeds=d["tree_seeds"],
-            features_per_split=d["features_per_split"],
-            n_classes=d["n_classes"],
-            n_features=d["n_features"],
-            params=ForestParams(**d["params"]),
+            trees=[DecisionTree.from_dict(t) for t in bundle_field(d, "trees", list)],
+            tree_seeds=bundle_field(d, "tree_seeds", list[list[int]]),
+            features_per_split=bundle_field(d, "features_per_split", int),
+            n_classes=bundle_field(d, "n_classes", int),
+            n_features=bundle_field(d, "n_features", int),
+            params=ForestParams(**bundle_field(d, "params", ForestParams)),
         )
 
 

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import EmptyInput, EmptyValidation, WidthMismatch
+from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
 from .tree import DecisionTree, TreeParams, grow_tree, presort
 
@@ -72,12 +73,12 @@ class GbmModel:
     @classmethod
     def from_dict(cls, d: dict) -> "GbmModel":
         return cls(
-            rounds=[[DecisionTree.from_dict(t) for t in rnd] for rnd in d["rounds"]],
-            learning_rate=d["learning_rate"],
-            best_round=d["best_round"],
-            n_classes=d["n_classes"],
-            n_features=d["n_features"],
-            params=GbmParams(**d["params"]),
+            rounds=[[DecisionTree.from_dict(t) for t in rnd] for rnd in bundle_field(d, "rounds", list[list])],
+            learning_rate=bundle_field(d, "learning_rate", float),
+            best_round=bundle_field(d, "best_round", int),
+            n_classes=bundle_field(d, "n_classes", int),
+            n_features=bundle_field(d, "n_features", int),
+            params=GbmParams(**bundle_field(d, "params", GbmParams)),
         )
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadK, WidthMismatch
+from ..errors import BadK, ModelDataMismatch, WidthMismatch
+from ..jsontypes import bundle_field
 
 # bound on query rows x (stored rows + shortlist x features) per search block
 _BLOCK_ELEMENTS = 1 << 18
@@ -66,7 +67,10 @@ class KnnModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnnModel":
-        return fit_knn(d["X"], d["y"], d["k"])
+        model = fit_knn(bundle_field(d, "X", list), bundle_field(d, "y", list[int]), d["k"])
+        if model.X.ndim != 2 or model.y.shape != model.X.shape[:1] or model.y.min() < 0:
+            raise ModelDataMismatch("a KNN bundle needs a 2-D X and one class index >= 0 per stored row")
+        return model
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SingleClass, WidthMismatch
+from ..jsontypes import bundle_field
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,12 @@ class SvmClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvmClassifier":
-        return cls(np.asarray(d["w"], dtype=float), d["b"], d["C"], d["epochs_trained"])
+        return cls(
+            np.asarray(bundle_field(d, "w", list), dtype=float),
+            bundle_field(d, "b", float),
+            bundle_field(d, "C", float),
+            bundle_field(d, "epochs_trained", int),
+        )
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
@@ -66,18 +72,24 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
 
     n, d = X.shape
     w = np.zeros(d)
+    step = np.empty(d)
     b = 0.0
     t = 0
+    rows, labels = list(X), y.tolist()
     rng = np.random.default_rng(params.seed)
     for _ in range(params.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             eta = params.lr0 / (1.0 + t * params.decay)
             t += 1
-            if y[i] * (X[i] @ w + b) < 1.0:
-                w = (1.0 - eta) * w + eta * params.C * y[i] * X[i]
-                b = b + eta * params.C * y[i]
-            else:
-                w = (1.0 - eta) * w
+            x_i, y_i = rows[i], labels[i]
+            violated = y_i * (x_i @ w + b) < 1.0
+            # in place, with the same operations in the same order as
+            # w = (1 - eta) * w + eta * C * y_i * x_i, so w keeps its bits
+            w *= 1.0 - eta
+            if violated:
+                np.multiply(eta * params.C * y_i, x_i, out=step)
+                w += step
+                b = b + eta * params.C * y_i
     return SvmClassifier(w, b, params.C, params.epochs)
 
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InputTooNarrow, ShapeMismatch
+from ..errors import InputTooNarrow, ModelDataMismatch, ShapeMismatch
+from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
 from .functional import elastic_net_penalty
 from .layers import BatchNorm, Conv1d, Dense, Dropout, Elu, Flatten, Layer, MaxPool1d, Relu, Softmax
@@ -256,10 +257,13 @@ class Network:
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
         net = cls.initialize(NetworkSpec.from_dict(d["spec"]), np.random.default_rng(0))
-        for entry in d["params"]:
-            arr = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
-            net.layers[entry["layer"]].params[entry["name"]] = arr
-        for entry in d["buffers"]:
-            arr = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
-            setattr(net.layers[entry["layer"]], entry["name"], arr)
+        entries = bundle_field(d, "params", list) + bundle_field(d, "buffers", list)
+        state = {
+            (e["layer"], e["name"]): np.asarray(e["values"], dtype=float).reshape(e["shape"]) for e in entries
+        }
+        # every parameter and buffer of the spec's layers, once, with its shape
+        shapes = {k: v.shape for k, v in state.items()}
+        if len(entries) != len(state) or shapes != {k: v.shape for k, v in net.snapshot().items()}:
+            raise ModelDataMismatch("network parameters and buffers do not match its spec")
+        net.restore(state)
         return net

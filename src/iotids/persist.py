@@ -20,6 +20,7 @@ from .features import (
     matrix_from_records,
 )
 from .flows import FlowTable, task_class_names
+from .jsontypes import bundle_field
 from .voting import MODEL_CLASSES, Model
 
 BUNDLE_VERSION = 1
@@ -110,8 +111,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read model bundle {path}: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != BUNDLE_VERSION:
-        raise ModelDataMismatch(f"unsupported bundle version {version}")
+    if type(version) is not int or version != BUNDLE_VERSION:
+        raise ModelDataMismatch(f"unsupported bundle version {version!r}")
     try:
         kind = doc["kind"]
         class_names = task_class_names(doc["task"])
@@ -125,6 +126,6 @@ def load_bundle(path: str | Path) -> ModelBundle:
             )
         if model.n_classes > len(class_names):
             raise ModelDataMismatch(f"model predicts {model.n_classes} classes, a {doc['task']} bundle has {len(class_names)}")
-        return ModelBundle(kind, doc["task"], model, preproc, doc["seed"])
+        return ModelBundle(kind, doc["task"], model, preproc, bundle_field(doc, "seed", int))
     except (LookupError, TypeError, ValueError, SchemaMismatch) as exc:
         raise ModelDataMismatch(f"malformed model bundle {path}: {exc!r}") from exc

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import math
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -38,6 +37,7 @@ from .flows import (
     parse_conn_log_file,
     task_class_names,
 )
+from .jsontypes import has_type, type_name
 from .metrics import compute_metrics, confusion, export_report
 from .models.adaboost import AdaParams, fit_adaboost
 from .models.forest import ForestParams, fit_random_forest
@@ -184,28 +184,14 @@ def read_labeled_dir(data_path: str | Path) -> Dataset:
         raise DataError(f"data path {p} does not exist")
     if not files:
         raise DataError(f"no .labeled files under {p}")
-    table = FlowTable.concat([parse_conn_log_file(f) for f in files])
-    return label_rows(table, source_files=tuple(f.name for f in files))
+    tables = [parse_conn_log_file(f) for f in files]
+    return label_rows(
+        FlowTable.concat(tables), source_files=tuple(f.name for f in files), file_rows=tuple(map(len, tables))
+    )
 
 
 def _derived_seed(seed: int, name: str, extra: int = 0) -> int:
     return int(np.random.SeedSequence([seed, _MODEL_SEED_INDEX[name], extra]).generate_state(1)[0])
-
-
-def _has_type(value, hint) -> bool:
-    """A JSON value against a params annotation: an int is a plain int (not
-    a bool), a float an int or a finite float, `X | None` also takes null
-    and `tuple[X, ...]` a list of X."""
-    if hint in (int, bool):
-        return type(value) is hint
-    if hint is float:
-        return type(value) is int or (type(value) is float and math.isfinite(value))
-    args = typing.get_args(hint)
-    if type(None) in args:
-        return value is None or any(_has_type(value, a) for a in args if a is not type(None))
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
-    return isinstance(value, hint)
 
 
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
@@ -248,10 +234,8 @@ def _with_params(kind: str, target, overrides: dict, **derived):
             raise ConfigError(f"{kind} model_params: {key!r} is derived from the experiment seed")
         if key not in accepted or accepted[key].default is inspect.Parameter.empty:
             raise ConfigError(f"{kind} model_params: unknown key {key!r}")
-        if not _has_type(value, hints[key]):
-            hint = hints[key]
-            expected = str(hint) if typing.get_args(hint) else hint.__name__
-            raise ConfigError(f"{kind} model_params: {key!r} must be {expected}, got {value!r}")
+        if not has_type(value, hints[key]):
+            raise ConfigError(f"{kind} model_params: {key!r} must be {type_name(hints[key])}, got {value!r}")
         if not _in_range(key, value):
             raise ConfigError(f"{kind} model_params: {key!r} must be {_VALUE_RANGES[key][1]}, got {value!r}")
     return partial(target, **overrides, **derived)

@@ -420,3 +420,30 @@ class TestImportanceArguments:
                      "--data", str(workspace / "data"), flag, value,
                      "--out", str(tmp_path / "imp.csv")]) == EXIT_CONFIG
         assert flag in caplog.text
+
+
+class TestUnknownLabel:
+    @pytest.fixture
+    def two_files(self, workspace, tmp_path):
+        """Two copies of the workspace data; the second has the label of
+        lines 12 and 20 replaced by one that is neither benign nor malicious."""
+        text = (workspace / "data" / "synth_binary.labeled").read_text()
+        lines = text.split("\n")
+        for i in (11, 19):
+            cells = lines[i].split("\t")
+            cells[-2] = "Suspicious"
+            lines[i] = "\t".join(cells)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "a.labeled").write_text(text)
+        (tmp_path / "data" / "b.labeled").write_text("\n".join(lines))
+        return tmp_path / "data"
+
+    def test_train_names_file_and_first_line(self, workspace, two_files, tmp_path, caplog):
+        assert main(["train", "--config", str(workspace / "cfg.json"), "--data", str(two_files),
+                     "--out", str(tmp_path / "run")]) == EXIT_DATA
+        assert "b.labeled line 12: label 'Suspicious' is neither benign nor malicious" in caplog.text
+
+    def test_evaluate_names_file_and_first_line(self, workspace, two_files, tmp_path, caplog):
+        assert main(["evaluate", "--model", str(workspace / "run" / "models" / "rf.json"),
+                     "--data", str(two_files), "--report", str(tmp_path / "r.json")]) == EXIT_DATA
+        assert "b.labeled line 12: label 'Suspicious'" in caplog.text

@@ -409,8 +409,15 @@ def _old_class_index(flow, task):
 
 def _old_label_and_sample(records, task, per_class, seed):
     """The label-object pipeline as it was: one (record, label) object per
-    row, class indices recomputed per row; returns (records, targets)."""
-    flows = [_OldFlow(r, _OldLabel(*canonicalize_label(r.raw_label, r.raw_detailed_label))) for r in records]
+    row, class indices recomputed per row; returns (records, targets).  A
+    bad label names its row's line in render_zeek_log's text."""
+    flows = []
+    header_lines = conn_log_header().count("\n") + 1
+    for i, r in enumerate(records):
+        try:
+            flows.append(_OldFlow(r, _OldLabel(*canonicalize_label(r.raw_label, r.raw_detailed_label))))
+        except UnknownBinaryLabel as exc:
+            raise UnknownBinaryLabel(exc.raw_label, f"line {header_lines + i + 1}") from None
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     names = task_class_names(task)

@@ -330,3 +330,61 @@ def test_svm_retrain_bitwise_identical():
     b = fit_linear_svm(X, y, SvmParams(epochs=6, seed=4))
     np.testing.assert_array_equal(a.w, b.w)
     assert a.b == b.b
+
+
+def svm_reference(X, y, params):
+    """The SGD loop restated with a new w each step, as first written; also
+    counts the steps whose row violated the margin."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    w, b, t, violations = np.zeros(d), 0.0, 0, 0
+    rng = np.random.default_rng(params.seed)
+    for _ in range(params.epochs):
+        for i in rng.permutation(n):
+            eta = params.lr0 / (1.0 + t * params.decay)
+            t += 1
+            if y[i] * (X[i] @ w + b) < 1.0:
+                violations += 1
+                w = (1.0 - eta) * w + eta * params.C * y[i] * X[i]
+                b = b + eta * params.C * y[i]
+            else:
+                w = (1.0 - eta) * w
+    return w, b, violations
+
+
+def svm_cases():
+    """(name, X, y, params) for the bitwise comparison with svm_reference."""
+    rng = np.random.default_rng(77)
+    for case in range(6):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+        X = rng.normal(0, rng.choice([0.1, 1.0, 50.0]), (n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        y[:2] = [-1.0, 1.0]
+        params = SvmParams(C=float(rng.choice([0.03, 1.0, 7.3])), epochs=int(rng.integers(1, 8)),
+                           lr0=float(rng.choice([0.01, 0.1, 0.5])), decay=float(rng.choice([0.0, 0.01, 0.3])),
+                           seed=case)
+        yield f"random{case}", X, y, params
+    X, y = separable(seed=5, n=30)
+    yield "strided columns", np.hstack([X, X])[:, ::2], y, SvmParams(epochs=4, seed=2)
+    yield "fortran order", np.asfortranarray(X), y, SvmParams(epochs=3, seed=6)
+    yield "d=1", np.array([[0.5], [-1.5], [2.0], [-0.25]]), np.array([1.0, -1.0, 1.0, -1.0]), SvmParams(epochs=5)
+    yield "n=2", np.array([[1.0, -2.0, 0.5], [-3.0, 1.0, 0.0]]), np.array([-1.0, 1.0]), SvmParams(epochs=7, seed=3)
+    yield "every row violates", X, y, SvmParams(lr0=1e-6, epochs=3, seed=1)
+    yield "only the first step violates", np.array([[100.0], [-100.0], [80.0]]), np.array([1.0, -1.0, 1.0]), \
+        SvmParams(epochs=4, seed=0)
+    yield "no step", X, y, SvmParams(epochs=0)
+
+
+def test_svm_fit_bitwise_equals_reference_loop():
+    violations = {}
+    for name, X, y, params in svm_cases():
+        model = fit_linear_svm(X, y, params)
+        w, b, violations[name] = svm_reference(X, y, params)
+        assert model.w.tobytes() == w.tobytes(), name
+        assert float(model.b).hex() == float(b).hex(), name
+        assert model.to_dict() == SvmClassifier(w, b, params.C, params.epochs).to_dict(), name
+    assert violations["every row violates"] == 60 * 3
+    # the first step always violates: it starts from w = 0, b = 0
+    assert violations["only the first step violates"] == 1
+    assert violations["no step"] == 0

@@ -1,10 +1,13 @@
-"""Model bundles: byte-stable round trips and malformed bundles for every kind."""
+"""Model bundles: compact byte-stable round trips, indented bundles of
+earlier versions, and malformed bundles for every kind."""
 
 import json
 
+import numpy as np
 import pytest
 
 from iotids.cli import EXIT_MODEL, EXIT_OK, main
+from iotids.flows import parse_conn_log_file
 from iotids.persist import load_bundle
 
 RUNS = {
@@ -53,6 +56,30 @@ def bundle_paths(root):
 def test_every_kind_reloads_to_identical_bytes(runs):
     for path in bundle_paths(runs):
         assert load_bundle(path).to_json() == path.read_text(), path
+
+
+def test_every_bundle_is_one_line_of_compact_json(runs):
+    paths = sorted(runs.glob("*/models/*.json"))
+    assert len(paths) == len(bundle_paths(runs))
+    for path in paths:
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n"), path
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", path
+
+
+def test_indented_bundle_of_earlier_versions_loads_and_predicts_the_same(runs, tmp_path):
+    kinds = set()
+    for path in bundle_paths(runs):
+        task = path.parent.parent.name
+        doc = json.loads(path.read_text())
+        old = tmp_path / f"{task}_{path.name}"
+        old.write_text(json.dumps(doc, indent=1) + "\n")
+        compact, indented = load_bundle(path), load_bundle(old)
+        assert json.loads(indented.to_json()) == doc, path
+        X = compact.featurize(parse_conn_log_file(runs / f"{task}_data" / f"synth_{task}.labeled"))
+        np.testing.assert_array_equal(indented.predict(X), compact.predict(X), err_msg=str(path))
+        kinds.add(doc["kind"])
+    assert kinds == {"rf", "gbm", "ada", "knn", "svm", "ann", "cnn", "hybrid"}
 
 
 def malformed_docs(doc):
@@ -138,3 +165,86 @@ def test_more_model_classes_than_class_names_is_model_error(runs, tmp_path):
     doc = json.loads((runs / "binary" / "models" / "rf.json").read_text())
     doc["model"]["n_classes"] = 7
     assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+# one value of each JSON type; 1.5 is a valid value only for the float keys
+RETYPED = [None, "x", [1], 1.5, True, {}]
+FLOAT_KEYS = {"learning_rate", "b", "C"}
+
+
+def retyped_docs(doc):
+    """(key, value, doc) triples: the bundle with one top-level key or one
+    key of its model set to each value of RETYPED."""
+    for key in doc:
+        for value in RETYPED:
+            yield key, value, dict(doc, **{key: value})
+    for key in doc["model"]:
+        for value in RETYPED:
+            yield f"model.{key}", value, dict(doc, model=dict(doc["model"], **{key: value}))
+
+
+def test_retyped_key_is_model_error(runs, tmp_path):
+    bad = tmp_path / "bad.json"
+    checked = 0
+    for path in bundle_paths(runs):
+        task = path.parent.parent.name
+        data = runs / f"{task}_data" / f"synth_{task}.labeled"
+        for key, value, doc in retyped_docs(json.loads(path.read_text())):
+            bad.write_text(json.dumps(doc))
+            code = main(["predict", "--model", str(bad), "--input", str(data),
+                         "--output", str(tmp_path / "preds.csv")])
+            if key.removeprefix("model.") in FLOAT_KEYS and value == 1.5:
+                assert code == EXIT_OK, (path.name, task, key)
+            else:
+                assert code == EXIT_MODEL, (path.name, task, key, value)
+                checked += 1
+    assert checked > 600
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("rf", "n_classes", 1.5), ("rf", "n_classes", True), ("gbm", "n_classes", 1.5), ("gbm", "n_classes", True),
+    ("gbm", "learning_rate", None), ("gbm", "learning_rate", "x"), ("gbm", "learning_rate", {}),
+    ("gbm", "best_round", 0.0), ("gbm", "best_round", True),
+    ("svm", "b", None), ("svm", "b", "x"), ("svm", "b", {}),
+    ("knn", "y", [1]), ("knn", "y", 1.5), ("knn", "y", True), ("knn", "y", "x"),
+])
+def test_retyped_model_value_is_model_error(runs, tmp_path, kind, key, value):
+    doc = json.loads((runs / "binary" / "models" / f"{kind}.json").read_text())
+    doc["model"][key] = value
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_format_version_must_be_the_int_1(runs, tmp_path, version):
+    doc = json.loads((runs / "binary" / "models" / "rf.json").read_text())
+    doc["format_version"] = version
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+def without_first(entries):
+    return entries[1:]
+
+
+def with_duplicate(entries):
+    return entries + entries[:1]
+
+
+@pytest.mark.parametrize("task, kind, key, change", [
+    ("multiclass", "ann", "params", without_first),
+    ("multiclass", "ann", "buffers", without_first),
+    ("multiclass", "cnn", "params", with_duplicate),
+    ("multiclass", "cnn", "params", lambda e: [dict(e[0], shape=e[0]["shape"][::-1])] + e[1:]),
+    ("binary", "knn", "y", lambda y: y[:-1]),
+    ("binary", "knn", "y", lambda y: [-1] * len(y)),
+])
+def test_inconsistent_model_value_is_model_error(runs, tmp_path, task, kind, key, change):
+    """Well-typed values that do not fit the rest of the model: a network
+    missing, repeating or reshaping a parameter or buffer, and KNN labels
+    that are too few or negative."""
+    doc = json.loads((runs / task / "models" / f"{kind}.json").read_text())
+    doc["model"][key] = change(doc["model"][key])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data = runs / f"{task}_data" / f"synth_{task}.labeled"
+    assert main(["predict", "--model", str(bad), "--input", str(data),
+                 "--output", str(tmp_path / "preds.csv")]) == EXIT_MODEL
