@@ -76,6 +76,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def predictions_csv(class_names: list[str], labels: np.ndarray, probs: np.ndarray | None) -> str:
+    """One line per row: its index, its predicted class name and, when the
+    model has class probabilities, each class's probability as repr(float)."""
+    header = ["row_index", "predicted_label"]
+    names = [class_names[k] for k in labels.tolist()]
+    if probs is None:
+        lines = [f"{i},{name}" for i, name in enumerate(names)]
+    else:
+        header.extend(f"p_{name}" for name in class_names)
+        lines = [f"{i},{name}," + ",".join(map(repr, p)) for i, (name, p) in enumerate(zip(names, probs.tolist()))]
+    return "\n".join([",".join(header)] + lines) + "\n"
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
     table = parse_conn_log_file(args.input, allow_unlabeled=True)
@@ -83,18 +96,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     labels = bundle.predict(X)
     probs = bundle.predict_proba(X)
 
-    header = ["row_index", "predicted_label"]
-    if probs is not None:
-        header.extend(f"p_{name}" for name in bundle.class_names)
-    lines = [",".join(header)]
-    for i in range(X.shape[0]):
-        row = [str(i), bundle.class_names[int(labels[i])]]
-        if probs is not None:
-            row.extend(repr(float(v)) for v in probs[i])
-        lines.append(",".join(row))
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n")
+    out_path.write_text(predictions_csv(bundle.class_names, labels, probs))
     log.info("wrote %d predictions -> %s", X.shape[0], out_path)
     return EXIT_OK
 

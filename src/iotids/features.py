@@ -72,10 +72,13 @@ _PRIVATE_RANGES = [
 
 
 def _parse_ip(address: str):
+    """The address; an IPv4-mapped IPv6 address (::ffff:a.b.c.d) is its IPv4
+    address, so it has the same scope and country however a capture wrote it."""
     try:
-        return ipaddress.ip_address(address)
+        ip = ipaddress.ip_address(address)
     except ValueError:
         raise BadIpSyntax(address) from None
+    return getattr(ip, "ipv4_mapped", None) or ip
 
 
 # a dotted quad as ipaddress accepts it: four decimal octets 0-255 without leading zeros

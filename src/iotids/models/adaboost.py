@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import EmptyInput, WidthMismatch
 from ..jsontypes import bundle_field
-from .tree import DecisionTree, TreeParams, grow_tree, presort
+from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 # floor for the weighted error when a weak learner is perfect; caps the stage weight
 _EPS = 1e-10
@@ -42,13 +42,15 @@ class AdaModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdaModel":
+        n_classes = bundle_field(d, "n_classes", int)
+        n_features = bundle_field(d, "n_features", int)
         return cls(
             stages=[
-                (DecisionTree.from_dict(s["tree"]), bundle_field(s, "alpha", float))
+                (DecisionTree.from_dict(s["tree"], n_features, n_classes), bundle_field(s, "alpha", float))
                 for s in bundle_field(d, "stages", list)
             ],
-            n_classes=bundle_field(d, "n_classes", int),
-            n_features=bundle_field(d, "n_features", int),
+            n_classes=n_classes,
+            n_features=n_features,
             params=AdaParams(**bundle_field(d, "params", AdaParams)),
         )
 
@@ -101,6 +103,10 @@ def predict_adaboost(model: AdaModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise WidthMismatch(model.n_features, X.shape[1] if X.ndim == 2 else -1)
     scores = np.zeros((X.shape[0], model.n_classes))
-    for tree, alpha in model.stages:
-        scores[np.arange(X.shape[0]), tree.predict(X)] += alpha
+    table = stack_trees([tree for tree, _ in model.stages])
+    for rows, leaves in table.leaf_blocks(X):
+        votes, block = table.value[leaves], scores[rows]
+        at = np.arange(block.shape[0])
+        for s, (_, alpha) in enumerate(model.stages):  # stage by stage, as fit
+            block[at, votes[:, s]] += alpha
     return np.argmax(scores, axis=1)

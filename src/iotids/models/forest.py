@@ -7,9 +7,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, WidthMismatch
+from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
-from .tree import DecisionTree, TreeParams, fit_tree
+from .tree import DecisionTree, TreeParams, fit_tree, stack_trees
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,10 @@ class ForestModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
         votes = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            votes[np.arange(X.shape[0]), tree.predict(X)] += 1.0
+        table = stack_trees(self.trees)
+        for rows, leaves in table.leaf_blocks(X):
+            cells = np.arange(leaves.shape[0])[:, None] * self.n_classes + table.value[leaves]
+            votes[rows] = np.bincount(cells.ravel(), minlength=votes[rows].size).reshape(-1, self.n_classes)
         return votes / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -57,12 +59,17 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForestModel":
+        n_classes = bundle_field(d, "n_classes", int)
+        n_features = bundle_field(d, "n_features", int)
+        trees = bundle_field(d, "trees", list)
+        if not trees or n_classes < 2:
+            raise ModelDataMismatch(f"a forest needs trees and two classes, got {len(trees)} trees, {n_classes} classes")
         return cls(
-            trees=[DecisionTree.from_dict(t) for t in bundle_field(d, "trees", list)],
+            trees=[DecisionTree.from_dict(t, n_features, n_classes) for t in trees],
             tree_seeds=bundle_field(d, "tree_seeds", list[list[int]]),
             features_per_split=bundle_field(d, "features_per_split", int),
-            n_classes=bundle_field(d, "n_classes", int),
-            n_features=bundle_field(d, "n_features", int),
+            n_classes=n_classes,
+            n_features=n_features,
             params=ForestParams(**bundle_field(d, "params", ForestParams)),
         )
 

@@ -7,10 +7,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, EmptyValidation, WidthMismatch
+from ..errors import EmptyInput, EmptyValidation, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
-from .tree import DecisionTree, TreeParams, grow_tree, presort
+from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,13 @@ class GbmModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
         F = np.zeros((X.shape[0], self.n_classes))
-        for round_trees in self.rounds[: self.best_round + 1]:
-            for c, tree in enumerate(round_trees):
-                F[:, c] += self.learning_rate * tree.leaf_score[tree.apply(X)]
+        kept = self.rounds[: self.best_round + 1]
+        table = stack_trees([tree for round_trees in kept for tree in round_trees])
+        steps = self.learning_rate * table.value
+        for rows, leaves in table.leaf_blocks(X):
+            round_steps = steps[leaves].reshape(leaves.shape[0], len(kept), self.n_classes)
+            for r in range(len(kept)):  # round by round, as fit_gbm added them
+                F[rows] += round_steps[:, r]
         return softmax(F)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -72,12 +76,20 @@ class GbmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbmModel":
+        n_classes = bundle_field(d, "n_classes", int)
+        n_features = bundle_field(d, "n_features", int)
+        rounds = bundle_field(d, "rounds", list[list])
+        best_round = bundle_field(d, "best_round", int)
+        if rounds and not 0 <= best_round < len(rounds):
+            raise ModelDataMismatch(f"best_round {best_round} is outside the {len(rounds)} rounds")
+        if any(len(rnd) != n_classes for rnd in rounds):
+            raise ModelDataMismatch(f"every round needs one tree per class ({n_classes})")
         return cls(
-            rounds=[[DecisionTree.from_dict(t) for t in rnd] for rnd in bundle_field(d, "rounds", list[list])],
+            rounds=[[DecisionTree.from_dict(t, n_features, None) for t in rnd] for rnd in rounds],
             learning_rate=bundle_field(d, "learning_rate", float),
-            best_round=bundle_field(d, "best_round", int),
-            n_classes=bundle_field(d, "n_classes", int),
-            n_features=bundle_field(d, "n_features", int),
+            best_round=best_round,
+            n_classes=n_classes,
+            n_features=n_features,
             params=GbmParams(**bundle_field(d, "params", GbmParams)),
         )
 

@@ -16,15 +16,23 @@ _BLOCK_ELEMENTS node rows x classes, so a large node is searched a few
 features at a time and the search's temporaries stay O(node rows x classes).
 A node's rows stay in ascending row order, so every sum adds its terms in the
 order a per-node stable sort would.
+
+Prediction descends all trees of a model together (stack_trees): the trees
+are concatenated into one flat node table, and each block of rows moves
+every tree one level down per step, a vectorised, predicated traversal
+(Asadi, Lin & de Vries, IEEE TKDE 2014).  DecisionTree.apply is its
+one-tree case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..errors import EmptyInput, WidthMismatch
+from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
+from ..jsontypes import bundle_field
 
 _NO_CHILD = -1
 # bound on candidates x node rows (x classes) per temporary of the split search
@@ -54,15 +62,11 @@ class DecisionTree:
         return self.feature.shape[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id for every row (level-synchronous vectorized descent)."""
+        """Leaf node id for every row: the one-tree case of NodeTable.leaf_blocks."""
         X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self.feature[out] != _NO_CHILD)
-        while active.size:
-            nodes = out[active]
-            go_left = X[active, self.feature[nodes]] <= self.threshold[nodes]
-            out[active] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active = active[self.feature[out[active]] != _NO_CHILD]
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for rows, leaves in stack_trees([self]).leaf_blocks(X):
+            out[rows] = leaves[:, 0]
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -95,18 +99,127 @@ class DecisionTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=float),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            leaf_class_counts=None
-            if d["leaf_class_counts"] is None
-            else np.asarray(d["leaf_class_counts"], dtype=float),
-            leaf_score=None if d["leaf_score"] is None else np.asarray(d["leaf_score"], dtype=float),
-            params=TreeParams(**d["params"]),
-        )
+    def from_dict(cls, d: dict, n_features: int, n_classes: int | None) -> "DecisionTree":
+        """A bundled tree of a model over n_features columns: a classification
+        tree over n_classes classes, or a regression tree when n_classes is
+        None.  Arrays that do not fit together, or child ids that could send
+        a descent outside the tree or round a loop, make the bundle malformed."""
+        params = TreeParams(**bundle_field(d, "params", TreeParams))
+        task = "regression" if n_classes is None else "classification"
+        if params.task != task or params.n_classes != n_classes:
+            raise ModelDataMismatch(
+                f"expected a {task} tree over {n_classes} classes, got {params.task} over {params.n_classes}"
+            )
+        feature, left, right = (_int_array(d, key) for key in ("feature", "left", "right"))
+        threshold = _float_array(d, "threshold")
+        n = feature.shape[0]
+        if n == 0 or not (threshold.shape == left.shape == right.shape == (n,)):
+            raise ModelDataMismatch(
+                f"tree arrays must have one entry per node, got {n}, {len(threshold)}, {len(left)}, {len(right)}"
+            )
+        leaf = feature == _NO_CHILD
+        ids = np.arange(n)
+        if not ((left[leaf] == _NO_CHILD) & (right[leaf] == _NO_CHILD)).all():
+            raise ModelDataMismatch("a tree leaf has a child")
+        split = ~leaf
+        if not ((ids[split] < left[split]) & (ids[split] < right[split])
+                & (left[split] < n) & (right[split] < n)).all():
+            raise ModelDataMismatch(f"a tree node's child id is not above its own and below {n}")
+        if not ((feature[split] >= 0) & (feature[split] < n_features)).all():
+            raise ModelDataMismatch(f"a tree splits on a feature outside [0, {n_features})")
+        if n_classes is None:
+            key, unused, shape = "leaf_score", "leaf_class_counts", (n,)
+        else:
+            key, unused, shape = "leaf_class_counts", "leaf_score", (n, n_classes)
+        values = _float_array(d, key)
+        if values.shape != shape or d[unused] is not None:
+            raise ModelDataMismatch(f"a {task} tree of {n} nodes needs {key} of shape {shape} and {unused} null")
+        counts, scores = (None, values) if n_classes is None else (values, None)
+        return cls(feature, threshold, left, right, counts, scores, params)
+
+
+def _int_array(d: dict, key: str) -> np.ndarray:
+    """d[key] as a 1-D int64 array; a list of anything but ints is malformed."""
+    values = np.asarray(d[key])
+    if values.ndim != 1 or (values.size and values.dtype.kind != "i"):
+        raise ModelDataMismatch(f"bundle field {key!r} must be a list of ints")
+    return values.astype(np.int64)
+
+
+def _float_array(d: dict, key: str) -> np.ndarray:
+    """d[key] as a float array of finite numbers (null reads as NaN)."""
+    values = np.asarray(d[key], dtype=float)
+    if not np.isfinite(values).all():
+        raise ModelDataMismatch(f"bundle field {key!r} must hold finite numbers")
+    return values
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Trees concatenated into one flat node table, descended together.
+
+    Tree t's node i is node roots[t] + i of the table.  A leaf splits on
+    feature 0 at +inf and both its children are itself, so a row that has
+    reached a leaf stays there: x <= inf goes left, and NaN goes right.
+    """
+
+    roots: np.ndarray  # per tree, the table id of its root
+    feature: np.ndarray  # per node
+    threshold: np.ndarray  # per node
+    children: np.ndarray  # nodes x [left, right]
+    value: np.ndarray  # per node: what predict gives for a row at that leaf
+    depth: int  # splits on the longest root-to-leaf path
+    width: int  # columns X needs: 1 + the highest split feature
+
+    def leaf_blocks(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """(rows, leaves) for consecutive blocks of rows of X: rows is a
+        slice, leaves the table id of every tree's leaf for each of those
+        rows (rows x trees).  A block holds at most _BLOCK_ELEMENTS rows x
+        trees, so the descent's temporaries stay bounded whatever X's size.
+        Each of `depth` steps moves every (row, tree) pair one level down,
+        with one take each of split feature, input value and threshold."""
+        X = np.asarray(X, dtype=float)
+        n, d = X.shape
+        if d < self.width:
+            raise WidthMismatch(self.width, d)
+        step = max(1, _BLOCK_ELEMENTS // max(1, self.roots.shape[0]))
+        children = self.children.ravel()
+        for start in range(0, n, step):
+            block = np.ascontiguousarray(X[start:start + step])
+            row_start = np.arange(block.shape[0])[:, None] * d
+            nodes = np.repeat(self.roots[None, :], block.shape[0], axis=0)
+            for _ in range(self.depth):
+                x = np.take(block, row_start + self.feature[nodes])
+                nodes = children[2 * nodes + ~(x <= self.threshold[nodes])]
+            yield slice(start, start + block.shape[0]), nodes
+
+
+def stack_trees(trees: list[DecisionTree]) -> NodeTable:
+    """The NodeTable of trees, in their order."""
+    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+
+    def concat(arrays: list[np.ndarray], dtype=np.int64) -> np.ndarray:
+        return np.concatenate([np.zeros(0, dtype)] + arrays)  # also for no trees
+
+    feature = concat([tree.feature for tree in trees])
+    split = feature != _NO_CHILD
+    children = np.stack([concat([tree.left for tree in trees]), concat([tree.right for tree in trees])], axis=1)
+    children = np.where(split[:, None], children + np.repeat(roots, sizes)[:, None], np.arange(feature.shape[0])[:, None])
+    depth, frontier = 0, roots[split[roots]]
+    while frontier.size:
+        depth += 1
+        frontier = np.unique(children[frontier])
+        frontier = frontier[split[frontier]]
+    return NodeTable(
+        roots=roots,
+        feature=np.where(split, feature, 0),
+        threshold=np.where(split, concat([tree.threshold for tree in trees], float), np.inf),
+        children=children,
+        value=concat([tree.predict_from_leaves(np.arange(tree.n_nodes)) for tree in trees]),
+        depth=depth,
+        width=int(feature.max(initial=-1)) + 1,
+    )
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from iotids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main
+from iotids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main, predictions_csv
 from iotids.errors import ConfigError
+from iotids.flows import parse_conn_log_file
+from iotids.persist import load_bundle
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,40 @@ class TestPredict:
                      "--input", str(unlabeled), "--output", str(out)])
         assert code == EXIT_OK
         assert len(out.read_text().strip().split("\n")) == 201
+
+    @pytest.mark.parametrize("kind", ["hybrid", "rf"])
+    def test_csv_matches_row_by_row_rendering(self, workspace, tmp_path, kind):
+        """predictions.csv as the per-row loop wrote it, for a bundle without
+        class probabilities (hybrid) and one with them (rf)."""
+        model, data = workspace / "run" / "models" / f"{kind}.json", workspace / "data" / "synth_binary.labeled"
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model), "--input", str(data), "--output", str(out)]) == EXIT_OK
+        bundle = load_bundle(model)
+        X = bundle.featurize(parse_conn_log_file(data, allow_unlabeled=True))
+        assert (bundle.predict_proba(X) is None) == (kind == "hybrid")
+        assert out.read_bytes() == row_by_row_csv(bundle, X).encode()
+
+    def test_csv_of_no_rows_is_its_header(self):
+        assert predictions_csv(["Benign", "Malicious"], np.zeros(0, dtype=np.int64), None) == \
+            "row_index,predicted_label\n"
+        assert predictions_csv(["Benign", "Malicious"], np.zeros(0, dtype=np.int64), np.zeros((0, 2))) == \
+            "row_index,predicted_label,p_Benign,p_Malicious\n"
+
+
+def row_by_row_csv(bundle, X):
+    """The predictions CSV as _cmd_predict built it one row at a time."""
+    labels = bundle.predict(X)
+    probs = bundle.predict_proba(X)
+    header = ["row_index", "predicted_label"]
+    if probs is not None:
+        header.extend(f"p_{name}" for name in bundle.class_names)
+    lines = [",".join(header)]
+    for i in range(X.shape[0]):
+        row = [str(i), bundle.class_names[int(labels[i])]]
+        if probs is not None:
+            row.extend(repr(float(v)) for v in probs[i])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 class TestImportance:

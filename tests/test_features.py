@@ -100,6 +100,24 @@ class TestIpFeatures:
         with pytest.raises(BadIpSyntax):
             ip_scope("not.an.ip")
 
+    def test_ipv4_mapped_ipv6_is_its_ipv4_address(self):
+        assert ip_scope("::ffff:10.1.2.3") == "private"
+        assert ip_scope("::ffff:8.8.8.8") == "global"
+        table = CidrTable.from_rows([("10.0.0.0/8", "LAN"), ("8.8.8.0/24", "US")])
+        assert table.country("::ffff:10.1.2.3") == "LAN"
+        assert table.country("::ffff:a01:203") == "LAN"  # the same address in hex
+        assert table.country("::ffff:8.8.8.8") == "US"
+
+    def test_ipv4_mapped_row_featurizes_as_its_ipv4_row(self):
+        table = CidrTable.from_rows([("10.0.0.0/8", "LAN"), ("8.8.8.0/24", "US")])
+        mapped = [make_record(orig_h="::ffff:10.1.2.3", resp_h="::ffff:8.8.8.8")]
+        plain = [make_record(orig_h="10.1.2.3", resp_h="8.8.8.8")]
+        vocab = fit_vocab(plain, table)
+        assert vocab.categories["orig_country"] == ("LAN",) and vocab.categories["resp_country"] == ("US",)
+        got, _ = matrix_from_records(table_of(mapped), table, vocab)
+        want, _ = matrix_from_records(table_of(plain), table, vocab)
+        assert got.tobytes() == want.tobytes()
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "cidr.csv"
         path.write_text("cidr,country\n8.8.8.0/24,US\n1.2.0.0/16,AU\n")
@@ -264,16 +282,26 @@ _LINEAR_PRIVATE = [ipaddress.ip_network(p) for p in (
 )]
 
 
+_MAPPED = ipaddress.ip_network("::ffff:0:0/96")
+
+
+def linear_ip(address):
+    """Reference address parse: an address in ::ffff:0:0/96 is the IPv4
+    address in its low 32 bits."""
+    ip = ipaddress.ip_address(address)
+    return ipaddress.IPv4Address(int(ip) & 0xFFFFFFFF) if ip in _MAPPED else ip
+
+
 def linear_is_private(address):
     """Reference scope test: the address against every private network."""
-    ip = ipaddress.ip_address(address)
+    ip = linear_ip(address)
     return any(network.version == ip.version and ip in network for network in _LINEAR_PRIVATE)
 
 
 def linear_country(table, address):
     """Reference CIDR lookup: a scan of every entry, the longest prefix
     winning and the first entry among equal networks."""
-    ip = ipaddress.ip_address(address)
+    ip = linear_ip(address)
     best, best_len = None, -1
     for network, country in table.entries:
         if network.version == ip.version and ip in network and network.prefixlen > best_len:

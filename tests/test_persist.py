@@ -248,3 +248,84 @@ def test_inconsistent_model_value_is_model_error(runs, tmp_path, task, kind, key
     data = runs / f"{task}_data" / f"synth_{task}.labeled"
     assert main(["predict", "--model", str(bad), "--input", str(data),
                  "--output", str(tmp_path / "preds.csv")]) == EXIT_MODEL
+
+
+def first_tree(model):
+    """The first tree of an rf, gbm or ada model document."""
+    if "trees" in model:
+        return model["trees"][0]
+    return model["rounds"][0][0] if "rounds" in model else model["stages"][0]["tree"]
+
+
+def set_tree(key, value):
+    """Change that sets one value of the first tree; value(tree) computes it."""
+    def change(model):
+        tree = first_tree(model)
+        assert tree["feature"][0] != -1  # the root splits
+        tree[key] = value(tree)
+    return change
+
+
+def set_node(key, node, value):
+    """Change that sets tree[key][node(tree)] = value(tree) in the first tree."""
+    def change(model):
+        tree = first_tree(model)
+        assert tree["feature"][0] != -1
+        tree[key][node(tree)] = value(tree)
+    return change
+
+
+def set_model(key, value):
+    def change(model):
+        model[key] = value(model)
+    return change
+
+
+def first_leaf(tree):
+    return tree["feature"].index(-1)
+
+
+@pytest.mark.parametrize("task, kind, change", [
+    # tree arrays of different lengths
+    ("binary", "rf", set_tree("threshold", lambda t: t["threshold"][:-1])),
+    ("binary", "gbm", set_tree("right", lambda t: t["right"] + [-1])),
+    # a child id not above its node's id, or not below n_nodes
+    ("binary", "rf", set_node("left", lambda t: 0, lambda t: 0)),
+    ("binary", "gbm", set_node("right", lambda t: t["left"][0], lambda t: 0)),
+    ("binary", "rf", set_node("right", lambda t: 0, lambda t: len(t["feature"]))),
+    # a leaf with a child
+    ("binary", "rf", set_node("left", first_leaf, lambda t: len(t["feature"]) - 1)),
+    ("multiclass", "ada", set_node("right", first_leaf, lambda t: len(t["feature"]) - 1)),
+    # a split feature outside [0, n_features)
+    ("binary", "rf", set_node("feature", lambda t: 0, lambda t: 99)),
+    ("binary", "gbm", set_node("feature", lambda t: 0, lambda t: -2)),
+    ("multiclass", "ada", set_node("feature", lambda t: 0, lambda t: 99)),
+    # leaf values not one per node (and per class)
+    ("binary", "rf", set_tree("leaf_class_counts", lambda t: t["leaf_class_counts"][:-1])),
+    ("multiclass", "ada", set_tree("leaf_class_counts", lambda t: [row[:-1] for row in t["leaf_class_counts"]])),
+    ("binary", "gbm", set_tree("leaf_score", lambda t: t["leaf_score"][:-1])),
+    ("binary", "gbm", set_tree("leaf_score", lambda t: None)),
+    ("binary", "rf", set_tree("params", lambda t: dict(t["params"], task="regression"))),
+    # a forest without trees, or with fewer than two classes
+    ("binary", "rf", set_model("trees", lambda m: [])),
+    ("binary", "rf", set_model("n_classes", lambda m: 1)),
+    ("binary", "rf", set_model("n_classes", lambda m: 0)),
+    # best_round outside the rounds, a round without one tree per class
+    ("binary", "gbm", set_model("best_round", lambda m: -1)),
+    ("binary", "gbm", set_model("best_round", lambda m: len(m["rounds"]))),
+    ("binary", "gbm", set_model("rounds", lambda m: [rnd[:1] for rnd in m["rounds"]])),
+    ("binary", "gbm", set_model("rounds", lambda m: [rnd + rnd[:1] for rnd in m["rounds"]])),
+])
+def test_inconsistent_tree_value_is_model_error(runs, tmp_path, task, kind, change):
+    """Tree bundles whose arrays do not fit together or would send a descent
+    outside a tree, and forest and GBM values that disagree with their trees:
+    exit 4 from predict and from the hybrid that holds the model."""
+    data = runs / f"{task}_data" / f"synth_{task}.labeled"
+    bad = tmp_path / "bad.json"
+    for name in (kind, "hybrid"):
+        doc = json.loads((runs / task / "models" / f"{name}.json").read_text())
+        model = doc["model"]
+        change(model if name == kind else model["members"][model["member_names"].index(kind)]["model"])
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(bad), "--input", str(data),
+                     "--output", str(tmp_path / "preds.csv")]) == EXIT_MODEL, name

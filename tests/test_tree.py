@@ -1,12 +1,22 @@
-"""CART tree: split selection against an exhaustive brute-force oracle, and
-the presorted search against a per-node argsort reference."""
+"""CART tree: split selection against an exhaustive brute-force oracle, the
+presorted search against a per-node argsort reference, and the stacked
+descent (and the forest, GBM and AdaBoost predictions built on it) against
+the level-synchronous one-tree walk."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iotids.errors import EmptyInput
+from iotids.cli import main
+from iotids.errors import EmptyInput, WidthMismatch
 from iotids.models import tree as tree_module
-from iotids.models.tree import DecisionTree, TreeParams, fit_tree, grow_tree
+from iotids.models.gbm import GbmModel
+from iotids.models.tree import DecisionTree, TreeParams, fit_tree, grow_tree, stack_trees
+from iotids.numerics import softmax
+from iotids.persist import load_bundle
+from iotids.pipeline import read_labeled_dir
 
 
 def brute_force_best_split(X, y, n_classes):
@@ -133,7 +143,7 @@ class TestFitTree:
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, 30)
         tree = fit_tree(X, y, params=TreeParams(max_depth=3))
-        clone = DecisionTree.from_dict(tree.to_dict())
+        clone = DecisionTree.from_dict(tree.to_dict(), 3, 2)
         np.testing.assert_array_equal(tree.predict(X), clone.predict(X))
         np.testing.assert_array_equal(tree.threshold, clone.threshold)
 
@@ -337,3 +347,206 @@ class TestPresortedSearchEquivalence:
                 want = reference_fit_tree(X, y, weights, params, np.random.default_rng(split_seed), fps)
             assert got.to_dict() == want.to_dict(), f"part {part} case {case}"
             assert np.array_equal(leaves, got.apply(X)), f"part {part} case {case}"
+
+
+# --- stacked descent against the level-synchronous one-tree walk -------------------------
+
+
+def reference_apply(tree, X):
+    """DecisionTree.apply as it was before the stacked descent: one tree,
+    level-synchronous over the rows that are still at a split node."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.flatnonzero(tree.feature[out] != -1)
+    while active.size:
+        nodes = out[active]
+        go_left = X[active, tree.feature[nodes]] <= tree.threshold[nodes]
+        out[active] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+        active = active[tree.feature[out[active]] != -1]
+    return out
+
+
+def random_tree(rng, d, max_depth, regression=False, n_classes=3):
+    """A random tree of depth at most max_depth over d features, numbered
+    depth-first or breadth-first (children always above their parent), with
+    integer thresholds so that integer inputs often equal one."""
+    feature, threshold, left, right = [], [], [], []
+    pending = [(0, 0)]
+    feature.append(-1), threshold.append(0.0), left.append(-1), right.append(-1)
+    breadth_first = rng.random() < 0.5
+    while pending:
+        node, depth = pending.pop(0 if breadth_first else -1)
+        if depth >= max_depth or rng.random() < 0.25:
+            continue
+        feature[node] = int(rng.integers(0, d))
+        threshold[node] = float(rng.integers(-3, 4))
+        for side in (left, right):
+            side[node] = len(feature)
+            feature.append(-1), threshold.append(0.0), left.append(-1), right.append(-1)
+        pending += [(left[node], depth + 1), (right[node], depth + 1)]
+    n = len(feature)
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        leaf_class_counts=None if regression else rng.integers(0, 4, size=(n, n_classes)).astype(float),
+        leaf_score=rng.normal(size=n) if regression else None,
+        params=TreeParams(task="regression") if regression else TreeParams(n_classes=n_classes),
+    )
+
+
+def random_inputs(rng, n, d):
+    """Integer inputs (often equal to a threshold), a few NaNs and infinities."""
+    X = rng.integers(-4, 5, size=(n, d)).astype(float)
+    X[rng.random(size=(n, d)) < 0.1] = np.nan
+    X[rng.random(size=(n, d)) < 0.02] = np.inf
+    X[rng.random(size=(n, d)) < 0.02] = -np.inf
+    return X
+
+
+class TestStackedDescent:
+    def test_apply_matches_level_synchronous_walk(self):
+        rng = np.random.default_rng(77)
+        depths = set()
+        for case in range(200):
+            d = int(rng.integers(1, 6))
+            tree = random_tree(rng, d, int(rng.integers(0, 13)), regression=case % 2 == 1)
+            X = random_inputs(rng, int(rng.integers(0, 300)), d)
+            got = tree.apply(X)
+            assert got.dtype == np.int64 and np.array_equal(got, reference_apply(tree, X)), case
+            depths.add(stack_trees([tree]).depth)
+        assert {0, 1}.issubset(depths) and max(depths) >= 10
+
+    def test_threshold_ties_go_left_and_nan_goes_right(self):
+        tree = DecisionTree(np.array([0, -1, -1]), np.array([2.0, 0.0, 0.0]), np.array([1, -1, -1]),
+                            np.array([2, -1, -1]), None, np.zeros(3), TreeParams(task="regression"))
+        leaves = tree.apply(np.array([[2.0], [np.nextafter(2.0, 3.0)], [np.nan], [-np.inf], [np.inf]]))
+        assert leaves.tolist() == [tree.left[0], tree.right[0], tree.right[0], tree.left[0], tree.right[0]]
+
+    @pytest.mark.parametrize("block_elements", [1, 7, 60, 1 << 16])
+    def test_stacked_blocks_match_each_tree(self, block_elements, monkeypatch):
+        """Every tree of a stack lands where it lands alone, at row counts
+        around the block size; blocks cover the rows in order and stay
+        within the element bound."""
+        monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(block_elements)
+        for case in range(12):
+            d = int(rng.integers(1, 5))
+            trees = [random_tree(rng, d, int(rng.integers(0, 13))) for _ in range(int(rng.integers(1, 9)))]
+            table = stack_trees(trees)
+            step = max(1, block_elements // len(trees))
+            for n in sorted({0, 1, max(0, step - 1), step, step + 1, 2 * step + 1}):
+                X = random_inputs(rng, n, d)
+                leaves, covered = np.zeros((n, len(trees)), dtype=np.int64), 0
+                for rows, block in table.leaf_blocks(X):
+                    assert rows.start == covered and block.shape == (rows.stop - rows.start, len(trees))
+                    assert block.size <= max(block_elements, len(trees))
+                    leaves[rows], covered = block, rows.stop
+                assert covered == n
+                for t, tree in enumerate(trees):
+                    assert np.array_equal(leaves[:, t] - table.roots[t], reference_apply(tree, X)), (case, n, t)
+
+    def test_no_trees_and_zero_rows(self):
+        table = stack_trees([])
+        blocks = list(table.leaf_blocks(np.zeros((3, 2))))
+        assert [block.shape for _, block in blocks] == [(3, 0)]
+        assert list(stack_trees([random_tree(np.random.default_rng(1), 2, 4)]).leaf_blocks(np.zeros((0, 2)))) == []
+
+    def test_narrower_input_than_split_features_is_width_mismatch(self):
+        tree = DecisionTree(np.array([3, -1, -1]), np.zeros(3), np.array([1, -1, -1]),
+                            np.array([2, -1, -1]), None, np.zeros(3), TreeParams(task="regression"))
+        with pytest.raises(WidthMismatch):
+            tree.apply(np.zeros((2, 3)))
+
+
+def reference_forest_proba(model, X):
+    votes = np.zeros((X.shape[0], model.n_classes))
+    for tree in model.trees:
+        votes[np.arange(X.shape[0]), tree.predict_from_leaves(reference_apply(tree, X))] += 1.0
+    return votes / len(model.trees)
+
+
+def reference_gbm_proba(model, X):
+    F = np.zeros((X.shape[0], model.n_classes))
+    for round_trees in model.rounds[: model.best_round + 1]:
+        for c, tree in enumerate(round_trees):
+            F[:, c] += model.learning_rate * tree.leaf_score[reference_apply(tree, X)]
+    return softmax(F)
+
+
+def reference_adaboost(model, X):
+    scores = np.zeros((X.shape[0], model.n_classes))
+    for tree, alpha in model.stages:
+        scores[np.arange(X.shape[0]), tree.predict_from_leaves(reference_apply(tree, X))] += alpha
+    return np.argmax(scores, axis=1)
+
+
+_WORKLOADS = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
+# the criterion-11 run of test_acceptance, with ada added; and the two multiclass bench configs
+_RUNS = {
+    "criterion_11": (
+        {"task": "binary", "rows_per_class": 100, "seed": 21},
+        {"task": "binary", "per_class": 80, "seed": 13, "split": [0.7, 0.2, 0.1],
+         "model_params": {"rf": {"n_trees": 8, "max_depth": 5}, "gbm": {"max_rounds": 6, "max_depth": 3}}},
+    ),
+    **{name: (dict(_WORKLOADS[name]["data"], seed=6), dict(_WORKLOADS[name]["config"], seed=3))
+       for name in ("train_multiclass", "score_flows")},
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """name -> (rf, gbm and ada bundles, the featurized training data), each
+    trained through the CLI."""
+    root = tmp_path_factory.mktemp("descent")
+    out = {}
+    for name, (spec, config) in _RUNS.items():
+        (root / f"{name}_spec.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(root / f"{name}_spec.json"), "--out", str(root / f"{name}_data")]) == 0
+        config = dict(config, config_version=1, models=["rf", "gbm", "ada"], cv_folds=0)
+        (root / f"{name}_config.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(root / f"{name}_config.json"), "--data", str(root / f"{name}_data"),
+                     "--out", str(root / name)]) == 0
+        bundles = {kind: load_bundle(root / name / "models" / f"{kind}.json") for kind in ("rf", "gbm", "ada")}
+        X = bundles["rf"].featurize(read_labeled_dir(root / f"{name}_data").table)
+        out[name] = bundles, X
+    return out
+
+
+def with_ties_and_nans(X, trees, rng):
+    """X with a third of its rows set, at one split of one tree, exactly to
+    that split's threshold, and a few cells NaN."""
+    X = X.copy()
+    for row in rng.choice(X.shape[0], X.shape[0] // 3, replace=False):
+        tree = trees[int(rng.integers(0, len(trees)))]
+        splits = np.flatnonzero(tree.feature >= 0)
+        if splits.size:
+            node = splits[int(rng.integers(0, splits.size))]
+            X[row, tree.feature[node]] = tree.threshold[node]
+    X[rng.random(size=X.shape) < 0.01] = np.nan
+    return X
+
+
+class TestModelsMatchTreeByTreePrediction:
+    @pytest.mark.parametrize("name", list(_RUNS))
+    def test_bitwise_equal_outputs(self, trained, name):
+        bundles, X = trained[name]
+        rf, gbm, ada = (bundles[kind].model for kind in ("rf", "gbm", "ada"))
+        assert len(rf.trees) > 1 and len(gbm.rounds) > 1 and ada.stages
+        trees = rf.trees + [t for rnd in gbm.rounds for t in rnd] + [t for t, _ in ada.stages]
+        for inputs in (X, with_ties_and_nans(X, trees, np.random.default_rng(5))):
+            assert rf.predict_proba(inputs).tobytes() == reference_forest_proba(rf, inputs).tobytes()
+            assert gbm.predict_proba(inputs).tobytes() == reference_gbm_proba(gbm, inputs).tobytes()
+            assert ada.predict(inputs).tobytes() == reference_adaboost(ada, inputs).tobytes()
+            assert rf.predict(inputs).tobytes() == np.argmax(reference_forest_proba(rf, inputs), axis=1).tobytes()
+            assert gbm.predict(inputs).tobytes() == np.argmax(reference_gbm_proba(gbm, inputs), axis=1).tobytes()
+
+    def test_best_round_and_zero_rounds(self, trained):
+        bundles, X = trained["score_flows"]
+        gbm = bundles["gbm"].model
+        for best_round in range(len(gbm.rounds)):
+            cut = GbmModel(gbm.rounds, gbm.learning_rate, best_round, gbm.n_classes, gbm.n_features, gbm.params)
+            assert cut.predict_proba(X).tobytes() == reference_gbm_proba(cut, X).tobytes()
+        empty = GbmModel([], gbm.learning_rate, 0, gbm.n_classes, gbm.n_features, gbm.params)
+        assert empty.predict_proba(X).tobytes() == np.full((X.shape[0], 7), 1 / 7).tobytes()
