@@ -4,6 +4,7 @@ config loader (model_params) and the bundle loaders (from_dict)."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 
@@ -20,7 +21,7 @@ def has_type(value, hint) -> bool:
     if hint is float:
         return type(value) is int or (type(value) is float and math.isfinite(value))
     if dataclasses.is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
+        hints = _field_hints(hint)
         return (
             isinstance(value, dict)
             and value.keys() == hints.keys()
@@ -32,6 +33,13 @@ def has_type(value, hint) -> bool:
     if typing.get_origin(hint) in (list, tuple):
         return isinstance(value, (list, tuple)) and all(has_type(v, args[0]) for v in value)
     return isinstance(value, hint)
+
+
+@functools.cache
+def _field_hints(cls) -> dict:
+    """The evaluated annotations of dataclass cls (evaluating them is slow,
+    and a bundle checks one params object per tree)."""
+    return typing.get_type_hints(cls)
 
 
 def type_name(hint) -> str:
