@@ -108,5 +108,5 @@ def predict_adaboost(model: AdaModel, X: np.ndarray) -> np.ndarray:
         votes, block = table.value[leaves], scores[rows]
         at = np.arange(block.shape[0])
         for s, (_, alpha) in enumerate(model.stages):  # stage by stage, as fit
-            block[at, votes[:, s]] += alpha
+            block[at, votes[s]] += alpha
     return np.argmax(scores, axis=1)

@@ -39,8 +39,8 @@ class ForestModel:
         votes = np.zeros((X.shape[0], self.n_classes))
         table = stack_trees(self.trees)
         for rows, leaves in table.leaf_blocks(X):
-            cells = np.arange(leaves.shape[0])[:, None] * self.n_classes + table.value[leaves]
-            votes[rows] = np.bincount(cells.ravel(), minlength=votes[rows].size).reshape(-1, self.n_classes)
+            cells = table.value[leaves] * leaves.shape[1] + np.arange(leaves.shape[1])  # class-major
+            votes[rows] = np.bincount(cells.ravel(), minlength=votes[rows].size).reshape(self.n_classes, -1).T
         return votes / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

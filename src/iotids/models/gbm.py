@@ -56,9 +56,11 @@ class GbmModel:
         table = stack_trees([tree for round_trees in kept for tree in round_trees])
         steps = self.learning_rate * table.value
         for rows, leaves in table.leaf_blocks(X):
-            round_steps = steps[leaves].reshape(leaves.shape[0], len(kept), self.n_classes)
+            round_steps = steps[leaves].reshape(len(kept), self.n_classes, leaves.shape[1])
+            block = np.zeros((self.n_classes, leaves.shape[1]))
             for r in range(len(kept)):  # round by round, as fit_gbm added them
-                F[rows] += round_steps[:, r]
+                block += round_steps[r]
+            F[rows] = block.T
         return softmax(F)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

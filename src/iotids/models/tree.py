@@ -66,7 +66,7 @@ class DecisionTree:
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0], dtype=np.int64)
         for rows, leaves in stack_trees([self]).leaf_blocks(X):
-            out[rows] = leaves[:, 0]
+            out[rows] = leaves[0]
         return out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -173,25 +173,29 @@ class NodeTable:
 
     def leaf_blocks(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """(rows, leaves) for consecutive blocks of rows of X: rows is a
-        slice, leaves the table id of every tree's leaf for each of those
-        rows (rows x trees).  A block holds at most _BLOCK_ELEMENTS rows x
-        trees, so the descent's temporaries stay bounded whatever X's size.
-        Each of `depth` steps moves every (row, tree) pair one level down,
+        slice, and leaves[t] the table id of tree t's leaf for each of those
+        rows (trees x rows).  A block holds at most _BLOCK_ELEMENTS trees x
+        rows, so the descent's temporaries stay bounded whatever X's size.
+        Each of `depth` steps moves every (tree, row) pair one level down,
         with one take each of split feature, input value and threshold."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         if d < self.width:
             raise WidthMismatch(self.width, d)
+        # the descent tracks slots, 2 * node + (x <= threshold): slot 2i + 1
+        # leads to node i's left child and slot 2i to its right one, and
+        # next_slot holds each child's first slot, so one step is one add
+        feature, threshold = np.repeat(self.feature, 2), np.repeat(self.threshold, 2)
+        next_slot = 2 * self.children[:, ::-1].ravel()
         step = max(1, _BLOCK_ELEMENTS // max(1, self.roots.shape[0]))
-        children = self.children.ravel()
         for start in range(0, n, step):
             block = np.ascontiguousarray(X[start:start + step])
-            row_start = np.arange(block.shape[0])[:, None] * d
-            nodes = np.repeat(self.roots[None, :], block.shape[0], axis=0)
+            row_start = np.arange(block.shape[0]) * d
+            slots = np.repeat(2 * self.roots[:, None], block.shape[0], axis=1)
             for _ in range(self.depth):
-                x = np.take(block, row_start + self.feature[nodes])
-                nodes = children[2 * nodes + ~(x <= self.threshold[nodes])]
-            yield slice(start, start + block.shape[0]), nodes
+                x = np.take(block, row_start + feature[slots])
+                slots = next_slot[slots + (x <= threshold[slots])]
+            yield slice(start, start + block.shape[0]), slots >> 1
 
 
 def stack_trees(trees: list[DecisionTree]) -> NodeTable:

@@ -438,19 +438,19 @@ class TestStackedDescent:
             step = max(1, block_elements // len(trees))
             for n in sorted({0, 1, max(0, step - 1), step, step + 1, 2 * step + 1}):
                 X = random_inputs(rng, n, d)
-                leaves, covered = np.zeros((n, len(trees)), dtype=np.int64), 0
+                leaves, covered = np.zeros((len(trees), n), dtype=np.int64), 0
                 for rows, block in table.leaf_blocks(X):
-                    assert rows.start == covered and block.shape == (rows.stop - rows.start, len(trees))
+                    assert rows.start == covered and block.shape == (len(trees), rows.stop - rows.start)
                     assert block.size <= max(block_elements, len(trees))
-                    leaves[rows], covered = block, rows.stop
+                    leaves[:, rows], covered = block, rows.stop
                 assert covered == n
                 for t, tree in enumerate(trees):
-                    assert np.array_equal(leaves[:, t] - table.roots[t], reference_apply(tree, X)), (case, n, t)
+                    assert np.array_equal(leaves[t] - table.roots[t], reference_apply(tree, X)), (case, n, t)
 
     def test_no_trees_and_zero_rows(self):
         table = stack_trees([])
         blocks = list(table.leaf_blocks(np.zeros((3, 2))))
-        assert [block.shape for _, block in blocks] == [(3, 0)]
+        assert [block.shape for _, block in blocks] == [(0, 3)]
         assert list(stack_trees([random_tree(np.random.default_rng(1), 2, 4)]).leaf_blocks(np.zeros((0, 2)))) == []
 
     def test_narrower_input_than_split_features_is_width_mismatch(self):
