@@ -210,11 +210,14 @@ def stack_trees(trees: list[DecisionTree]) -> NodeTable:
     split = feature != _NO_CHILD
     children = np.stack([concat([tree.left for tree in trees]), concat([tree.right for tree in trees])], axis=1)
     children = np.where(split[:, None], children + np.repeat(roots, sizes)[:, None], np.arange(feature.shape[0])[:, None])
-    depth, frontier = 0, roots[split[roots]]
-    while frontier.size:
+    depth, level = 0, np.zeros(feature.shape[0], dtype=bool)  # split nodes at depth `depth`
+    level[roots] = True
+    level &= split
+    while level.any():
         depth += 1
-        frontier = np.unique(children[frontier])
-        frontier = frontier[split[frontier]]
+        reached = np.zeros_like(level)
+        reached[children[level]] = True
+        level = reached & split
     return NodeTable(
         roots=roots,
         feature=np.where(split, feature, 0),
