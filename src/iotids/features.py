@@ -289,10 +289,11 @@ def transform_min_max(params: MinMaxParams, matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[1] != params.width:
         raise ColumnMismatch(f"scaler fitted on {params.width} columns, matrix has {matrix.shape[1]}")
     span = params.x_max - params.x_min
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = (matrix - params.x_min) / safe
-    scaled = np.where(span == 0.0, 0.0, scaled)
-    return np.clip(scaled, 0.0, 1.0)
+    constant = span == 0.0
+    scaled = matrix - params.x_min  # the one copy; the steps below work in place
+    np.divide(scaled, np.where(constant, 1.0, span), out=scaled)
+    scaled[:, constant] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 # --- schema and matrix assembly -------------------------------------------------

@@ -5,18 +5,21 @@ a ``#fields`` directive, ``-`` marking unset values and ``(empty)`` marking
 empty strings.  Real IoT23 captures separate the last three logical columns
 (tunnel_parents, label, detailed-label) by runs of spaces instead of tabs;
 the parser repairs that before column mapping.
+
+Rows have one representation, columns keyed by attribute: the parser builds
+them as a FlowTable, and render_conn_log, its inverse, writes such columns
+out as a conn log.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 from itertools import islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,39 +118,9 @@ def _load_label_map() -> tuple[int, dict[str, MultiClass | None]]:
 LABEL_MAP_VERSION, _DETAILED_LABEL_MAP = _load_label_map()
 
 
-@dataclass(frozen=True)
-class RawFlowRecord:
-    """One conn-log row as record_to_line writes it (the synthetic-data
-    writer's row type); None marks a missing value."""
-
-    ts: float | None
-    uid: str
-    orig_h: str
-    resp_h: str
-    orig_p: int
-    resp_p: int
-    proto: str
-    service: str | None
-    duration: float | None
-    orig_bytes: int | None
-    resp_bytes: int | None
-    conn_state: str
-    local_orig: bool | None
-    local_resp: bool | None
-    missed_bytes: int | None
-    history: str | None
-    orig_pkts: int | None
-    orig_ip_bytes: int | None
-    resp_pkts: int | None
-    resp_ip_bytes: int | None
-    tunnel_parents: str
-    raw_label: str
-    raw_detailed_label: str
-
-
 @dataclass(frozen=True, eq=False)
 class FlowTable:
-    """Parsed conn-log rows as columns keyed by RawFlowRecord attribute.
+    """Parsed conn-log rows as columns keyed by attribute (ZEEK_TO_ATTR's values).
 
     Numeric and bool columns are float64 arrays with NaN for a missing
     value (a missing port is 0, bools are 1.0/0.0); text columns are lists
@@ -210,59 +183,58 @@ class Dataset:
         return Dataset(self.table.take(indices), self.labels[indices], self.source_files)
 
 
-def _coerce(column: str, token: str) -> float | None:
-    """One numeric or bool cell's value (None for missing, a bool as 1.0 or
-    0.0); ValueError or OverflowError for a token the column rejects."""
-    if token == UNSET:
-        return None
-    if column in BOOL_COLUMNS:
-        if token in ("T", "true", "1"):
-            return 1.0
-        if token in ("F", "false", "0"):
-            return 0.0
-        raise ValueError(token)
-    if token == EMPTY:
-        return None
-    value = float(token) if column in FLOAT_COLUMNS else int(token)
-    if column in PORT_COLUMNS and not 0 <= value <= 65535:
-        raise ValueError(token)
-    if (column in INT_COLUMNS or column == "duration") and value < 0:
-        raise ValueError(token)
-    value = float(value)  # an int beyond float64 raises OverflowError
-    if not math.isfinite(value):  # nan/inf would reach the scaler's min/max
-        raise ValueError(token)
-    return value
+# token -> value for the tokens that float() and int() do not convert: a
+# missing value, and in a bool column the only tokens it accepts
+_MISSING_VALUES = {UNSET: np.nan, EMPTY: np.nan}
+_BOOL_VALUES = {UNSET: np.nan, "T": 1.0, "true": 1.0, "1": 1.0, "F": 0.0, "false": 0.0, "0": 0.0}
 
 
 def _numeric_column(column: str, tokens: Sequence[str]) -> np.ndarray:
     """One numeric or bool column's float64 values: NaN for a missing value
     and inf for a token the column rejects (no accepted value is infinite).
 
-    A column of plain numbers converts with one map of int or float, the
-    conversions _coerce makes; any other column converts each distinct
-    token once through _coerce."""
+    A column of plain numbers converts with one map of its conversion; any
+    other column looks each distinct token up in its table of fixed values
+    and converts the rest one at a time."""
     n = len(tokens)
-    if column not in BOOL_COLUMNS:
-        try:
-            values = np.fromiter(map(float if column in FLOAT_COLUMNS else int, tokens), np.float64, n)
-        except (ValueError, OverflowError):
-            pass  # a missing value or a bad token: convert per distinct token
-        else:
-            bad = ~np.isfinite(values)
-            if column in INT_COLUMNS or column == "duration":
-                bad |= values < 0
-            if column in PORT_COLUMNS:
-                bad |= values > 65535
-            values[bad] = np.inf
-            return values
-    distinct = {}
-    for token in set(tokens):
-        try:
-            value = _coerce(column, token)
-        except (ValueError, OverflowError):
-            value = np.inf
-        distinct[token] = np.nan if value is None else value
+    if column in BOOL_COLUMNS:
+        fixed, convert = _BOOL_VALUES, _no_number
+    else:
+        fixed, convert = _MISSING_VALUES, float if column in FLOAT_COLUMNS else int
+    try:
+        return _reject(column, np.fromiter(map(convert, tokens), np.float64, n))
+    except (ValueError, OverflowError):
+        pass  # a missing value or a bad token: convert per distinct token
+    distinct = {token: fixed.get(token) for token in set(tokens)}
+    numbers = [token for token, value in distinct.items() if value is None]
+    values = np.array([_number(convert, token) for token in numbers], dtype=np.float64)
+    distinct.update(zip(numbers, _reject(column, values).tolist()))
     return np.fromiter(map(distinct.__getitem__, tokens), np.float64, n)
+
+
+def _no_number(token: str) -> float:
+    raise ValueError(token)  # a bool column accepts only the tokens of _BOOL_VALUES
+
+
+def _number(convert, token: str) -> float:
+    """convert(token) as a float, inf when convert rejects the token."""
+    try:
+        return float(convert(token))  # an int beyond float64 raises OverflowError
+    except (ValueError, OverflowError):
+        return np.inf
+
+
+def _reject(column: str, values: np.ndarray) -> np.ndarray:
+    """values, each one the column rejects set to inf: nan and inf (they
+    would reach the scaler's min/max), a negative count or duration, and a
+    port above 65535."""
+    bad = ~np.isfinite(values)
+    if column in INT_COLUMNS or column == "duration":
+        bad |= values < 0
+    if column in PORT_COLUMNS:
+        bad |= values > 65535
+    values[bad] = np.inf
+    return values
 
 
 def _text_value(attr: str, token: str) -> str | None:
@@ -447,25 +419,6 @@ def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> F
         raise DataError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
 
 
-def _format_cell(column: str, value) -> str:
-    if value is None:
-        return UNSET
-    if column in BOOL_COLUMNS:
-        return "T" if value else "F"
-    if column in FLOAT_COLUMNS:
-        return repr(float(value))
-    if column in INT_COLUMNS:
-        return str(int(value))
-    if value == "":
-        return EMPTY
-    return str(value)
-
-
-def record_to_line(record: RawFlowRecord) -> str:
-    """Serialize one record back to a tab-separated conn-log row."""
-    return "\t".join(_format_cell(col, getattr(record, attr)) for col, attr in ZEEK_TO_ATTR.items())
-
-
 def conn_log_header() -> str:
     lines = [
         "#separator \\x09",
@@ -476,6 +429,31 @@ def conn_log_header() -> str:
         "#fields\t" + "\t".join(CONN_FIELDS),
     ]
     return "\n".join(lines)
+
+
+# how render_conn_log writes a set value of a numeric or bool column
+_CELL_TEXT = {
+    **dict.fromkeys(FLOAT_COLUMNS, lambda v: repr(float(v))),
+    **dict.fromkeys(INT_COLUMNS, lambda v: str(int(v))),
+    **dict.fromkeys(BOOL_COLUMNS, lambda v: "T" if v else "F"),
+}
+
+
+def render_conn_log(columns: Mapping[str, np.ndarray | Sequence]) -> str:
+    """The conn log of rows given as columns keyed by FlowTable attribute:
+    the parser's inverse.  Numeric and bool columns are arrays or lists with
+    NaN or None for an unset value; text columns are lists with None for an
+    unset value and "" for an empty one."""
+    cells = []
+    for column, attr in ZEEK_TO_ATTR.items():
+        values = columns[attr]
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        text = _CELL_TEXT.get(column)
+        if text is None:
+            cells.append([UNSET if v is None else v or EMPTY for v in values])
+        else:
+            cells.append([UNSET if v is None or v != v else text(v) for v in values])
+    return "\n".join([conn_log_header(), *map("\t".join, zip(*cells)), ""])
 
 
 def _normalize_label_token(token: str) -> str:

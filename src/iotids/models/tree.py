@@ -209,7 +209,12 @@ def stack_trees(trees: list[DecisionTree]) -> NodeTable:
     feature = concat([tree.feature for tree in trees])
     split = feature != _NO_CHILD
     children = np.stack([concat([tree.left for tree in trees]), concat([tree.right for tree in trees])], axis=1)
-    children = np.where(split[:, None], children + np.repeat(roots, sizes)[:, None], np.arange(feature.shape[0])[:, None])
+    children += np.repeat(roots, sizes)[:, None]
+    ids = np.arange(feature.shape[0])[:, None]
+    # a child at or below its parent would make the depth search below loop forever
+    if not ((ids < children) & (children < np.repeat(roots + sizes, sizes)[:, None]))[split].all():
+        raise ModelDataMismatch("a tree node's child id is not above its own and below its tree's size")
+    children = np.where(split[:, None], children, ids)
     depth, level = 0, np.zeros(feature.shape[0], dtype=bool)  # split nodes at depth `depth`
     level[roots] = True
     level &= split

@@ -2,9 +2,8 @@
 fit encoders/scaler on train only -> featurize (imputing missing values) ->
 train -> report.
 
-The pipeline reads partitions through a PartitionedDataset whose access log
-records (phase, partition) pairs; tests assert that no test or validation
-row is touched before encoder and scaler fitting completes.
+The one-hot vocabulary and the min-max scaler see the training partition's
+rows only; test and validation rows are featurized after both are fitted.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .models.svm import SvmParams, fit_linear_svm
 from .nn.network import build_ann, build_cnn
 from .nn.training import TrainParams, train_network
 from .persist import ModelBundle, PreprocState
-from .splits import SplitIndices, k_fold, mean_score, stratified_split
+from .splits import k_fold, mean_score, stratified_split
 from .voting import HYBRID_MEMBERS, MODEL_CLASSES, build_hybrid
 
 VALID_MODELS = tuple(MODEL_CLASSES)
@@ -157,20 +156,6 @@ class ExperimentConfig:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-class PartitionedDataset:
-    """Partition-scoped row access with a (phase, partition) log."""
-
-    def __init__(self, dataset: Dataset, split: SplitIndices):
-        self._table = dataset.table
-        self.split = split
-        self.phase = "init"
-        self.access_log: list[tuple[str, str]] = []
-
-    def rows(self, partition: str) -> FlowTable:
-        self.access_log.append((self.phase, partition))
-        return self._table.take(self.split.partitions()[partition])
 
 
 def read_labeled_dir(data_path: str | Path) -> Dataset:
@@ -310,7 +295,6 @@ class RunResult:
     preproc: PreprocState
     X: dict[str, np.ndarray]
     y: dict[str, np.ndarray]
-    access_log: list[tuple[str, str]]
     curves: dict[str, object]
 
 
@@ -334,12 +318,11 @@ def run_training(
     sampled = balance_sample(dataset, task, config.per_class, config.seed)
     y_all = sampled.targets(task)
     split = stratified_split(y_all, config.split, config.seed)
-    parts = PartitionedDataset(sampled, split)
+    partitions = split.partitions()
     cidr = CidrTable.from_csv(cidr_path) if cidr_path else CidrTable()
 
     # fit encoders and scaler on the training partition only
-    parts.phase = "fit_encoders"
-    train_rows = parts.rows("train")
+    train_rows = sampled.table.take(partitions["train"])
     vocabulary = fit_one_hot(ip_and_categorical_columns(train_rows, cidr)[1])
     raw_train, schema = matrix_from_records(train_rows, cidr, vocabulary)
     if config.expected_width is not None and schema.width != config.expected_width:
@@ -347,16 +330,14 @@ def run_training(
     min_max = fit_min_max(raw_train)
     preproc = PreprocState(vocabulary, min_max, cidr)
 
-    parts.phase = "transform"
     X: dict[str, np.ndarray] = {}
     y: dict[str, np.ndarray] = {}
     for part in ("train", "test", "val"):
-        X[part], _ = matrix_from_records(parts.rows(part), cidr, vocabulary, min_max)
-        y[part] = y_all[split.partitions()[part]]
+        X[part], _ = matrix_from_records(sampled.table.take(partitions[part]), cidr, vocabulary, min_max)
+        y[part] = y_all[partitions[part]]
 
     # validation source for early-stopping models: the val partition when
     # present, otherwise the first rotation of the (cv_folds or 5)-fold plan
-    parts.phase = "train"
     if len(y["val"]):
         X_es, y_es, X_val, y_val = X["train"], y["train"], X["val"], y["val"]
     else:
@@ -436,7 +417,7 @@ def run_training(
             "seed": config.seed,
             "label_map_version": LABEL_MAP_VERSION,
             "sampled_rows": len(sampled),
-            "partition_sizes": {k: int(len(v)) for k, v in split.partitions().items()},
+            "partition_sizes": {k: int(len(v)) for k, v in partitions.items()},
             "feature_width": schema.width,
         },
         "artifacts": sorted(
@@ -450,7 +431,7 @@ def run_training(
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
-    return RunResult(out, manifest_path, manifest, bundles, preproc, X, y, parts.access_log, curves)
+    return RunResult(out, manifest_path, manifest, bundles, preproc, X, y, curves)
 
 
 def _run_cross_validation(

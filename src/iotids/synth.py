@@ -1,5 +1,8 @@
 """Synthetic desk-scale data: Gaussian class blobs, optionally rendered as
-Zeek-format labeled connection logs with canonical IoT23 label spellings."""
+Zeek-format labeled connection logs with canonical IoT23 label spellings.
+
+The writer builds the log's columns straight from the blob arrays and
+renders them with flows.render_conn_log."""
 
 from __future__ import annotations
 
@@ -11,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IoFailure
-from .flows import (
-    BinaryClass,
-    MultiClass,
-    RawFlowRecord,
-    conn_log_header,
-    record_to_line,
-)
+from .flows import BinaryClass, MultiClass, render_conn_log
 
 # numeric flow columns that carry the class signal, in blob-dimension order
 SIGNAL_COLUMNS = [
@@ -100,18 +97,26 @@ class SynthSpec:
 
 
 def make_blobs(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian blobs on the diagonal: class c centered at spacing*c per axis."""
+    """Gaussian blobs on the diagonal: class c centered at spacing*c per axis.
+    A spec whose values overflow float64 is a ConfigError."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     C, n, d = spec.n_classes, spec.rows_per_class, spec.feature_width
     y = np.repeat(np.arange(C), n)
-    centers = spec.center_spacing * y[:, None] * np.ones(d)
-    X = centers + rng.normal(0.0, spec.spread, size=(C * n, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = spec.center_spacing * y[:, None] * np.ones(d)
+        X = centers + rng.normal(0.0, spec.spread, size=(C * n, d))
+    _require_finite(X)
     if spec.label_noise > 0.0:
         flip = rng.random(C * n) < spec.label_noise
         shift = rng.integers(1, C, size=C * n)
         y = np.where(flip, (y + shift) % C, y)
     return X, y.astype(np.int64)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ConfigError("center_spacing and spread are too large: generated values overflow float64")
 
 
 def _class_spelling(task: str, c: int) -> tuple[str, str]:
@@ -120,61 +125,51 @@ def _class_spelling(task: str, c: int) -> tuple[str, str]:
     return _DETAILED_SPELLING[MultiClass(c)]
 
 
-def blobs_to_records(spec: SynthSpec, X: np.ndarray, y: np.ndarray) -> list[RawFlowRecord]:
-    """Render blob rows as flow records; blob dims map onto the signal
-    columns (at most eight), shifted positive and rounded where integral."""
-    n_signal = min(spec.feature_width, len(SIGNAL_COLUMNS))
-    shift = 4.0 * spec.spread  # keeps class-0 values clear of the 0 clip
-    records = []
-    for i in range(X.shape[0]):
-        numeric = {name: 0.0 for name in SIGNAL_COLUMNS}
-        for j in range(n_signal):
-            numeric[SIGNAL_COLUMNS[j]] = max(0.0, X[i, j] + shift)
-        label, detailed = _class_spelling(spec.task, int(y[i]))
-        records.append(
-            RawFlowRecord(
-                ts=1600000000.0 + i,
-                uid=f"Csynth{spec.seed}x{i}",
-                orig_h=f"192.168.{(i // 250) % 250}.{i % 250 + 1}",
-                resp_h=f"203.0.113.{i % 250 + 1}",
-                orig_p=49152,
-                resp_p=80,
-                proto="tcp",
-                service=("http", "dns")[i % 2],
-                duration=numeric["duration"],
-                orig_bytes=int(round(numeric["orig_bytes"])),
-                resp_bytes=int(round(numeric["resp_bytes"])),
-                conn_state="SF",
-                local_orig=True,
-                local_resp=False,
-                missed_bytes=int(round(numeric["missed_bytes"])),
-                history="ShADad",
-                orig_pkts=int(round(numeric["orig_pkts"])),
-                orig_ip_bytes=int(round(numeric["orig_ip_bytes"])),
-                resp_pkts=int(round(numeric["resp_pkts"])),
-                resp_ip_bytes=int(round(numeric["resp_ip_bytes"])),
-                tunnel_parents="",
-                raw_label=label,
-                raw_detailed_label=detailed,
-            )
-        )
-    return records
-
-
-def render_zeek_log(records: list[RawFlowRecord]) -> str:
-    return conn_log_header() + "\n" + "\n".join(record_to_line(r) for r in records) + "\n"
+def _conn_columns(spec: SynthSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray | list]:
+    """Blob rows as conn-log columns: blob dims map onto the signal columns
+    (at most eight; the rest are 0), shifted positive and rounded where
+    integral."""
+    n = len(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = X[:, : len(SIGNAL_COLUMNS)] + 4.0 * spec.spread  # keeps class-0 values clear of the 0 clip
+    _require_finite(signal)
+    signal = np.where(signal > 0, signal, 0.0)
+    columns: dict[str, np.ndarray | list] = dict.fromkeys(SIGNAL_COLUMNS, np.zeros(n))
+    for name, values in zip(SIGNAL_COLUMNS, signal.T):
+        columns[name] = values if name == "duration" else np.rint(values)
+    spellings = [_class_spelling(spec.task, c) for c in range(spec.n_classes)]
+    classes = y.tolist()
+    rows = range(n)
+    columns.update(
+        ts=1600000000.0 + np.arange(n),
+        uid=[f"Csynth{spec.seed}x{i}" for i in rows],
+        orig_h=[f"192.168.{(i // 250) % 250}.{i % 250 + 1}" for i in rows],
+        resp_h=[f"203.0.113.{i % 250 + 1}" for i in rows],
+        orig_p=[49152] * n,
+        resp_p=[80] * n,
+        proto=["tcp"] * n,
+        service=[("http", "dns")[i % 2] for i in rows],
+        conn_state=["SF"] * n,
+        local_orig=[True] * n,
+        local_resp=[False] * n,
+        history=["ShADad"] * n,
+        tunnel_parents=[""] * n,
+        raw_label=[spellings[c][0] for c in classes],
+        raw_detailed_label=[spellings[c][1] for c in classes],
+    )
+    return columns
 
 
 def write_synth_dataset(spec: SynthSpec, out_dir: str | Path) -> Path:
     """Emit one deterministic .labeled file for the spec; returns its path."""
     spec.validate()
     X, y = make_blobs(spec)
-    records = blobs_to_records(spec, X, y)
+    text = render_conn_log(_conn_columns(spec, X, y))
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"synth_{spec.task}.labeled"
-        path.write_text(render_zeek_log(records))
+        path.write_text(text)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return path

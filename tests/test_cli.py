@@ -388,6 +388,17 @@ class TestConfigErrors:
         (tmp_path / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 5, "seed": "s"}))
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("spec", [
+        {"task": "multiclass", "rows_per_class": 2, "center_spacing": 1e308},  # class centers overflow
+        {"task": "binary", "rows_per_class": 2, "spread": 1e308},  # the blob noise overflows
+        {"task": "binary", "rows_per_class": 2, "center_spacing": 1.5e308, "spread": 1e307},  # only the shift does
+    ])
+    def test_synth_spec_that_overflows_is_config_error(self, tmp_path, spec):
+        # each spec passes SynthSpec.validate; no file is written
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG
+        assert not (tmp_path / "data").exists()
+
 
 class TestCidrTableErrors:
     @pytest.mark.parametrize("name, text, where", [

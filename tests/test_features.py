@@ -21,12 +21,13 @@ from iotids.features import (
     permutation_importance,
     transform_min_max,
 )
-from iotids.flows import RawFlowRecord, parse_conn_log
+from iotids.flows import ZEEK_TO_ATTR, parse_conn_log, render_conn_log
 from iotids.pipeline import ExperimentConfig, run_training
-from iotids.synth import SynthSpec, render_zeek_log, write_synth_dataset
+from iotids.synth import SynthSpec, write_synth_dataset
 
 
-def make_record(**overrides) -> RawFlowRecord:
+def make_record(**overrides) -> dict:
+    """One conn-log row as a dict keyed by attribute; None marks a missing value."""
     base = dict(
         ts=1.0,
         uid="C1",
@@ -53,12 +54,13 @@ def make_record(**overrides) -> RawFlowRecord:
         raw_detailed_label="-",
     )
     base.update(overrides)
-    return RawFlowRecord(**base)
+    return base
 
 
 def table_of(records):
     """A FlowTable of records, through the conn-log text they render to."""
-    return parse_conn_log(render_zeek_log(list(records)))
+    records = list(records)
+    return parse_conn_log(render_conn_log({attr: [r[attr] for r in records] for attr in ZEEK_TO_ATTR.values()}))
 
 
 def fit_vocab(records, table):
@@ -72,13 +74,13 @@ class TestIpFeatures:
     def test_private_rfc1918(self):
         record = make_record(orig_h="192.168.1.5")
         _, columns = ip_and_categorical_columns(table_of([record]), TABLE)
-        scope, country = ip_scope(record.orig_h), columns["orig_country"][0]
+        scope, country = ip_scope(record["orig_h"]), columns["orig_country"][0]
         assert scope == "private" and country == "unknown"
 
     def test_global_with_table_entry(self):
         record = make_record(resp_h="8.8.8.8")
         _, columns = ip_and_categorical_columns(table_of([record]), TABLE)
-        scope, country = ip_scope(record.resp_h), columns["resp_country"][0]
+        scope, country = ip_scope(record["resp_h"]), columns["resp_country"][0]
         assert scope == "global" and country == "US"
 
     def test_longest_prefix_wins(self):
@@ -205,6 +207,24 @@ class TestMinMax:
         np.testing.assert_array_equal(scaled.min(axis=0), np.zeros(5))
         np.testing.assert_array_equal(scaled.max(axis=0), np.ones(5))
 
+    def test_matches_three_array_formula_and_keeps_input(self):
+        # the in-place transform against the formula it replaced, with constant
+        # columns, values outside the fitted range, NaN and infinities
+        rng = np.random.default_rng(8)
+        train = rng.normal(size=(30, 6))
+        train[:, [1, 4]] = 3.0
+        params = fit_min_max(train)
+        matrix = rng.normal(scale=2.0, size=(50, 6))
+        matrix[rng.random(size=matrix.shape) < 0.05] = np.nan
+        matrix[0, :3], matrix[1, 3:] = np.inf, -np.inf
+        before = matrix.copy()
+        span = params.x_max - params.x_min
+        expected = np.clip(np.where(span == 0.0, 0.0, (matrix - params.x_min) / np.where(span == 0.0, 1.0, span)),
+                           0.0, 1.0)
+        got = transform_min_max(params, matrix)
+        assert got.tobytes() == expected.tobytes()
+        assert matrix.tobytes() == before.tobytes()
+
     def test_column_mismatch(self):
         params = fit_min_max(np.zeros((2, 3)))
         with pytest.raises(ColumnMismatch):
@@ -314,14 +334,14 @@ def per_record_matrix(records, table, vocabulary, params=None):
     scope and again for its country, one indicator vector per value."""
 
     def encode(record):
-        row = [float(v) if v is not None else 0.0 for v in (getattr(record, f) for f in NUMERIC_FIELDS)]
-        row += [0.0 if linear_is_private(a) else 1.0 for a in (record.orig_h, record.resp_h)]
+        row = [float(v) if v is not None else 0.0 for v in (record[f] for f in NUMERIC_FIELDS)]
+        row += [0.0 if linear_is_private(a) else 1.0 for a in (record["orig_h"], record["resp_h"])]
         values = {
-            "proto": record.proto,
-            "service": record.service or "unknown",
-            "conn_state": record.conn_state,
-            "orig_country": linear_country(table, record.orig_h),
-            "resp_country": linear_country(table, record.resp_h),
+            "proto": record["proto"],
+            "service": record["service"] or "unknown",
+            "conn_state": record["conn_state"],
+            "orig_country": linear_country(table, record["orig_h"]),
+            "resp_country": linear_country(table, record["resp_h"]),
         }
         parts = [np.asarray(row)]
         for feature in CATEGORICAL_FIELDS:
@@ -394,7 +414,7 @@ class TestColumnwiseMatrix:
         parse = features._parse_ip
         monkeypatch.setattr(features, "_parse_ip", lambda a: calls.append(a) or parse(a))
         matrix_from_records(table_of(records), ORACLE_TABLE, vocab)
-        assert sorted(calls) == sorted({a for r in records for a in (r.orig_h, r.resp_h) if ":" in a})
+        assert sorted(calls) == sorted({a for r in records for a in (r["orig_h"], r["resp_h"]) if ":" in a})
 
     def test_unseen_values_give_one_counted_warning(self, caplog):
         vocab = fit_vocab([make_record()], TABLE)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotids.cli import EXIT_DATA, EXIT_OK, main
 
@@ -36,18 +38,16 @@ from iotids.flows import (
     BinaryClass,
     Dataset,
     MultiClass,
-    RawFlowRecord,
     balance_sample,
     canonicalize_label,
     conn_log_header,
     label_rows,
     parse_conn_log,
     parse_conn_log_file,
-    record_to_line,
+    render_conn_log,
     task_class_names,
     _DETAILED_LABEL_MAP,
 )
-from iotids.synth import render_zeek_log
 
 FIELDS = (
     "ts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto\tservice\tduration\t"
@@ -93,8 +93,7 @@ def make_log(*rows: str) -> str:
 
 
 def column_values(table, attr):
-    """One table column as Python values: None for NaN, as RawFlowRecord
-    holds a missing value."""
+    """One table column as Python values, None for NaN."""
     return [None if isinstance(v, float) and v != v else v for v in list(table[attr])]
 
 
@@ -217,29 +216,75 @@ class TestParsing:
 
     def test_round_trip_preserves_values(self):
         original = parse_conn_log(make_log(full_row(), full_row(duration="-", service="-")))
-        records = table_records(original)
-        reparsed = parse_conn_log(conn_log_header() + "\n" + "\n".join(record_to_line(r) for r in records))
+        reparsed = parse_conn_log(render_conn_log(original.columns))
         for attr in ZEEK_TO_ATTR.values():
             assert column_values(reparsed, attr) == column_values(original, attr), attr
 
 
-def table_records(table):
-    """The table's rows as RawFlowRecords."""
-    return [
-        RawFlowRecord(**{attr: _record_value(attr, table[attr][i]) for attr in ZEEK_TO_ATTR.values()})
-        for i in range(len(table))
-    ]
+def render_rows(records):
+    """The conn log of rows given as dicts keyed by attribute."""
+    return render_conn_log({attr: [r[attr] for r in records] for attr in ZEEK_TO_ATTR.values()})
 
 
-def _record_value(attr, value):
-    """A table cell as the RawFlowRecord field holds it."""
-    if isinstance(value, float) and value != value:
-        return None
-    if attr in ("local_orig", "local_resp"):
-        return bool(value)
-    if attr in ("ts", "duration") or not isinstance(value, float):
-        return value
-    return int(value)
+# cell values render_conn_log can write and the parser reads back: text
+# without control or line-break characters that is not itself a "-" or
+# "(empty)" token, finite floats and non-negative ints
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1).filter(
+    lambda t: t not in (flows.UNSET, flows.EMPTY))
+_CELLS = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "duration": st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    "int": st.integers(0, 10**20),
+    "port": st.integers(0, 65535),
+    "bool": st.booleans(),
+    "text": st.just("") | _TEXT | st.sampled_from(KNOWN_PROTOS),
+}
+
+
+def _cell_kind(column):
+    if column == "duration":
+        return "duration"
+    return "port" if column in PORT_COLUMNS else _kind(column)
+
+
+@st.composite
+def _columns(draw):
+    """Columns keyed by attribute: floats as arrays with NaN unset, every
+    other kind as lists with None unset."""
+    n = draw(st.integers(0, 12))
+    columns = {}
+    for column, attr in ZEEK_TO_ATTR.items():
+        values = draw(st.lists(st.none() | _CELLS[_cell_kind(column)], min_size=n, max_size=n))
+        if column in FLOAT_COLUMNS:
+            values = np.array([np.nan if v is None else v for v in values], dtype=np.float64)
+        columns[attr] = values
+    return columns
+
+
+def _canonical(column, attr, values):
+    """The column as the parser gives it back."""
+    if column in FLOAT_COLUMNS | INT_COLUMNS | BOOL_COLUMNS:
+        unset = 0.0 if column in PORT_COLUMNS else np.nan
+        return np.array([unset if v is None or v != v else float(v) for v in values], dtype=np.float64)
+    if attr == "proto":
+        return [v if v in KNOWN_PROTOS else "other" for v in values]
+    if attr == "raw_detailed_label":
+        return [v or flows.UNSET for v in values]
+    return list(values) if attr in ("service", "history") else [v or "" for v in values]
+
+
+class TestRenderRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_columns())
+    def test_parse_inverts_render(self, columns):
+        table = parse_conn_log(render_conn_log(columns), allow_unlabeled=True)
+        assert len(table) == len(columns["uid"])
+        for column, attr in ZEEK_TO_ATTR.items():
+            expected = _canonical(column, attr, columns[attr])
+            if isinstance(expected, np.ndarray):
+                assert table[attr].tobytes() == expected.tobytes(), attr
+            else:
+                assert table[attr] == expected, attr
 
 
 def featurized(*rows):
@@ -397,7 +442,7 @@ class _OldLabel:
 
 @dataclasses.dataclass(frozen=True)
 class _OldFlow:
-    record: RawFlowRecord
+    record: dict
     label: _OldLabel
 
 
@@ -410,12 +455,12 @@ def _old_class_index(flow, task):
 def _old_label_and_sample(records, task, per_class, seed):
     """The label-object pipeline as it was: one (record, label) object per
     row, class indices recomputed per row; returns (records, targets).  A
-    bad label names its row's line in render_zeek_log's text."""
+    bad label names its row's line in render_rows's text."""
     flows = []
     header_lines = conn_log_header().count("\n") + 1
     for i, r in enumerate(records):
         try:
-            flows.append(_OldFlow(r, _OldLabel(*canonicalize_label(r.raw_label, r.raw_detailed_label))))
+            flows.append(_OldFlow(r, _OldLabel(*canonicalize_label(r["raw_label"], r["raw_detailed_label"]))))
         except UnknownBinaryLabel as exc:
             raise UnknownBinaryLabel(exc.raw_label, f"line {header_lines + i + 1}") from None
     if per_class < 1:
@@ -455,14 +500,14 @@ def _outcome(fn, *args):
 
 
 def _new_label_and_sample(records, task, per_class, seed):
-    table = parse_conn_log(render_zeek_log(records))
+    table = parse_conn_log(render_rows(records))
     sampled = balance_sample(label_rows(table), task, per_class, seed)
     return sampled.table["uid"], sampled.targets(task).tolist()
 
 
 class TestLabelArrayEquivalence:
     def test_matches_label_object_path(self):
-        (template,) = table_records(parse_conn_log(make_log(full_row())))
+        template = {attr: column[0] for attr, column in parse_conn_log(make_log(full_row())).columns.items()}
         outcomes = []
         for corpus in range(60):
             rng = np.random.default_rng([2031, corpus])
@@ -471,10 +516,10 @@ class TestLabelArrayEquivalence:
             records = []
             for i in rng.integers(0, len(pool), size=n):
                 label, detailed = pool[i]
-                records.append(dataclasses.replace(
-                    template, uid=f"C{len(records)}", raw_label=label, raw_detailed_label=detailed))
+                records.append({**template, "uid": f"C{len(records)}", "raw_label": label,
+                                "raw_detailed_label": detailed})
             if corpus % 15 == 7:
-                records[int(rng.integers(0, n))] = dataclasses.replace(template, raw_label="Suspicious")
+                records[int(rng.integers(0, n))] = {**template, "raw_label": "Suspicious"}
             for task in ("binary", "multiclass"):
                 per_class = int(rng.integers(0, n // 3 + 3))  # 0 checks the per_class guard
                 seed = int(rng.integers(0, 1000))
@@ -484,9 +529,9 @@ class TestLabelArrayEquivalence:
                     assert new == old, (corpus, task)
                     outcomes.append(old[0])
                     continue
-                assert new[0] == [r.uid for r in old[0]], (corpus, task)
+                assert new[0] == [r["uid"] for r in old[0]], (corpus, task)
                 assert new[1] == old[1], (corpus, task)
-                available = np.bincount(label_rows(parse_conn_log(render_zeek_log(records))).targets(task) + 1)[1:]
+                available = np.bincount(label_rows(parse_conn_log(render_rows(records))).targets(task) + 1)[1:]
                 outcomes.extend("above" if a < per_class else "below" for a in available if a != per_class)
         # the corpora reach every outcome: per_class above and below what a
         # class has, empty classes, bad labels and a bad per_class
@@ -554,8 +599,8 @@ def _old_repair(parts, expected):
 
 
 def _old_iter_conn_log(lines, allow_unlabeled=False):
-    """The per-row parser as it was: one dict and one record per row;
-    yields (line number, record)."""
+    """The per-row parser as it was: one dict per row; yields (line number,
+    row dict)."""
     columns = None
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n").rstrip("\r")
@@ -588,7 +633,7 @@ def _old_iter_conn_log(lines, allow_unlabeled=False):
         values["raw_detailed_label"] = values["raw_detailed_label"] or "-"
         if not values["raw_label"] and not allow_unlabeled:
             raise MalformedHeader(line_no, "row has no label; pass allow_unlabeled for prediction input")
-        yield line_no, RawFlowRecord(**values)
+        yield line_no, values
 
 
 _COLUMNS = FIELDS.split("\t")
@@ -684,7 +729,7 @@ def _same(table, old):
     assert not isinstance(table, tuple), table
     assert table.line_no.tolist() == [line for line, _ in old]
     for attr in ZEEK_TO_ATTR.values():
-        expected = [getattr(r, attr) for _, r in old]
+        expected = [r[attr] for _, r in old]
         got = table[attr]
         if isinstance(got, np.ndarray):
             assert got.dtype == np.float64, attr

@@ -19,6 +19,7 @@ from iotids.features import (
 from iotids.flows import balance_sample
 from iotids.metrics import compute_metrics, confusion
 from iotids.persist import load_bundle
+from iotids import pipeline
 from iotids.pipeline import ExperimentConfig, read_labeled_dir, run_training, train_one_model
 from iotids.splits import k_fold, stratified_split
 from iotids.synth import SynthSpec, write_synth_dataset
@@ -160,14 +161,37 @@ class TestLeakageGuard:
                 and np.array_equal(corrupted.x_max, expected.x_max)
             ), seed
 
-    def test_no_heldout_access_before_encoder_fit(self, binary_run):
-        for phase, part in binary_run.access_log:
-            if phase in ("init", "fit_encoders"):
-                assert part == "train", (phase, part)
+    def test_only_train_rows_reach_the_encoder_and_scaler_fits(self, binary_data, tmp_path, monkeypatch):
+        # the uids each featurize and fit call receives: every call before
+        # fit_min_max returns sees training rows only, and the calls keep
+        # the order and count that perfbench traces
+        dataset = read_labeled_dir(binary_data)
+        sampled = balance_sample(dataset, "binary", 60, 3)
+        split = stratified_split(sampled.targets("binary"), (0.6, 0.2, 0.2), 3)
+        uids = {part: sampled.table.take(rows)["uid"] for part, rows in split.partitions().items()}
+        calls = []
 
-    def test_access_log_phases_ordered(self, binary_run):
-        phases = [p for p, _ in binary_run.access_log]
-        assert phases == sorted(phases, key=["init", "fit_encoders", "transform", "train"].index)
+        def spy(name, seen):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *a, **k: calls.append((name, seen(a[0]))) or real(*a, **k))
+
+        spy("ip_and_categorical_columns", lambda table: table["uid"])
+        spy("fit_one_hot", lambda columns: None)
+        spy("matrix_from_records", lambda table: table["uid"])
+        spy("fit_min_max", len)
+        cfg = ExperimentConfig("binary", ["knn"], 60, 3, split=(0.6, 0.2, 0.2), model_params={"knn": {"k": 1}})
+        run_training(cfg, binary_data, tmp_path / "run")
+        fitted = [name for name, _ in calls].index("fit_min_max") + 1
+        assert all(seen in (None, uids["train"], len(uids["train"])) for _, seen in calls[:fitted])
+        assert calls == [
+            ("ip_and_categorical_columns", uids["train"]),
+            ("fit_one_hot", None),
+            ("matrix_from_records", uids["train"]),
+            ("fit_min_max", len(uids["train"])),
+            ("matrix_from_records", uids["train"]),
+            ("matrix_from_records", uids["test"]),
+            ("matrix_from_records", uids["val"]),
+        ]
 
 
 class TestRunArtifacts:

@@ -3,14 +3,16 @@ presorted search against a per-node argsort reference, and the stacked
 descent (and the forest, GBM and AdaBoost predictions built on it) against
 the level-synchronous one-tree walk."""
 
+import contextlib
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iotids.cli import main
-from iotids.errors import EmptyInput, WidthMismatch
+from iotids.errors import EmptyInput, ModelDataMismatch, WidthMismatch
 from iotids.models import tree as tree_module
 from iotids.models.gbm import GbmModel
 from iotids.models.tree import DecisionTree, TreeParams, fit_tree, grow_tree, stack_trees
@@ -405,6 +407,22 @@ def random_inputs(rng, n, d):
     return X
 
 
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Fail the block with TimeoutError once it has run for `seconds`, so
+    that a hang is a test failure."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestStackedDescent:
     def test_apply_matches_level_synchronous_walk(self):
         rng = np.random.default_rng(77)
@@ -452,6 +470,24 @@ class TestStackedDescent:
         blocks = list(table.leaf_blocks(np.zeros((3, 2))))
         assert [block.shape for _, block in blocks] == [(0, 3)]
         assert list(stack_trees([random_tree(np.random.default_rng(1), 2, 4)]).leaf_blocks(np.zeros((0, 2)))) == []
+
+    @pytest.mark.parametrize("feature, left, right", [
+        ([0], [-1], [-1]),  # a split node whose children are the last node of the table: itself
+        ([0, -1, -1], [1, -1, -1], [0, -1, -1]),  # a child that is its parent
+        ([0, 0, -1], [2, -1, -1], [1, 0, -1]),  # a child below its parent
+        ([0, -1, -1], [1, -1, -1], [3, -1, -1]),  # a child past the tree's last node
+    ])
+    def test_hand_built_tree_with_bad_child_ids_is_rejected(self, feature, left, right):
+        n = len(feature)
+        tree = DecisionTree(np.array(feature), np.zeros(n), np.array(left), np.array(right), None, np.zeros(n),
+                            TreeParams(task="regression"))
+        good = random_tree(np.random.default_rng(3), 1, 4, regression=True)
+        with within_seconds(5):  # such a tree once made the descent loop forever
+            for trees in ([tree], [good, tree], [tree, good]):
+                with pytest.raises(ModelDataMismatch):
+                    stack_trees(trees)
+            with pytest.raises(ModelDataMismatch):
+                tree.apply(np.zeros((2, 1)))
 
     def test_narrower_input_than_split_features_is_width_mismatch(self):
         tree = DecisionTree(np.array([3, -1, -1]), np.zeros(3), np.array([1, -1, -1]),
