@@ -161,10 +161,10 @@ class TestLeakageGuard:
                 and np.array_equal(corrupted.x_max, expected.x_max)
             ), seed
 
-    def test_only_train_rows_reach_the_encoder_and_scaler_fits(self, binary_data, tmp_path, monkeypatch):
-        # the uids each featurize and fit call receives: every call before
-        # fit_min_max returns sees training rows only, and the calls keep
-        # the order and count that perfbench traces
+    @pytest.fixture
+    def fit_calls(self, binary_data, tmp_path, monkeypatch):
+        # (calls, uids): the uids each featurize and fit call of one
+        # run_training receives, and the uids of each split partition
         dataset = read_labeled_dir(binary_data)
         sampled = balance_sample(dataset, "binary", 60, 3)
         split = stratified_split(sampled.targets("binary"), (0.6, 0.2, 0.2), 3)
@@ -181,8 +181,18 @@ class TestLeakageGuard:
         spy("fit_min_max", len)
         cfg = ExperimentConfig("binary", ["knn"], 60, 3, split=(0.6, 0.2, 0.2), model_params={"knn": {"k": 1}})
         run_training(cfg, binary_data, tmp_path / "run")
+        return calls, uids
+
+    def test_no_heldout_access_before_encoder_fit(self, fit_calls):
+        # every featurize and fit call up to fit_min_max sees training rows only
+        calls, uids = fit_calls
         fitted = [name for name, _ in calls].index("fit_min_max") + 1
         assert all(seen in (None, uids["train"], len(uids["train"])) for _, seen in calls[:fitted])
+
+    def test_access_log_phases_ordered(self, fit_calls):
+        # the calls keep the order and count that perfbench traces: fit on
+        # train, then featurize train, test and val
+        calls, uids = fit_calls
         assert calls == [
             ("ip_and_categorical_columns", uids["train"]),
             ("fit_one_hot", None),
