@@ -17,6 +17,17 @@ features at a time and the search's temporaries stay O(node rows x classes).
 A node's rows stay in ascending row order, so every sum adds its terms in the
 order a per-node stable sort would.
 
+The search does the least numpy work that gives those same sums.  Cuts are
+found with one flat np.flatnonzero over the block's candidates x positions,
+only at positions that leave min_samples_leaf rows on each side, and each
+cut's prefix sums are read with one flat take; the first maximum of the
+candidate-major gains is the chosen cut, and a NaN gain rules out its
+candidate.  With unit weights (no sample_weights) a left weight is its row
+count, exactly what a prefix sum of ones gives, so none is summed.  A
+classification node with weight in one class only is not searched: each of
+its gains is 0.0 or NaN, never above the 0.0 floor.  It still draws its
+candidate features, so every later node draws what it would have.
+
 Prediction descends all trees of a model together (stack_trees): the trees
 are concatenated into one flat node table, and each block of rows moves
 every tree one level down per step, a vectorised, predicated traversal
@@ -272,41 +283,50 @@ def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
     return 1.0 - ((counts / total[..., None]) ** 2).sum(axis=-1)
 
 
-def _sorted_cuts(values: np.ndarray, order: np.ndarray, candidates: np.ndarray):
-    """Each candidate's sorted node values, and the (candidate, position)
-    pairs whose next sorted value is larger: the only places a split can go.
-    candidates are rows of values (a flat take is faster than X[order, f])."""
+def _sorted_cuts(values: np.ndarray, order: np.ndarray, candidates: np.ndarray, min_leaf: int):
+    """Each candidate's sorted node values (candidates x m), and the cuts:
+    the places whose next sorted value is larger, the only places a split
+    can go, that leave at least min_leaf rows on each side.  Cuts come
+    candidate-major; for each this returns its candidate (a row of the
+    block), its flat index into candidates x m (where its prefix sums sit)
+    and its position, one less than its left row count.  candidates are
+    rows of values (a flat take is faster than X[order, f], and
+    np.flatnonzero than a 2-D np.nonzero)."""
+    m, leaf = order.shape[1], max(min_leaf, 1)
     sv = np.take(values, candidates[:, None] * values.shape[1] + order)
-    cand, pos = np.nonzero(sv[:, :-1] < sv[:, 1:])
-    return sv, cand, pos
+    lo, hi = leaf - 1, m - leaf  # the positions that leave `leaf` rows on each side
+    cand, pos = np.divmod(np.flatnonzero(sv[:, lo:hi] < sv[:, lo + 1:hi + 1]), hi - lo)
+    pos += lo
+    return sv, cand, cand * m + pos, pos
 
 
-def _best_cut(block_gains, order: np.ndarray, candidates: np.ndarray, row_elements: int,
-              floor: float) -> tuple[int, float]:
+def _best_cut(cut_gains, values: np.ndarray, order: np.ndarray, candidates: np.ndarray, min_leaf: int,
+              row_elements: int, floor: float) -> tuple[int, float]:
     """(candidate, threshold) of the best cut, or (-1, 0.0) if none.
 
-    block_gains(order, candidates) scores a block of candidates: it returns
-    the gain at each cut with the sv, cand and pos of _sorted_cuts.  A block
-    holds at most _BLOCK_ELEMENTS // row_elements candidates.  Within a
-    feature the first maximum wins (np.argmax semantics, so a NaN gain rules
-    that feature out); across features, the lowest one whose gain is
-    strictly above floor and above every lower feature's."""
+    cut_gains(order, at, pos) scores the cuts of a block of candidates,
+    given the at and pos of _sorted_cuts.  A block holds at most
+    _BLOCK_ELEMENTS // row_elements candidates.  The first maximum of the
+    candidate-major gains wins: the lowest candidate, then its first
+    position, whose gain is strictly above floor and above every lower
+    candidate's.  A NaN gain rules out its whole candidate."""
     best_candidate, best_threshold = _NO_CHILD, 0.0
     step = max(1, _BLOCK_ELEMENTS // row_elements)
     for start in range(0, candidates.shape[0], step):
-        gains, cand, pos, sv = block_gains(order[start:start + step], candidates[start:start + step])
-        if gains.size == 0:
+        block = order[start:start + step]
+        sv, cand, at, pos = _sorted_cuts(values, block, candidates[start:start + step], min_leaf)
+        if cand.size == 0:
             continue
-        per_cut = np.full((sv.shape[0], sv.shape[1] - 1), -np.inf)
-        per_cut[cand, pos] = gains
-        first = np.argmax(per_cut, axis=1)
-        best = per_cut[np.arange(first.shape[0]), first]
-        best = np.where(np.isnan(best), -np.inf, best)
-        i = int(np.argmax(best))
-        if best[i] > floor:
-            j = first[i]
-            floor = best[i]
-            best_candidate, best_threshold = start + i, float((sv[i, j] + sv[i, j + 1]) / 2.0)
+        gains = cut_gains(block, at, pos)
+        i = int(np.argmax(gains))
+        if np.isnan(gains[i]):  # np.argmax stops at the first NaN
+            ruled_out = np.bincount(cand[np.isnan(gains)], minlength=sv.shape[0]) > 0
+            gains = np.where(ruled_out[cand], -np.inf, gains)
+            i = int(np.argmax(gains))
+        if gains[i] > floor:
+            floor = gains[i]
+            best_candidate = start + int(cand[i])
+            best_threshold = float((sv.flat[at[i]] + sv.flat[at[i] + 1]) / 2.0)
     return best_candidate, best_threshold
 
 
@@ -317,31 +337,30 @@ def _best_split_classification(
     order: np.ndarray,
     candidates: np.ndarray,
     min_leaf: int,
+    unit_weights: bool,
 ) -> tuple[int, float]:
     """(candidate, threshold) of the best positive-gain split over the
-    candidate rows of values, whose sorted node rows are the rows of order."""
+    candidate rows of values, whose sorted node rows are the rows of order.
+    unit_weights says every row weighs 1."""
     total = total_counts.sum()
     parent = float(_gini(total_counts, np.asarray(total)))
-    n = order.shape[1]
+    n_classes = class_w.shape[1]
 
-    def block_gains(order, candidates):
-        sv, cand, pos = _sorted_cuts(values, order, candidates)
-        left_counts = np.cumsum(class_w[order], axis=1)[cand, pos]
-        right_counts = total_counts - left_counts
-        n_left = pos + 1
-        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        left_total = left_counts.sum(axis=1)
+    def cut_gains(order, at, pos):
+        prefix = np.cumsum(class_w.take(order, axis=0), axis=1)
+        left_counts = prefix.reshape(-1, n_classes).take(at, axis=0)
+        # a sum of ones is exactly its count
+        left_total = pos + 1.0 if unit_weights else left_counts.sum(axis=1)
         right_total = total - left_total
-        gains = parent - (left_total * _gini(left_counts, left_total)
-                          + right_total * _gini(right_counts, right_total)) / total
-        return np.where(valid, gains, -np.inf), cand, pos, sv
+        return parent - (left_total * _gini(left_counts, left_total)
+                         + right_total * _gini(total_counts - left_counts, right_total)) / total
 
-    return _best_cut(block_gains, order, candidates, n * class_w.shape[1], 0.0)
+    return _best_cut(cut_gains, values, order, candidates, min_leaf, order.shape[1] * n_classes, 0.0)
 
 
 def _best_split_regression(
     values: np.ndarray,
-    w: np.ndarray,
+    w: np.ndarray | None,
     tw: np.ndarray,
     t2w: np.ndarray,
     sums: tuple[float, float, float],
@@ -350,25 +369,26 @@ def _best_split_regression(
     min_leaf: int,
 ) -> tuple[int, float]:
     """As _best_split_classification, for squared error; `sums` are the
-    node's sums of w, t*w and t*t*w."""
+    node's sums of w, t*w and t*t*w, and w is None when every row weighs 1."""
     W, S1, S2 = sums
     parent_sse = S2 - S1 * S1 / W
-    n = order.shape[1]
     # float cancellation makes "zero" gains slightly noisy on regression targets
     min_gain = 1e-12 * max(1.0, abs(parent_sse))
 
-    def block_gains(order, candidates):
-        sv, cand, pos = _sorted_cuts(values, order, candidates)
-        wl = np.cumsum(w[order], axis=1)[cand, pos]
-        s1l = np.cumsum(tw[order], axis=1)[cand, pos]
-        s2l = np.cumsum(t2w[order], axis=1)[cand, pos]
-        wr, s1r, s2r = W - wl, S1 - s1l, S2 - s2l
-        n_left = pos + 1
-        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf) & (wl > 0) & (wr > 0)
-        sse = (s2l - s1l * s1l / wl) + (s2r - s1r * s1r / wr)
-        return np.where(valid, parent_sse - sse, -np.inf), cand, pos, sv
+    def cut_gains(order, at, pos):
+        def left_sums(x):
+            return np.cumsum(x.take(order), axis=1).take(at)
 
-    return _best_cut(block_gains, order, candidates, n, min_gain)
+        # a prefix sum of ones is exactly its count
+        wl = pos + 1.0 if w is None else left_sums(w)
+        s1l, s2l = left_sums(tw), left_sums(t2w)
+        wr, s1r, s2r = W - wl, S1 - s1l, S2 - s2l
+        gains = parent_sse - ((s2l - s1l * s1l / wl) + (s2r - s1r * s1r / wr))
+        if w is None:
+            return gains
+        return np.where((wl > 0) & (wr > 0), gains, -np.inf)  # a side of weight 0 has no mean
+
+    return _best_cut(cut_gains, values, order, candidates, min_leaf, order.shape[1], min_gain)
 
 
 def fit_tree(
@@ -407,7 +427,8 @@ def grow_tree(
     n, d = X.shape
     if y.shape[0] != n:
         raise WidthMismatch(n, y.shape[0])
-    w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
+    unit_weights = sample_weights is None
+    w = np.ones(n) if unit_weights else np.asarray(sample_weights, dtype=float)
     if (w < 0).any() or not (w > 0).any():
         raise EmptyInput("sample weights must be non-negative and not all zero")
     if presorted is None:
@@ -421,15 +442,13 @@ def grow_tree(
         n_classes = params.n_classes if params.n_classes is not None else int(y.max()) + 1
         class_w = np.zeros((n, n_classes))
         class_w[np.arange(n), y] = w
+        labels = np.arange(n_classes)[y]  # each row's column of class_w
     else:
         t = y.astype(float)
         tw = t * w
         t2w = t * tw
 
-    # presort row of each feature, -1 for a constant one
-    presort_row = np.full(d, -1)
     all_presort_rows = np.arange(presorted.features.shape[0])
-    presort_row[presorted.features] = all_presort_rows
     leaves = np.zeros(n, dtype=np.int64)
     goes_left = np.zeros(n, dtype=bool)  # per split: the side of each node row
     feature_: list[int] = []
@@ -456,10 +475,14 @@ def grow_tree(
         node, rows, order, depth = stack.pop()
         leaves[rows] = node
         if classification:
-            counts = class_w[rows].sum(axis=0)
+            if unit_weights:  # a sum of ones is exactly its count
+                counts = np.bincount(labels.take(rows), minlength=n_classes).astype(float)
+            else:
+                counts = class_w.take(rows, axis=0).sum(axis=0)
             leaf_counts_[node] = counts
         else:
-            sums = (float(w[rows].sum()), float(tw[rows].sum()), float(t2w[rows].sum()))
+            weight = float(rows.shape[0]) if unit_weights else float(w.take(rows).sum())
+            sums = (weight, float(tw.take(rows).sum()), float(t2w.take(rows).sum()))
             leaf_score_[node] = sums[1] / sums[0]
 
         if params.max_depth is not None and depth >= params.max_depth:
@@ -470,28 +493,35 @@ def grow_tree(
         if features_per_split is not None and features_per_split < d:
             if rng is None:
                 raise ValueError("features_per_split needs an rng")
-            candidates = presort_row[np.sort(rng.choice(d, size=features_per_split, replace=False))]
-            candidates = candidates[candidates >= 0]
-            candidate_order = order[candidates]
+            drawn = np.zeros(d, dtype=bool)
+            drawn[rng.choice(d, size=features_per_split, replace=False)] = True
+            candidates = np.flatnonzero(drawn.take(presorted.features))  # presort rows, ascending
+            candidate_order = order.take(candidates, axis=0)
         else:
             candidates, candidate_order = all_presort_rows, order
 
         if classification:
+            # one class (or none) has weight: every gain is 0.0 or NaN, never above
+            # the 0.0 floor; the node has drawn, so later nodes draw as they did
+            if np.count_nonzero(counts) < 2:
+                continue
             best, thr = _best_split_classification(
-                presorted.values, class_w, counts, candidate_order, candidates, params.min_samples_leaf
+                presorted.values, class_w, counts, candidate_order, candidates, params.min_samples_leaf,
+                unit_weights,
             )
         else:
             best, thr = _best_split_regression(
-                presorted.values, w, tw, t2w, sums, candidate_order, candidates, params.min_samples_leaf
+                presorted.values, None if unit_weights else w, tw, t2w, sums, candidate_order, candidates,
+                params.min_samples_leaf,
             )
         if best == _NO_CHILD:
             continue
         f = int(presorted.features[candidates[best]])
 
-        go_left = X[rows, f] <= thr
+        go_left = presorted.values[candidates[best]].take(rows) <= thr  # X[rows, f]
         goes_left[rows] = go_left
-        in_left = goes_left[order]
-        n_left = int(go_left.sum())
+        in_left = goes_left.take(order)
+        n_left = np.count_nonzero(go_left)
         feature_[node] = f
         threshold_[node] = thr
         left_child, right_child = new_node(), new_node()
@@ -501,8 +531,8 @@ def grow_tree(
         # push right first so the left subtree is processed (and numbered) first
         right_order = np.compress(~in_left.ravel(), order).reshape(order.shape[0], rows.shape[0] - n_left)
         left_order = np.compress(in_left.ravel(), order).reshape(order.shape[0], n_left)
-        stack.append((right_child, rows[~go_left], right_order, depth + 1))
-        stack.append((left_child, rows[go_left], left_order, depth + 1))
+        stack.append((right_child, rows.compress(~go_left), right_order, depth + 1))
+        stack.append((left_child, rows.compress(go_left), left_order, depth + 1))
 
     tree = DecisionTree(
         feature=np.asarray(feature_, dtype=np.int64),

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import InputTooNarrow, ModelDataMismatch, ShapeMismatch
-from ..jsontypes import bundle_field
+from ..jsontypes import bundle_field, has_type
 from ..numerics import cross_entropy_mean, one_hot, softmax
 from .functional import elastic_net_penalty
 from .layers import BatchNorm, Conv1d, Dense, Dropout, Elu, Flatten, Layer, MaxPool1d, Relu, Softmax
@@ -114,6 +115,41 @@ def _materialize(desc: dict, rng: np.random.Generator) -> Layer:
     if kind == "flatten":
         return Flatten()
     raise ValueError(f"unknown layer kind {kind!r}")
+
+
+def _check_layer_chain(spec: NetworkSpec) -> None:
+    """Raise ModelDataMismatch unless every layer of spec is of a known kind
+    and takes the shape the layers before it give: (width,) for a row,
+    (length, channels) for a signal.  The input is (input_width,), or
+    (input_width, 1) before a leading conv1d; the output is (class_count,)."""
+
+    def size(value, name: str) -> int:
+        if not has_type(value, int) or value < 1:
+            raise ModelDataMismatch(f"network size {name!r} must be an int >= 1, got {value!r:.80}")
+        return value
+
+    if not has_type(list(spec.layers), list[dict]):
+        raise ModelDataMismatch("network layers must be objects")
+    shape: tuple[int, ...] = (size(spec.input_width, "input_width"),)
+    if spec.layers and spec.layers[0].get("kind") == "conv1d":
+        shape += (1,)
+    for i, desc in enumerate(spec.layers):
+        kind = desc.get("kind")
+        if kind == "dense" and shape == (size(desc.get("n_in"), "n_in"),):
+            shape = (size(desc.get("n_out"), "n_out"),)
+        elif kind == "batchnorm" and shape == (size(desc.get("width"), "width"),):
+            pass
+        elif (kind == "conv1d" and len(shape) == 2 and shape[1] == size(desc.get("in_channels"), "in_channels")
+              and shape[0] >= size(desc.get("kernel_width"), "kernel_width")):
+            shape = (shape[0] - desc["kernel_width"] + 1, size(desc.get("n_filters"), "n_filters"))
+        elif kind == "maxpool" and len(shape) == 2 and shape[0] >= size(desc.get("pool"), "pool"):
+            shape = (shape[0] // desc["pool"], shape[1])
+        elif kind == "flatten":
+            shape = (math.prod(shape),)
+        elif kind not in ("elu", "relu", "dropout", "softmax"):
+            raise ModelDataMismatch(f"network layer {i} ({kind!r}) does not take input of shape {shape}")
+    if shape != (size(spec.class_count, "class_count"),):
+        raise ModelDataMismatch(f"network output has shape {shape}, expected ({spec.class_count},)")
 
 
 @dataclass
@@ -256,7 +292,9 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
-        net = cls.initialize(NetworkSpec.from_dict(d["spec"]), np.random.default_rng(0))
+        spec = NetworkSpec.from_dict(d["spec"])
+        _check_layer_chain(spec)  # before initialize allocates every layer
+        net = cls.initialize(spec, np.random.default_rng(0))
         entries = bundle_field(d, "params", list) + bundle_field(d, "buffers", list)
         state = {
             (e["layer"], e["name"]): np.asarray(e["values"], dtype=float).reshape(e["shape"]) for e in entries

@@ -753,7 +753,8 @@ class TestParserEquivalence:
             path = tmp_path / f"c{corpus}.labeled"
             path.write_bytes((ending.join(lines) + ending).encode())
             for allow in (False, True):
-                old = _outcome_of(lambda: list(_old_iter_conn_log(open(path, encoding="utf-8"), allow)))
+                with open(path, encoding="utf-8") as file:
+                    old = _outcome_of(lambda: list(_old_iter_conn_log(file, allow)))
                 _same(_outcome_of(lambda: parse_conn_log_file(path, allow_unlabeled=allow)), old)
                 # lines that keep their endings, as an iterable of lines does
                 raw = [line + ending for line in lines]
@@ -784,7 +785,8 @@ class TestParserEquivalence:
         rows[1] = full_row(orig_pkts="many")
         path = tmp_path / "mixed.labeled"
         path.write_bytes(make_log(*rows).encode() + b"\xff\n")
-        old = _outcome_of(lambda: list(_old_iter_conn_log(open(path, encoding="utf-8"))))
+        with open(path, encoding="utf-8") as file:
+            old = _outcome_of(lambda: list(_old_iter_conn_log(file)))
         assert old[0] is BadNumeric
         _same(_outcome_of(lambda: parse_conn_log_file(path)), old)
 
@@ -800,6 +802,7 @@ class TestParserEquivalence:
                               "unlabeled": full_row(label="(empty)")}[fault]
         path = tmp_path / "big.labeled"
         path.write_text(make_log(*rows))
-        old = _outcome_of(lambda: list(_old_iter_conn_log(open(path, encoding="utf-8"))))
+        with open(path, encoding="utf-8") as file:
+            old = _outcome_of(lambda: list(_old_iter_conn_log(file)))
         assert isinstance(old, tuple) and f"line {bad_line}:" in old[1]
         _same(_outcome_of(lambda: parse_conn_log_file(path)), old)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iotids.errors import InputTooNarrow, ShapeMismatch
+from iotids.errors import InputTooNarrow, ModelDataMismatch, ShapeMismatch
 from iotids.nn.layers import BatchNorm, Conv1d, Dropout, MaxPool1d
 from iotids.nn.network import Network, build_ann, build_cnn
 
@@ -145,3 +145,27 @@ class TestNetworkRuntime:
         X = np.random.default_rng(4).normal(size=(5, 9))
         clone = Network.from_dict(net.to_dict())
         np.testing.assert_array_equal(net.predict_proba(X), clone.predict_proba(X))
+
+    @pytest.mark.parametrize("change", [
+        lambda layers: layers.insert(1, {"kind": "lstm"}),  # unknown kind
+        lambda layers: layers[1].update(width=7),  # batchnorm wider than its dense
+        lambda layers: [layers[-3].update(n_out=3), layers[-2].update(width=3)],  # 3 outputs, 2 classes
+        lambda layers: layers[0].update(n_in=True),  # a bool is not a width
+    ])
+    def test_spec_whose_widths_do_not_chain_is_model_error(self, change):
+        doc = Network.initialize(build_ann(6, 2, hidden=(4,)), np.random.default_rng(0)).to_dict()
+        change(doc["spec"]["layers"])
+        with pytest.raises(ModelDataMismatch):
+            Network.from_dict(doc)
+
+    @pytest.mark.parametrize("change", [
+        lambda layers: layers[0].update(in_channels=2),  # the signal has one channel
+        lambda layers: layers[0].update(kernel_width=10),  # kernel longer than the signal
+        lambda layers: layers[2].update(pool=8),  # pool longer than the convolved signal
+        lambda layers: layers.pop(4),  # dense on an unflattened signal
+    ])
+    def test_cnn_spec_whose_shapes_do_not_chain_is_model_error(self, change):
+        doc = Network.initialize(build_cnn(9, 2, n_filters=2, hidden=4), np.random.default_rng(3)).to_dict()
+        change(doc["spec"]["layers"])
+        with pytest.raises(ModelDataMismatch):
+            Network.from_dict(doc)

@@ -250,6 +250,32 @@ def test_inconsistent_model_value_is_model_error(runs, tmp_path, task, kind, key
                  "--output", str(tmp_path / "preds.csv")]) == EXIT_MODEL
 
 
+def set_dense_inputs(model, layer, n_in):
+    """Dense layer `layer` of a network document takes n_in inputs, with a W
+    of n_in rows (cut, or padded with zeros), so every shape fits the spec."""
+    model["spec"]["layers"][layer]["n_in"] = n_in
+    entry = next(e for e in model["params"] if e["layer"] == layer and e["name"] == "W")
+    n_out = entry["shape"][1]
+    entry["values"] = (entry["values"] + [0.0] * n_out)[:n_in * n_out]
+    entry["shape"] = [n_in, n_out]
+
+
+@pytest.mark.parametrize("kind, n_in", [("ann", lambda n: 5), ("cnn", lambda n: n + 1)])
+def test_network_layers_that_do_not_chain_are_model_error(runs, tmp_path, kind, n_in):
+    """A network whose first dense layer (the ann's first layer, the cnn's
+    layer after flatten) does not take the width the layers before it give,
+    with weights of the width it claims, exits 4 and writes no CSV."""
+    doc = json.loads((runs / "multiclass" / "models" / f"{kind}.json").read_text())
+    layers = doc["model"]["spec"]["layers"]
+    layer = next(i for i, d in enumerate(layers) if d["kind"] == "dense")
+    set_dense_inputs(doc["model"], layer, n_in(layers[layer]["n_in"]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
+    assert not out.exists()
+
+
 def first_tree(model):
     """The first tree of an rf, gbm or ada model document."""
     if "trees" in model:

@@ -351,6 +351,55 @@ class TestPresortedSearchEquivalence:
             assert np.array_equal(leaves, got.apply(X)), f"part {part} case {case}"
 
 
+class TestSearchShortcuts:
+    """What the search skips must not change a tree: unit weights (a left
+    weight is its row count), pure nodes (no search, but the rng still
+    draws) and the NaN rule (one NaN gain rules out its candidate)."""
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3, 4])
+    def test_no_weights_same_as_unit_weights(self, task, min_leaf):
+        rng = np.random.default_rng([31, min_leaf])
+        for case in range(20):
+            n, d = int(rng.integers(2, 300)), int(rng.integers(1, 6))
+            X = rng.integers(0, int(rng.integers(2, 40)), size=(n, d)).astype(float)
+            y = rng.integers(0, 4, size=n) if task == "classification" else rng.normal(size=n)
+            params = TreeParams(None if case % 2 else 5, min_leaf, task)
+            fps = int(rng.integers(1, d + 1)) if case % 3 == 0 else None
+            seed = int(rng.integers(1 << 30))
+            got, got_leaves = grow_tree(X, y, None, params, np.random.default_rng(seed), fps)
+            want, want_leaves = grow_tree(X, y, np.ones(n), params, np.random.default_rng(seed), fps)
+            assert got.to_dict() == want.to_dict(), case
+            assert np.array_equal(got_leaves, want_leaves), case
+
+    def test_pure_nodes_still_draw_features(self):
+        rng = np.random.default_rng(4242)
+        for case in range(200):
+            X, y, weights, params, fps = random_case(rng)
+            seed = int(rng.integers(1 << 30))
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grow_tree(X, y, weights, params, got, fps)
+                reference_fit_tree(X, y, weights, params, want, fps)
+            assert got.bit_generator.state == want.bit_generator.state, case
+
+    def test_nan_gain_rules_out_its_candidate(self):
+        # feature 0: its first cuts leave only zero-weight rows on the left
+        # (0/0, a NaN gain), and a later cut separates the classes (gain
+        # 0.5); feature 1's one cut gains 1/6, and is the one taken
+        X = np.array([[0, 0], [1, 0], [2, 0], [3, 0], [4, 1], [5, 0]], dtype=float)
+        y = np.array([0, 0, 0, 0, 1, 1])
+        weights = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        params = TreeParams(max_depth=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tree = fit_tree(X, y, weights, params)
+            want = reference_fit_tree(X, y, weights, params)
+        assert (tree.feature[0], tree.threshold[0]) == (1, 0.5)
+        assert tree.to_dict() == want.to_dict()
+        # with weight on every row there is no NaN, and feature 0 wins
+        assert fit_tree(X, y, np.full(6, 0.5), params).feature[0] == 0
+
+
 # --- stacked descent against the level-synchronous one-tree walk -------------------------
 
 
