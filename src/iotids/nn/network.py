@@ -31,10 +31,6 @@ class NetworkSpec:
             "l2": self.l2,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(d["input_width"], d["class_count"], tuple(d["layers"]), d["l1"], d["l2"])
-
 
 def build_ann(
     input_width: int,
@@ -128,8 +124,6 @@ def _check_layer_chain(spec: NetworkSpec) -> None:
             raise ModelDataMismatch(f"network size {name!r} must be an int >= 1, got {value!r:.80}")
         return value
 
-    if not has_type(list(spec.layers), list[dict]):
-        raise ModelDataMismatch("network layers must be objects")
     shape: tuple[int, ...] = (size(spec.input_width, "input_width"),)
     if spec.layers and spec.layers[0].get("kind") == "conv1d":
         shape += (1,)
@@ -292,7 +286,7 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
-        spec = NetworkSpec.from_dict(d["spec"])
+        spec = NetworkSpec(**bundle_field(d, "spec", NetworkSpec))
         _check_layer_chain(spec)  # before initialize allocates every layer
         net = cls.initialize(spec, np.random.default_rng(0))
         entries = bundle_field(d, "params", list) + bundle_field(d, "buffers", list)

@@ -36,7 +36,7 @@ from .flows import (
     parse_conn_log_file,
     task_class_names,
 )
-from .jsontypes import has_type, type_name
+from .jsontypes import check_fields, from_json_object, value_problem
 from .metrics import compute_metrics, confusion, export_report
 from .models.adaboost import AdaParams, fit_adaboost
 from .models.forest import ForestParams, fit_random_forest
@@ -70,12 +70,12 @@ class ExperimentConfig:
     config_version: int = CONFIG_VERSION
 
     def validate(self) -> None:
-        if type(self.config_version) is not int or self.config_version != CONFIG_VERSION:
+        """The field checks (check_fields), then the rules across fields."""
+        check_fields(self, "config")
+        if self.config_version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {self.config_version!r}")
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"task must be binary or multiclass, got {self.task!r}")
-        if not isinstance(self.models, (list, tuple)) or not all(isinstance(m, str) for m in self.models):
-            raise ConfigError("models must be a list of model names")
         unknown = [m for m in self.models if m not in VALID_MODELS]
         if unknown:
             raise ConfigError(f"unknown models {unknown}; valid: {list(VALID_MODELS)}")
@@ -87,28 +87,12 @@ class ExperimentConfig:
             missing = [m for m in HYBRID_MEMBERS[self.task] if m not in self.models]
             if missing:
                 raise ConfigError(f"hybrid needs members {missing} in the model list")
-        if (
-            not isinstance(self.split, (list, tuple))
-            or len(self.split) != 3
-            or not all(type(f) in (int, float) and 0 <= f <= 1 for f in self.split)
-        ):
+        if not all(0 <= f <= 1 for f in self.split):
             raise ConfigError("split must be three fractions in [0, 1]")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
-        if type(self.per_class) is not int or self.per_class < 1:
-            raise ConfigError("per_class must be an integer >= 1")
-        if type(self.cv_folds) is not int or self.cv_folds < 0 or self.cv_folds == 1:
+        if self.cv_folds == 1:
             raise ConfigError("cv_folds must be 0 (off) or an integer >= 2")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.expected_width is not None and type(self.expected_width) is not int:
-            raise ConfigError("expected_width must be an integer")
-        if not isinstance(self.model_params, dict) or not all(
-            isinstance(p, dict) for p in self.model_params.values()
-        ):
-            raise ConfigError("model_params must map model names to objects")
-        if not isinstance(self.paths, dict) or not all(isinstance(p, str) for p in self.paths.values()):
-            raise ConfigError("paths must map names to path strings")
         for kind in self.models:
             if kind != "hybrid":
                 model_settings(kind, self.model_params.get(kind, {}), self.seed)
@@ -129,24 +113,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        try:
-            cfg = cls(
-                task=d["task"],
-                models=d["models"],
-                per_class=d["per_class"],
-                seed=d["seed"],
-                split=d.get("split", (0.7, 0.2, 0.1)),
-                cv_folds=d.get("cv_folds", 0),
-                expected_width=d.get("expected_width"),
-                model_params=d.get("model_params", {}),
-                paths=d.get("paths", {}),
-                config_version=d.get("config_version", CONFIG_VERSION),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
-        cfg.validate()
+        cfg = from_json_object(cls, d, "config")
         cfg.split = tuple(cfg.split)
         return cfg
 
@@ -179,33 +146,6 @@ def _derived_seed(seed: int, name: str, extra: int = 0) -> int:
     return int(np.random.SeedSequence([seed, _MODEL_SEED_INDEX[name], extra]).generate_state(1)[0])
 
 
-_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-_POSITIVE = (lambda v: v > 0, "> 0")
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-_FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
-# the meaningful range of every numeric model_params key, by name (a key
-# means the same thing in every model that has it); null passes, and each
-# entry of a list is checked
-_VALUE_RANGES = {
-    **dict.fromkeys(
-        ("n_trees", "max_depth", "min_samples_leaf", "features_per_split", "max_rounds", "patience",
-         "n_rounds", "weak_depth", "k", "epochs", "batch_size", "hidden", "n_filters", "kernel_width",
-         "pool"),
-        _AT_LEAST_ONE,
-    ),
-    **dict.fromkeys(("learning_rate", "C", "lr0", "eps"), _POSITIVE),
-    **dict.fromkeys(("leaf_l2", "decay", "l1", "l2", "elu_alpha"), _NON_NEGATIVE),
-    **dict.fromkeys(("dropout_rate", "beta1", "beta2"), _FRACTION),
-}
-
-
-def _in_range(key: str, value) -> bool:
-    if key not in _VALUE_RANGES or value is None:
-        return True
-    values = value if isinstance(value, (list, tuple)) else (value,)
-    return all(_VALUE_RANGES[key][0](v) for v in values)
-
-
 def _with_params(kind: str, target, overrides: dict, **derived):
     """partial(target, **overrides, **derived), once every override names a
     keyword parameter of target and has its annotated type and a value in
@@ -219,10 +159,9 @@ def _with_params(kind: str, target, overrides: dict, **derived):
             raise ConfigError(f"{kind} model_params: {key!r} is derived from the experiment seed")
         if key not in accepted or accepted[key].default is inspect.Parameter.empty:
             raise ConfigError(f"{kind} model_params: unknown key {key!r}")
-        if not has_type(value, hints[key]):
-            raise ConfigError(f"{kind} model_params: {key!r} must be {type_name(hints[key])}, got {value!r}")
-        if not _in_range(key, value):
-            raise ConfigError(f"{kind} model_params: {key!r} must be {_VALUE_RANGES[key][1]}, got {value!r}")
+        problem = value_problem(key, value, hints[key])
+        if problem:
+            raise ConfigError(f"{kind} model_params: {key!r} {problem}")
     return partial(target, **overrides, **derived)
 
 

@@ -7,7 +7,6 @@ renders them with flows.render_conn_log."""
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, IoFailure
 from .flows import BinaryClass, MultiClass, render_conn_log
+from .jsontypes import check_fields, from_json_object
 
 # numeric flow columns that carry the class signal, in blob-dimension order
 SIGNAL_COLUMNS = [
@@ -55,36 +55,13 @@ class SynthSpec:
         return 2 if self.task == "binary" else 7
 
     def validate(self) -> None:
+        check_fields(self, "synth spec")
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"task must be binary or multiclass, got {self.task!r}")
-        if type(self.rows_per_class) is not int or self.rows_per_class < 1:
-            raise ConfigError("rows_per_class must be an integer >= 1")
-        if type(self.feature_width) is not int or self.feature_width < 1:
-            raise ConfigError("feature_width must be an integer >= 1")
-        numbers = (self.center_spacing, self.spread)
-        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers) or self.spread < 0:
-            raise ConfigError("center_spacing and spread must be finite numbers, spread >= 0")
-        if type(self.label_noise) not in (int, float) or not 0.0 <= self.label_noise < 0.5:
-            raise ConfigError("label_noise must be in [0, 0.5)")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "rows_per_class": self.rows_per_class,
-            "feature_width": self.feature_width,
-            "center_spacing": self.center_spacing,
-            "spread": self.spread,
-            "label_noise": self.label_noise,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        spec = cls(**d)
-        spec.validate()
-        return spec
+        return from_json_object(cls, d, "synth spec")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SynthSpec":
@@ -92,8 +69,6 @@ class SynthSpec:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read synth spec {path}: {exc}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"bad synth spec fields: {exc}") from exc
 
 
 def make_blobs(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -334,7 +334,7 @@ class TestConfigErrors:
         from iotids.models.svm import SvmParams
         from iotids.nn.network import build_ann, build_cnn
         from iotids.nn.training import TrainParams
-        from iotids.pipeline import _VALUE_RANGES
+        from iotids.jsontypes import _VALUE_RANGES
 
         for target in (GbmParams, AdaParams, fit_knn, ForestParams, SvmParams, build_ann, build_cnn, TrainParams):
             hints = typing.get_type_hints(target)
@@ -387,6 +387,30 @@ class TestConfigErrors:
     def test_mistyped_synth_seed(self, tmp_path):
         (tmp_path / "spec.json").write_text(json.dumps({"task": "binary", "rows_per_class": 5, "seed": "s"}))
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG
+
+    def test_unknown_config_field_is_config_error(self, probe_data, tmp_path, caplog):
+        # a misspelled cv_folds used to be ignored: the run exited 0 without cv_scores.json
+        assert train_exit(dict(PROBE_CONFIG, cv_fold=3), probe_data, tmp_path) == EXIT_CONFIG
+        assert "config: unknown fields ['cv_fold']" in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field", ["task", "models", "per_class", "seed"])
+    def test_missing_config_field_is_config_error(self, probe_data, tmp_path, caplog, field):
+        config = {k: v for k, v in PROBE_CONFIG.items() if k != field}
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+        assert f"config: missing fields [{field!r}]" in caplog.text
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"task": "binary", "rows_per_class": 5, "noise": 0.1}, "synth spec: unknown fields ['noise']"),
+        ({"task": "binary"}, "synth spec: missing fields ['rows_per_class']"),
+        ({"task": "binary", "rows_per_class": 5, "spread": -1}, "synth spec: 'spread' must be >= 0"),
+        ({"task": "binary", "rows_per_class": 5, "center_spacing": 10**400}, "'center_spacing' must be float"),
+    ])
+    def test_bad_synth_spec_field_is_config_error(self, tmp_path, caplog, spec, message):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG
+        assert message in caplog.text
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("spec", [
         {"task": "multiclass", "rows_per_class": 2, "center_spacing": 1e308},  # class centers overflow
@@ -495,3 +519,4 @@ class TestUnknownLabel:
         assert main(["evaluate", "--model", str(workspace / "run" / "models" / "rf.json"),
                      "--data", str(two_files), "--report", str(tmp_path / "r.json")]) == EXIT_DATA
         assert "b.labeled line 12: label 'Suspicious'" in caplog.text
+

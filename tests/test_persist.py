@@ -260,6 +260,20 @@ def set_dense_inputs(model, layer, n_in):
     entry["shape"] = [n_in, n_out]
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("ann", "l1", "x"), ("cnn", "l2", None), ("ann", "input_width", 3.0), ("cnn", "class_count", True),
+    ("ann", "layers", [1]), ("cnn", "extra", 1),
+])
+def test_retyped_network_spec_value_is_model_error(runs, tmp_path, kind, key, value):
+    doc = json.loads((runs / "multiclass" / "models" / f"{kind}.json").read_text())
+    doc["model"]["spec"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, n_in", [("ann", lambda n: 5), ("cnn", lambda n: n + 1)])
 def test_network_layers_that_do_not_chain_are_model_error(runs, tmp_path, kind, n_in):
     """A network whose first dense layer (the ann's first layer, the cnn's

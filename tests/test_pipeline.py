@@ -52,6 +52,15 @@ VALID_CONFIG = {
     "model_params": {"rf": {"n_trees": 2}},
     "paths": {"data": "data"},
 }
+VALID_SPEC = {
+    "task": "binary",
+    "rows_per_class": 5,
+    "feature_width": 3,
+    "center_spacing": 6.0,
+    "spread": 1.0,
+    "label_noise": 0.1,
+    "seed": 0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +125,20 @@ class TestConfig:
         except ConfigError:
             return
         assert isinstance(cfg.split, tuple)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(JSON_VALUES, st.dictionaries(
+        st.sampled_from(sorted(VALID_SPEC)), JSON_VALUES | st.just(DROPPED), max_size=3
+    ).map(lambda changes: {
+        key: value for key, value in {**VALID_SPEC, **changes}.items() if value is not DROPPED
+    })))
+    def test_synth_spec_from_dict_returns_spec_or_config_error(self, d):
+        # the same reader as the config's: a valid synth spec changed as above, or any JSON value
+        try:
+            spec = SynthSpec.from_dict(d)
+        except ConfigError:
+            return
+        assert isinstance(spec, SynthSpec)
 
 
 class TestLeakageGuard:

@@ -1,5 +1,6 @@
 """Synthetic data generation: determinism, schema fidelity, separability."""
 
+import dataclasses
 import hashlib
 import logging
 
@@ -22,7 +23,7 @@ class TestSpec:
 
     def test_round_trip(self):
         spec = SynthSpec("multiclass", 25, feature_width=12, seed=3)
-        assert SynthSpec.from_dict(spec.to_dict()) == spec
+        assert SynthSpec.from_dict(dataclasses.asdict(spec)) == spec
 
 
 class TestBlobs:
