@@ -55,8 +55,8 @@ class AdaModel:
         )
 
 
-def fit_adaboost(X: np.ndarray, y: np.ndarray, params: AdaParams = AdaParams()) -> AdaModel:
-    """SAMME boosting: stage weight ln((1-e)/e) + ln(C-1), misclassified rows
+def fit_adaboost(X: np.ndarray, y: np.ndarray, params: AdaParams = AdaParams(), *, n_classes: int) -> AdaModel:
+    """SAMME boosting over labels in [0, n_classes): stage weight ln((1-e)/e) + ln(C-1), misclassified rows
     reweighted by exp(alpha) and renormalized each round.
 
     A round with weighted error >= 1 - 1/C is discarded and training stops;
@@ -69,7 +69,6 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, params: AdaParams = AdaParams()) 
     if params.n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     n, d = X.shape
-    n_classes = int(y.max()) + 1
     tree_params = TreeParams(
         max_depth=params.weak_depth,
         min_samples_leaf=params.min_samples_leaf,

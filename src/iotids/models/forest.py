@@ -79,8 +79,11 @@ def fit_random_forest(
     y: np.ndarray,
     params: ForestParams = ForestParams(),
     bootstrap_indices: list[np.ndarray] | None = None,
+    *,
+    n_classes: int,
 ) -> ForestModel:
-    """Train n_trees CARTs on seeded bootstrap samples.
+    """Train n_trees CARTs on seeded bootstrap samples of labels in
+    [0, n_classes).
 
     Per-tree rngs derive from [seed, tree_index], so bootstraps and per-split
     feature draws are independent of row order and of the other trees.
@@ -94,7 +97,6 @@ def fit_random_forest(
     if params.n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     n, d = X.shape
-    n_classes = int(y.max()) + 1
     mtry = params.features_per_split if params.features_per_split is not None else math.ceil(math.sqrt(d))
     mtry = min(mtry, d)
 

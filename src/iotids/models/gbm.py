@@ -113,8 +113,11 @@ def fit_gbm(
     X_val: np.ndarray,
     y_val: np.ndarray,
     params: GbmParams = GbmParams(),
+    *,
+    n_classes: int,
 ) -> tuple[GbmModel, TrainCurve]:
-    """Boost one regression tree per class per round on the softmax gradient.
+    """Boost one regression tree per class in [0, n_classes) per round on
+    the softmax gradient.
 
     Per round and class, with current probabilities p: gradient g = p - y,
     Hessian h = p(1 - p); the tree structure is fit to -g with squared-error
@@ -134,7 +137,6 @@ def fit_gbm(
         raise EmptyValidation("early stopping needs a non-empty validation set")
 
     n, d = X.shape
-    n_classes = int(max(y.max(), y_val.max())) + 1
     Y = one_hot(y, n_classes)
     F_train = np.zeros((n, n_classes))
     F_val = np.zeros((X_val.shape[0], n_classes))

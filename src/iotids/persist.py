@@ -124,7 +124,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
             raise ModelDataMismatch(
                 f"model expects {model.n_features} features but bundled schema has {preproc.schema.width}"
             )
-        if model.n_classes > len(class_names):
+        # a model with probabilities writes one column per class of the task
+        exact = hasattr(model, "predict_proba")
+        if model.n_classes > len(class_names) or exact and model.n_classes != len(class_names):
             raise ModelDataMismatch(f"model predicts {model.n_classes} classes, a {doc['task']} bundle has {len(class_names)}")
         return ModelBundle(kind, doc["task"], model, preproc, bundle_field(doc, "seed", int))
     except (LookupError, TypeError, ValueError, SchemaMismatch) as exc:

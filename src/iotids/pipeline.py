@@ -212,11 +212,11 @@ def train_one_model(
     """
     settings = model_settings(kind, overrides, seed, fold_extra)
     if kind == "rf":
-        return fit_random_forest(X_train, y_train, settings), None
+        return fit_random_forest(X_train, y_train, settings, n_classes=n_classes), None
     if kind == "gbm":
-        return fit_gbm(X_es, y_es, X_val, y_val, settings)
+        return fit_gbm(X_es, y_es, X_val, y_val, settings, n_classes=n_classes)
     if kind == "ada":
-        return fit_adaboost(X_train, y_train, settings), None
+        return fit_adaboost(X_train, y_train, settings, n_classes=n_classes), None
     if kind == "knn":
         return settings(X_train, y_train), None
     if kind == "svm":

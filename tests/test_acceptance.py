@@ -287,12 +287,12 @@ def test_criterion_07_synthetic_end_to_end():
     def test_acc(model):
         return float(np.mean(model.predict(Xm["test"]) == ym["test"]))
 
-    rf = fit_random_forest(Xm["train"], ym["train"], ForestParams(n_trees=15, max_depth=8, seed=1))
+    rf = fit_random_forest(Xm["train"], ym["train"], ForestParams(n_trees=15, max_depth=8, seed=1), n_classes=7)
     acc["rf"] = test_acc(rf)
     gbm, _ = fit_gbm(Xm["train"], ym["train"], Xm["val"], ym["val"],
-                     GbmParams(max_rounds=12, learning_rate=0.4, max_depth=4, patience=4))
+                     GbmParams(max_rounds=12, learning_rate=0.4, max_depth=4, patience=4), n_classes=7)
     acc["gbm"] = test_acc(gbm)
-    ada = fit_adaboost(Xm["train"], ym["train"], AdaParams(n_rounds=15, weak_depth=3))
+    ada = fit_adaboost(Xm["train"], ym["train"], AdaParams(n_rounds=15, weak_depth=3), n_classes=7)
     acc["ada"] = test_acc(ada)
     knn = fit_knn(Xm["train"], ym["train"], k=5)
     acc["knn"] = test_acc(knn)
@@ -312,9 +312,9 @@ def test_criterion_07_synthetic_end_to_end():
     # the svm is binary-only by design, so it and the binary hybrid run on
     # the equally-sized 2-class fixture
     Xb, yb = _scaled_task("binary", seed=78)
-    rf_b = fit_random_forest(Xb["train"], yb["train"], ForestParams(n_trees=15, max_depth=8, seed=4))
+    rf_b = fit_random_forest(Xb["train"], yb["train"], ForestParams(n_trees=15, max_depth=8, seed=4), n_classes=2)
     gbm_b, _ = fit_gbm(Xb["train"], yb["train"], Xb["val"], yb["val"],
-                       GbmParams(max_rounds=10, learning_rate=0.4, max_depth=3, patience=4))
+                       GbmParams(max_rounds=10, learning_rate=0.4, max_depth=3, patience=4), n_classes=2)
     svm_b = fit_linear_svm(Xb["train"], 2.0 * yb["train"] - 1.0, SvmParams(C=10.0, epochs=5, seed=5))
     knn_b = fit_knn(Xb["train"], yb["train"], k=5)
     acc["svm"] = float(np.mean(svm_b.predict(Xb["test"]) == yb["test"]))
@@ -347,7 +347,7 @@ def test_criterion_08_early_stopping():
     yva[:2] = 1  # planted minimum: mislabeled rows punish over-confidence
 
     gbm_params = GbmParams(max_rounds=60, learning_rate=0.3, max_depth=2, patience=5)
-    gbm, curve = fit_gbm(Xtr, ytr, Xva, yva, gbm_params)
+    gbm, curve = fit_gbm(Xtr, ytr, Xva, yva, gbm_params, n_classes=2)
     val = np.array(curve.val_loss)
     assert gbm.best_round == int(val.argmin())
     assert 0 < gbm.best_round < len(val) - 1

@@ -13,7 +13,7 @@ class TestFitAdaboost:
     def test_perfect_first_learner_stops(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
-        model = fit_adaboost(X, y, AdaParams(n_rounds=10))
+        model = fit_adaboost(X, y, AdaParams(n_rounds=10), n_classes=2)
         assert len(model.stages) == 1
         assert model.stages[0][1] > 20.0  # capped large alpha
         np.testing.assert_array_equal(model.predict(X), y)
@@ -22,7 +22,7 @@ class TestFitAdaboost:
         # C=2 makes ln(C-1)=0, so alpha = ln((1-e)/e) exactly
         X = np.arange(8, dtype=float).reshape(-1, 1)
         y = np.array([1, 1, 1, 0, 0, 0, 1, 1])
-        model = fit_adaboost(X, y, AdaParams(n_rounds=1))
+        model = fit_adaboost(X, y, AdaParams(n_rounds=1), n_classes=2)
         eps = 0.25  # first stump (thr 2.5) misclassifies rows 6 and 7
         assert model.stages[0][1] == pytest.approx(math.log((1 - eps) / eps), abs=1e-12)
 
@@ -31,7 +31,7 @@ class TestFitAdaboost:
         # below were tracked by hand through the SAMME recurrence
         X = np.arange(8, dtype=float).reshape(-1, 1)
         y = np.array([1, 1, 1, 0, 0, 0, 1, 1])
-        model = fit_adaboost(X, y, AdaParams(n_rounds=3))
+        model = fit_adaboost(X, y, AdaParams(n_rounds=3), n_classes=2)
         assert len(model.stages) == 3
         alphas = [a for _, a in model.stages]
         assert alphas[0] == pytest.approx(math.log(3), abs=1e-12)   # err 1/4
@@ -45,7 +45,7 @@ class TestFitAdaboost:
         # replay the reweighting recurrence alongside the fitted stages
         X = np.arange(8, dtype=float).reshape(-1, 1)
         y = np.array([1, 1, 1, 0, 0, 0, 1, 1])
-        model = fit_adaboost(X, y, AdaParams(n_rounds=3))
+        model = fit_adaboost(X, y, AdaParams(n_rounds=3), n_classes=2)
         w = np.full(8, 1.0 / 8.0)
         expected_after = [
             np.array([1, 1, 1, 1, 1, 1, 3, 3]) / 12.0,
@@ -64,7 +64,7 @@ class TestFitAdaboost:
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(c * 5, 1, (20, 2)) for c in range(3)])
         y = np.repeat(np.arange(3), 20)
-        model = fit_adaboost(X, y, AdaParams(n_rounds=1, weak_depth=1))
+        model = fit_adaboost(X, y, AdaParams(n_rounds=1, weak_depth=1), n_classes=3)
         tree, alpha = model.stages[0]
         miss = tree.predict(X) != y
         eps = miss.mean()  # uniform initial weights
@@ -74,12 +74,12 @@ class TestFitAdaboost:
         rng = np.random.default_rng(1)
         X = np.vstack([rng.normal(c * 6, 1, (30, 2)) for c in range(3)])
         y = np.repeat(np.arange(3), 30)
-        model = fit_adaboost(X, y, AdaParams(n_rounds=20, weak_depth=2))
+        model = fit_adaboost(X, y, AdaParams(n_rounds=20, weak_depth=2), n_classes=3)
         assert float(np.mean(model.predict(X) == y)) >= 0.95
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            fit_adaboost(np.zeros((0, 1)), np.zeros(0, dtype=int))
+            fit_adaboost(np.zeros((0, 1)), np.zeros(0, dtype=int), n_classes=2)
 
     def test_zero_stage_model_predicts_lowest_class(self):
         model = AdaModel([], n_classes=3, n_features=1, params=AdaParams())
@@ -90,8 +90,8 @@ def test_retrain_bitwise_identical_predictions():
     rng = np.random.default_rng(2)
     X = np.vstack([rng.normal(c * 5, 1, (15, 2)) for c in range(3)])
     y = np.repeat(np.arange(3), 15)
-    a = fit_adaboost(X, y, AdaParams(n_rounds=8, weak_depth=2))
-    b = fit_adaboost(X, y, AdaParams(n_rounds=8, weak_depth=2))
+    a = fit_adaboost(X, y, AdaParams(n_rounds=8, weak_depth=2), n_classes=3)
+    b = fit_adaboost(X, y, AdaParams(n_rounds=8, weak_depth=2), n_classes=3)
     np.testing.assert_array_equal(a.predict(X), b.predict(X))
     assert [s[1] for s in a.stages] == [s[1] for s in b.stages]
 
@@ -110,6 +110,6 @@ def test_one_presort_per_fit(monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(80, 3))
     y = rng.integers(0, 3, size=80)
-    model = fit_adaboost(X, y, AdaParams(n_rounds=5, weak_depth=1))
+    model = fit_adaboost(X, y, AdaParams(n_rounds=5, weak_depth=1), n_classes=3)
     assert len(model.stages) == 5
     assert calls == [(80, 3)]

@@ -520,3 +520,24 @@ class TestUnknownLabel:
                      "--data", str(two_files), "--report", str(tmp_path / "r.json")]) == EXIT_DATA
         assert "b.labeled line 12: label 'Suspicious'" in caplog.text
 
+
+@pytest.mark.parametrize("split", [[0.05, 0.85, 0.1], [0.15, 0.75, 0.1]])
+def test_class_missing_from_train_partition_keeps_task_class_count(tmp_path, split):
+    """Five rows per class leave classes out of a small train partition.
+    rf, gbm and ada still have the task's seven classes, so the hybrid can
+    be built (with split 0.15 their class counts used to differ: exit 3)
+    and a gbm prediction row has a probability for every header column
+    (with split 0.05 it used to have six under a seven-class header)."""
+    (tmp_path / "spec.json").write_text(json.dumps({"task": "multiclass", "rows_per_class": 40, "seed": 4}))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_OK
+    config = {"task": "multiclass", "models": ["rf", "gbm", "ada", "knn", "hybrid"], "per_class": 5, "seed": 1,
+              "split": split, "model_params": {"knn": {"k": 1}}}
+    assert train_exit(config, tmp_path / "data", tmp_path) == EXIT_OK
+    y_train = load_bundle(tmp_path / "run" / "models" / "knn.json").model.y
+    assert len(np.unique(y_train)) < 7
+    for kind in ("rf", "gbm", "ada", "hybrid"):
+        assert load_bundle(tmp_path / "run" / "models" / f"{kind}.json").model.n_classes == 7, kind
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(tmp_path / "run" / "models" / "gbm.json"),
+                 "--input", str(tmp_path / "data" / "synth_multiclass.labeled"), "--output", str(out)]) == EXIT_OK
+    assert {line.count(",") for line in out.read_text().splitlines()} == {8}

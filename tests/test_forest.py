@@ -40,22 +40,22 @@ class TestFitForest:
     def test_single_tree_no_bootstrap_equals_fit_tree(self):
         X, y = blobs(seed=1)
         params = ForestParams(n_trees=1, bootstrap=False, features_per_split=X.shape[1], max_depth=4)
-        forest = fit_random_forest(X, y, params)
+        forest = fit_random_forest(X, y, params, n_classes=2)
         tree = fit_tree(X, y, params=TreeParams(max_depth=4, n_classes=2))
         np.testing.assert_array_equal(forest.predict(X), tree.predict(X))
 
     def test_same_seed_identical_model(self):
         X, y = blobs(seed=2)
         params = ForestParams(n_trees=8, max_depth=5, seed=11)
-        a = fit_random_forest(X, y, params)
-        b = fit_random_forest(X, y, params)
+        a = fit_random_forest(X, y, params, n_classes=2)
+        b = fit_random_forest(X, y, params, n_classes=2)
         for ta, tb in zip(a.trees, b.trees):
             assert ta.to_dict() == tb.to_dict()
 
     def test_blob_accuracy(self):
         X, y = blobs(seed=3, n=120)
         split = 180
-        forest = fit_random_forest(X[:split], y[:split], ForestParams(n_trees=25, max_depth=5, seed=7))
+        forest = fit_random_forest(X[:split], y[:split], ForestParams(n_trees=25, max_depth=5, seed=7), n_classes=2)
         acc = float(np.mean(forest.predict(X[split:]) == y[split:]))
         assert acc >= 0.95
 
@@ -64,20 +64,20 @@ class TestFitForest:
         # (X, y) and remap the same draws through the permutation
         X, y = blobs(seed=4, n=40)
         params = ForestParams(n_trees=5, max_depth=4, seed=9)
-        base = fit_random_forest(X, y, params)
+        base = fit_random_forest(X, y, params, n_classes=2)
         n = X.shape[0]
         draws = [np.random.default_rng([params.seed, t, 0]).integers(0, n, size=n) for t in range(5)]
         perm = np.random.default_rng(123).permutation(n)
         inverse = np.empty(n, dtype=np.int64)
         inverse[perm] = np.arange(n)
         permuted = fit_random_forest(X[perm], y[perm], params,
-                                     bootstrap_indices=[inverse[d] for d in draws])
+                                     bootstrap_indices=[inverse[d] for d in draws], n_classes=2)
         for ta, tb in zip(base.trees, permuted.trees):
             assert ta.to_dict() == tb.to_dict()
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            fit_random_forest(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            fit_random_forest(np.zeros((0, 2)), np.zeros(0, dtype=int), n_classes=2)
 
 
 class TestPredictForest:
@@ -101,7 +101,7 @@ class TestPredictForest:
 
     def test_shares_sum_to_one(self):
         X, y = blobs(seed=5)
-        forest = fit_random_forest(X, y, ForestParams(n_trees=7, max_depth=3, seed=1))
+        forest = fit_random_forest(X, y, ForestParams(n_trees=7, max_depth=3, seed=1), n_classes=2)
         shares = forest.predict_proba(X)
         np.testing.assert_allclose(shares.sum(axis=1), 1.0)
 

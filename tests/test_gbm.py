@@ -37,13 +37,13 @@ class TestFitGbm:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         params = GbmParams(max_rounds=1, learning_rate=1.0, max_depth=8, leaf_l2=0.0, patience=5)
-        model, curve = fit_gbm(X, y, X, y, params)
+        model, curve = fit_gbm(X, y, X, y, params, n_classes=2)
         assert curve.train_loss[0] < math.log(2)
 
     def test_constant_label_val_loss_non_increasing(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.ones(10, dtype=int)
-        model, curve = fit_gbm(X, y, X, y, GbmParams(max_rounds=8, patience=8))
+        model, curve = fit_gbm(X, y, X, y, GbmParams(max_rounds=8, patience=8), n_classes=2)
         diffs = np.diff(curve.val_loss)
         assert np.all(diffs <= 1e-12)
         assert np.all(model.predict(X) == 1)
@@ -52,7 +52,7 @@ class TestFitGbm:
         X, y = blobs(7, n=40)
         params = GbmParams(max_rounds=12, learning_rate=0.5, max_depth=3,
                            leaf_l2=0.0, patience=12)
-        _, curve = fit_gbm(X, y, X, y, params)
+        _, curve = fit_gbm(X, y, X, y, params, n_classes=2)
         assert np.all(np.diff(curve.train_loss) <= 1e-12)
 
     def test_planted_val_minimum_early_stop(self):
@@ -66,7 +66,7 @@ class TestFitGbm:
         yva = np.array([0] * 25 + [1] * 25)
         yva[:2] = 1
         params = GbmParams(max_rounds=60, learning_rate=0.3, max_depth=2, patience=5)
-        model, curve = fit_gbm(Xtr, ytr, Xva, yva, params)
+        model, curve = fit_gbm(Xtr, ytr, Xva, yva, params, n_classes=2)
         val = np.array(curve.val_loss)
         assert model.best_round == int(val.argmin()) == 3
         assert curve.stopped_at - model.best_round == params.patience
@@ -75,11 +75,11 @@ class TestFitGbm:
     def test_empty_validation(self):
         X, y = blobs(1, n=10)
         with pytest.raises(EmptyValidation):
-            fit_gbm(X, y, np.zeros((0, 2)), np.zeros(0, dtype=int), GbmParams())
+            fit_gbm(X, y, np.zeros((0, 2)), np.zeros(0, dtype=int), GbmParams(), n_classes=2)
 
     def test_curve_csv_format(self):
         X, y = blobs(2, n=15)
-        _, curve = fit_gbm(X, y, X, y, GbmParams(max_rounds=3, patience=3))
+        _, curve = fit_gbm(X, y, X, y, GbmParams(max_rounds=3, patience=3), n_classes=2)
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "round,train_loss,val_loss"
         assert len(lines) == 1 + len(curve.train_loss)
@@ -94,7 +94,7 @@ class TestPredictGbm:
 
     def test_probabilities_sum_to_one(self):
         X, y = blobs(3, n=30)
-        model, _ = fit_gbm(X, y, X, y, GbmParams(max_rounds=5, patience=5))
+        model, _ = fit_gbm(X, y, X, y, GbmParams(max_rounds=5, patience=5), n_classes=2)
         probs = model.predict_proba(X)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -128,7 +128,7 @@ class TestPredictGbm:
     def test_val_loss_at_best_round_is_minimum(self):
         X, y = blobs(9, n=50, gap=2.0)
         Xva, yva = blobs(10, n=20, gap=2.0)
-        model, curve = fit_gbm(X, y, Xva, yva, GbmParams(max_rounds=30, patience=4))
+        model, curve = fit_gbm(X, y, Xva, yva, GbmParams(max_rounds=30, patience=4), n_classes=2)
         assert curve.val_loss[model.best_round] == min(curve.val_loss)
 
     def test_width_mismatch(self):
@@ -141,7 +141,7 @@ class TestPredictGbm:
         # own predictions through each round
         X, y = blobs(11, n=25)
         params = GbmParams(max_rounds=4, learning_rate=0.2, max_depth=2, patience=4)
-        model, curve = fit_gbm(X, y, X, y, params)
+        model, curve = fit_gbm(X, y, X, y, params, n_classes=2)
         F = np.zeros((X.shape[0], 2))
         for r, round_trees in enumerate(model.rounds):
             for c, tree in enumerate(round_trees):
@@ -153,8 +153,8 @@ class TestPredictGbm:
 def test_retrain_bitwise_identical_predictions():
     X, y = blobs(21, n=30)
     params = GbmParams(max_rounds=5, max_depth=3, patience=5)
-    a, _ = fit_gbm(X, y, X, y, params)
-    b, _ = fit_gbm(X, y, X, y, params)
+    a, _ = fit_gbm(X, y, X, y, params, n_classes=2)
+    b, _ = fit_gbm(X, y, X, y, params, n_classes=2)
     pa = a.predict_proba(X)
     pb = b.predict_proba(X)
     np.testing.assert_array_equal(pa, pb)
@@ -174,6 +174,6 @@ def test_one_presort_per_fit(monkeypatch):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(90, 3))
     y = rng.integers(0, 3, size=90)
-    model, curve = fit_gbm(X, y, X[:30], y[:30], GbmParams(max_rounds=4, max_depth=3, patience=4))
+    model, curve = fit_gbm(X, y, X[:30], y[:30], GbmParams(max_rounds=4, max_depth=3, patience=4), n_classes=3)
     assert len(model.rounds) == 4 and model.n_classes == 3  # 12 trees
     assert calls == [(90, 3)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from iotids.cli import EXIT_MODEL, EXIT_OK, main
-from iotids.flows import parse_conn_log_file
+from iotids.flows import parse_conn_log_file, task_class_names
 from iotids.persist import load_bundle
 
 RUNS = {
@@ -164,6 +164,14 @@ def test_task_not_matching_class_names_is_model_error(runs, tmp_path):
 def test_more_model_classes_than_class_names_is_model_error(runs, tmp_path):
     doc = json.loads((runs / "binary" / "models" / "rf.json").read_text())
     doc["model"]["n_classes"] = 7
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+@pytest.mark.parametrize("kind", ["rf", "gbm"])
+def test_relabelled_probability_model_is_model_error(runs, tmp_path, kind):
+    # a binary model under multiclass task and names would write 2 probabilities under 7 columns
+    doc = json.loads((runs / "binary" / "models" / f"{kind}.json").read_text())
+    doc["task"], doc["class_names"] = "multiclass", task_class_names("multiclass")
     assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
 
 
