@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import IoFailure, ModelDataMismatch, SchemaMismatch
 from .features import (
+    CATEGORICAL_FIELDS,
     CidrTable,
     FeatureSchema,
     MinMaxParams,
@@ -49,13 +50,20 @@ class PreprocState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocState":
-        vocab = OneHotVocabulary({f: tuple(c) for f, c in d["vocabulary"].items()})
-        mm = MinMaxParams(
-            np.asarray(d["min_max"]["x_min"], dtype=float),
-            np.asarray(d["min_max"]["x_max"], dtype=float),
-            d["min_max"]["fitted_on"],
-        )
-        return cls(vocab, mm, CidrTable.from_rows((r[0], r[1]) for r in d["cidr"]))
+        """The state a bundle holds: a category list for each categorical
+        feature, a scaler bound per column of the schema those lists give,
+        and (cidr, country) rows; anything else is ModelDataMismatch."""
+        categories = bundle_field(d, "vocabulary", dict[str, list[str]])
+        if categories.keys() != set(CATEGORICAL_FIELDS):
+            raise ModelDataMismatch(f"bundle vocabulary must cover {CATEGORICAL_FIELDS}, got {list(categories)}")
+        vocab = OneHotVocabulary({f: tuple(c) for f, c in categories.items()})
+        mm = bundle_field(d, "min_max", dict)
+        x_min, x_max = (np.asarray(bundle_field(mm, k, list[float]), dtype=float) for k in ("x_min", "x_max"))
+        width = build_schema(vocab).width
+        if len(x_min) != width or len(x_max) != width:
+            raise ModelDataMismatch(f"bundle scaler has {len(x_min)} and {len(x_max)} bounds for {width} columns")
+        cidr = CidrTable.from_rows(bundle_field(d, "cidr", list[tuple[str, str]]))
+        return cls(vocab, MinMaxParams(x_min, x_max, bundle_field(mm, "fitted_on", str)), cidr)
 
 
 @dataclass

@@ -175,6 +175,39 @@ def test_relabelled_probability_model_is_model_error(runs, tmp_path, kind):
     assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
 
 
+def set_min_max(key, value):
+    def change(preprocessing):
+        preprocessing["min_max"][key] = value(preprocessing["min_max"][key])
+    return change
+
+
+def set_preprocessing(key, value):
+    def change(preprocessing):
+        preprocessing[key] = value(preprocessing[key])
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    set_min_max("x_max", lambda v: [True] * len(v)),
+    set_min_max("x_min", lambda v: [str(x) for x in v]),
+    set_min_max("x_min", lambda v: v[:-1]),
+    set_min_max("x_max", lambda v: v + [1.0]),
+    set_min_max("fitted_on", lambda v: [1, 2]),
+    set_preprocessing("cidr", lambda v: [["10.0.0.0/8", 5]]),
+    set_preprocessing("cidr", lambda v: [["10.0.0.0/8", "US", "x"]]),
+    set_preprocessing("vocabulary", lambda v: dict(v, proto=[1])),
+    set_preprocessing("vocabulary", lambda v: {k: c for k, c in v.items() if k != "service"}),
+    set_preprocessing("vocabulary", lambda v: dict(v, extra=[])),
+], ids=["x_max_bools", "x_min_strings", "x_min_short", "x_max_long", "fitted_on_list", "cidr_country_int",
+        "cidr_triple", "category_int", "feature_missing", "feature_extra"])
+def test_malformed_preprocessing_is_model_error(runs, tmp_path, change):
+    """Preprocessing values of the wrong type or width: exit 4 at load,
+    before any row is featurized with them."""
+    doc = json.loads((runs / "binary" / "models" / "gbm.json").read_text())
+    change(doc["preprocessing"])
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
 # one value of each JSON type; 1.5 is a valid value only for the float keys
 RETYPED = [None, "x", [1], 1.5, True, {}]
 FLOAT_KEYS = {"learning_rate", "b", "C"}
