@@ -287,6 +287,63 @@ class TestRenderRoundTrip:
                 assert table[attr] == expected, attr
 
 
+# tokens a hostile or damaged conn log may hold in any cell
+_HOSTILE_TOKENS = [
+    "-", "(empty)", "", "1e400", "nan", "inf", "-1", "0", "3.5", "65536", "T", "F", "tcp",
+    "::ffff:1.2.3.4", "1.2.3.4", "fe80::1", "256.1.1.1", "Benign", "malicious", "C&C", "DDoS", "x y",
+]
+
+
+def _plausible_token(column):
+    if column in ("id.orig_h", "id.resp_h"):
+        return "192.168.1.1"
+    if column in ("label", "detailed-label"):
+        return "Malicious" if column == "label" else "DDoS"
+    if column in BOOL_COLUMNS:
+        return "T"
+    return "1" if column in FLOAT_COLUMNS | INT_COLUMNS else "tcp"
+
+
+@st.composite
+def _hostile_logs(draw):
+    """A log under the header less up to three columns (and shuffled one
+    time in four), whose rows hold plausible values with up to two hostile
+    tokens, may glue their last cells with spaces, and may be short by up
+    to two cells."""
+    dropped = draw(st.lists(st.sampled_from(list(ZEEK_TO_ATTR)), unique=True, max_size=3))
+    header = [c for c in ZEEK_TO_ATTR if c not in dropped]
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.permutations(header))
+    lines = ["#fields\t" + "\t".join(header)]
+    for _ in range(draw(st.integers(1, 4))):
+        cells = [_plausible_token(c) for c in header]
+        for at in draw(st.lists(st.integers(0, len(header) - 1), max_size=2)):
+            cells[at] = draw(st.sampled_from(_HOSTILE_TOKENS))
+        glued = draw(st.sampled_from([0, 0, 2, 3]))
+        if 1 < glued <= len(cells):
+            cells[-glued:] = ["   ".join(cells[-glued:])]
+        lines.append("\t".join(cells[: len(cells) - draw(st.sampled_from([0, 0, 0, 1, 2]))]))
+    return "\n".join(lines) + "\n"
+
+
+class TestHostileTokens:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_hostile_logs(), st.sampled_from(["binary", "multiclass", None]))
+    def test_parse_label_featurize_gives_matrix_or_data_error(self, text, task):
+        # the train path labels the rows of a task; the predict path (None) reads unlabeled rows
+        cidr = CidrTable()
+        try:
+            table = parse_conn_log(text, allow_unlabeled=task is None)
+            if task is not None:
+                dataset = label_rows(table)
+                table = dataset.take(np.flatnonzero(dataset.targets(task) >= 0)).table
+            vocab = fit_one_hot(ip_and_categorical_columns(table, cidr)[1])
+            values, schema = matrix_from_records(table, cidr, vocab)
+        except DataError:
+            return
+        assert values.shape == (len(table), schema.width) and np.isfinite(values).all()
+
+
 def featurized(*rows):
     """Raw feature rows, keyed by column name, of parsed rows under a
     vocabulary fitted on those rows."""
