@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
+from ..parallel import forked_map
 from .tree import DecisionTree, TreeParams, fit_tree, stack_trees
 
 
@@ -88,7 +89,9 @@ def fit_random_forest(
     Per-tree rngs derive from [seed, tree_index], so bootstraps and per-split
     feature draws are independent of row order and of the other trees.
     bootstrap_indices, when given, overrides the seeded draw (one index array
-    per tree); used to pin samples in tests.
+    per tree); used to pin samples in tests.  The trees are grown in forked
+    children, one per usable CPU (parallel.forked_map); the model is the same
+    whatever their number.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -100,29 +103,26 @@ def fit_random_forest(
     mtry = params.features_per_split if params.features_per_split is not None else math.ceil(math.sqrt(d))
     mtry = min(mtry, d)
 
-    trees: list[DecisionTree] = []
-    tree_seeds: list[list[int]] = []
     tree_params = TreeParams(
         max_depth=params.max_depth,
         min_samples_leaf=params.min_samples_leaf,
         task="classification",
         n_classes=n_classes,
     )
-    for t in range(params.n_trees):
-        seed_key = [params.seed, t]
+    tree_seeds = [[params.seed, t] for t in range(params.n_trees)]
+
+    def fit_one(t: int) -> DecisionTree:
         # independent streams so injected bootstraps leave split draws intact
-        bootstrap_rng = np.random.default_rng(seed_key + [0])
-        split_rng = np.random.default_rng(seed_key + [1])
+        bootstrap_rng = np.random.default_rng(tree_seeds[t] + [0])
+        split_rng = np.random.default_rng(tree_seeds[t] + [1])
         if bootstrap_indices is not None:
             idx = np.asarray(bootstrap_indices[t], dtype=np.int64)
         elif params.bootstrap:
             idx = bootstrap_rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        trees.append(
-            fit_tree(X[idx], y[idx], None, tree_params, rng=split_rng, features_per_split=mtry)
-        )
-        tree_seeds.append(seed_key)
+        return fit_tree(X[idx], y[idx], None, tree_params, rng=split_rng, features_per_split=mtry)
 
+    trees = forked_map(fit_one, range(params.n_trees))
     return ForestModel(trees, tree_seeds, mtry, n_classes, d, params)
 

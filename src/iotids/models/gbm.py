@@ -10,6 +10,7 @@ import numpy as np
 from ..errors import EmptyInput, EmptyValidation, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
+from ..parallel import forked_map
 from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 
@@ -155,11 +156,14 @@ def fit_gbm(
     stopped_at = 0
     for r in range(params.max_rounds):
         P = softmax(F_train)
+        G = P - Y
+        # the class trees all read this round's G, so they grow in parallel
+        grown = forked_map(lambda c: grow_tree(X, -G[:, c], None, tree_params, presorted=sorted_rows),
+                           range(n_classes))
         round_trees: list[DecisionTree] = []
-        for c in range(n_classes):
-            g = P[:, c] - Y[:, c]
+        for c, (tree, leaves) in enumerate(grown):
+            g = G[:, c]
             h = P[:, c] * (1.0 - P[:, c])
-            tree, leaves = grow_tree(X, -g, None, tree_params, presorted=sorted_rows)
             _newton_leaf_scores(tree, leaves, g, h, params.leaf_l2)
             F_train[:, c] += params.learning_rate * tree.leaf_score[leaves]
             F_val[:, c] += params.learning_rate * tree.leaf_score[tree.apply(X_val)]
