@@ -132,8 +132,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             raise ModelDataMismatch(
                 f"model expects {model.n_features} features but bundled schema has {preproc.schema.width}"
             )
-        # a model with probabilities writes one column per class of the task
-        exact = hasattr(model, "predict_proba")
+        # every model but KNN is fit over its task's classes; KNN counts the labels it stores
+        exact = kind != "knn"
         if model.n_classes > len(class_names) or exact and model.n_classes != len(class_names):
             raise ModelDataMismatch(f"model predicts {model.n_classes} classes, a {doc['task']} bundle has {len(class_names)}")
         return ModelBundle(kind, doc["task"], model, preproc, bundle_field(doc, "seed", int))

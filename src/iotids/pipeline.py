@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("split must be three fractions in [0, 1]")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
+        if self.split[0] == 0:
+            raise ConfigError("split must give the train partition a fraction above 0")
         if self.cv_folds == 1:
             raise ConfigError("cv_folds must be 0 (off) or an integer >= 2")
         for kind in self.models:
@@ -258,6 +260,8 @@ def run_training(
     y_all = sampled.targets(task)
     split = stratified_split(y_all, config.split, config.seed)
     partitions = split.partitions()
+    if not len(partitions["train"]):
+        raise DataError(f"the train partition is empty: split {list(config.split)} of {len(y_all)} sampled rows")
     cidr = CidrTable.from_csv(cidr_path) if cidr_path else CidrTable()
 
     # fit encoders and scaler on the training partition only

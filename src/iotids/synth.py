@@ -58,6 +58,11 @@ class SynthSpec:
         check_fields(self, "synth spec")
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"task must be binary or multiclass, got {self.task!r}")
+        if self.n_classes * self.rows_per_class * self.feature_width > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"rows_per_class {self.rows_per_class} x {self.n_classes} classes x feature_width "
+                f"{self.feature_width} values do not fit int64"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":

@@ -413,6 +413,29 @@ class TestConfigErrors:
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("spec", [
+        {"task": "binary", "rows_per_class": 10**20},
+        {"task": "multiclass", "rows_per_class": 2**60, "feature_width": 2},
+    ])
+    def test_synth_row_count_beyond_int64_is_config_error(self, tmp_path, caplog, spec):
+        # rows_per_class x classes x feature_width values do not fit int64; no file is written
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_CONFIG
+        assert "do not fit int64" in caplog.text
+        assert not (tmp_path / "data").exists()
+
+    def test_train_fraction_of_zero_is_config_error(self, probe_data, tmp_path, caplog):
+        assert train_exit(dict(PROBE_CONFIG, split=[0, 1, 0]), probe_data, tmp_path) == EXIT_CONFIG
+        assert "train partition" in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_train_partition_is_data_error(self, probe_data, tmp_path, caplog):
+        # 1% of 10 rows per class rounds to no train row
+        config = dict(PROBE_CONFIG, per_class=10, split=[0.01, 0.99, 0])
+        assert train_exit(config, probe_data, tmp_path) == EXIT_DATA
+        assert "the train partition is empty" in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec", [
         {"task": "multiclass", "rows_per_class": 2, "center_spacing": 1e308},  # class centers overflow
         {"task": "binary", "rows_per_class": 2, "spread": 1e308},  # the blob noise overflows
         {"task": "binary", "rows_per_class": 2, "center_spacing": 1.5e308, "spread": 1e307},  # only the shift does

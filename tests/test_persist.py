@@ -366,6 +366,17 @@ def first_leaf(tree):
     return tree["feature"].index(-1)
 
 
+def ada_over(n_classes):
+    """Change that makes an AdaBoost model consistent over n_classes classes,
+    as if it had been fit on a partition holding fewer than its task's."""
+    def change(model):
+        model["n_classes"] = n_classes
+        for stage in model["stages"]:
+            stage["tree"]["params"]["n_classes"] = n_classes
+            stage["tree"]["leaf_class_counts"] = [row[:n_classes] for row in stage["tree"]["leaf_class_counts"]]
+    return change
+
+
 @pytest.mark.parametrize("task, kind, change", [
     # tree arrays of different lengths
     ("binary", "rf", set_tree("threshold", lambda t: t["threshold"][:-1])),
@@ -396,11 +407,14 @@ def first_leaf(tree):
     ("binary", "gbm", set_model("best_round", lambda m: len(m["rounds"]))),
     ("binary", "gbm", set_model("rounds", lambda m: [rnd[:1] for rnd in m["rounds"]])),
     ("binary", "gbm", set_model("rounds", lambda m: [rnd + rnd[:1] for rnd in m["rounds"]])),
+    # an AdaBoost model over fewer classes than its task has
+    ("multiclass", "ada", ada_over(6)),
 ])
 def test_inconsistent_tree_value_is_model_error(runs, tmp_path, task, kind, change):
     """Tree bundles whose arrays do not fit together or would send a descent
-    outside a tree, and forest and GBM values that disagree with their trees:
-    exit 4 from predict and from the hybrid that holds the model."""
+    outside a tree, forest and GBM values that disagree with their trees, and
+    a model over another class count than its task's: exit 4 from predict and
+    from the hybrid that holds the model."""
     data = runs / f"{task}_data" / f"synth_{task}.labeled"
     bad = tmp_path / "bad.json"
     for name in (kind, "hybrid"):
