@@ -9,7 +9,6 @@ import numpy as np
 
 from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
-from ..parallel import forked_map
 from .tree import DecisionTree, TreeParams, fit_tree, stack_trees
 
 
@@ -93,6 +92,8 @@ def fit_random_forest(
     children, one per usable CPU (parallel.forked_map); the model is the same
     whatever their number.
     """
+    from ..parallel import forked_map  # here, so predicting loads no module for fitting
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:

@@ -10,7 +10,6 @@ import numpy as np
 from ..errors import EmptyInput, EmptyValidation, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
-from ..parallel import forked_map
 from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 
@@ -128,6 +127,8 @@ def fit_gbm(
     loss has not improved for `patience` rounds, and prediction uses rounds
     0..best_round only.
     """
+    from ..parallel import forked_map  # here, so predicting loads no module for fitting
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     X_val = np.asarray(X_val, dtype=float)

@@ -12,7 +12,7 @@ exit handler and flushes no buffer of the parent's.
 from __future__ import annotations
 
 import os
-import pickle  # numpy imports it too, so a predicting process loads nothing new
+import pickle
 
 
 def usable_cpus() -> int:
