@@ -93,8 +93,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
     table = parse_conn_log_file(args.input, allow_unlabeled=True)
     X = bundle.featurize(table)
-    labels = bundle.predict(X)
     probs = bundle.predict_proba(X)
+    labels = bundle.predict(X) if probs is None else probs.argmax(axis=1)
 
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)

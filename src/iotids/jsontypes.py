@@ -1,6 +1,7 @@
 """Checks of decoded JSON values against annotations and value ranges: the
 one reader of JSON records from outside (the experiment config and its
-model_params, the synth spec, and every bundle value)."""
+model_params, the synth spec, and every bundle value, network layer
+descriptors included)."""
 
 from __future__ import annotations
 
@@ -58,19 +59,21 @@ _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
-# the meaningful range of every numeric field of a config, synth spec or
-# model_params entry, by name (a name means the same thing wherever it
-# appears); null passes, and each entry of a list is checked
+# the meaningful range of every numeric field of a config, synth spec,
+# model_params entry or network layer descriptor, by name (a name means the
+# same thing wherever it appears); null passes, and each entry of a list is
+# checked
 _VALUE_RANGES = {
     **dict.fromkeys(
         ("n_trees", "max_depth", "min_samples_leaf", "features_per_split", "max_rounds", "patience",
          "n_rounds", "weak_depth", "k", "epochs", "batch_size", "hidden", "n_filters", "kernel_width",
-         "pool", "per_class", "rows_per_class", "feature_width"),
+         "pool", "per_class", "rows_per_class", "feature_width", "n_in", "n_out", "width", "in_channels",
+         "input_width", "class_count"),
         _AT_LEAST_ONE,
     ),
-    **dict.fromkeys(("learning_rate", "C", "lr0", "eps"), _POSITIVE),
-    **dict.fromkeys(("leaf_l2", "decay", "l1", "l2", "elu_alpha", "seed", "spread", "cv_folds"), _NON_NEGATIVE),
-    **dict.fromkeys(("dropout_rate", "beta1", "beta2"), _FRACTION),
+    **dict.fromkeys(("learning_rate", "C", "lr0", "eps", "elu_alpha", "alpha"), _POSITIVE),
+    **dict.fromkeys(("leaf_l2", "decay", "l1", "l2", "seed", "spread", "cv_folds"), _NON_NEGATIVE),
+    **dict.fromkeys(("dropout_rate", "rate", "beta1", "beta2"), _FRACTION),
     "label_noise": (lambda v: 0 <= v < 0.5, "in [0, 0.5)"),
 }
 

@@ -8,6 +8,8 @@ convolutional inputs are (batch, length, channels).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..numerics import softmax as _softmax
@@ -63,12 +65,13 @@ class BatchNorm(Layer):
     transform, whose backward pass is still defined for gradient checking.
     """
 
-    def __init__(self, width: int, momentum: float = 0.9, eps: float = 1e-5):
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, width: int):
         super().__init__()
         self.params = {"gamma": np.ones(width), "beta": np.zeros(width)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.momentum = momentum
-        self.eps = eps
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
 
@@ -220,7 +223,7 @@ class MaxPool1d(Layer):
 class Flatten(Layer):
     def forward(self, x, training, rng=None):
         self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # -1 is ambiguous with no rows
 
     def backward(self, grad_out):
         return grad_out.reshape(self._in_shape)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputTooNarrow, ModelDataMismatch, ShapeMismatch
-from ..jsontypes import bundle_field, has_type
+from ..jsontypes import bundle_field, value_problem
 from ..numerics import cross_entropy_mean, one_hot, softmax
 from .functional import elastic_net_penalty
 from .layers import BatchNorm, Conv1d, Dense, Dropout, Elu, Flatten, Layer, MaxPool1d, Relu, Softmax
@@ -90,60 +90,62 @@ def build_cnn(
     return NetworkSpec(input_width, class_count, layers, l1, l2)
 
 
-def _materialize(desc: dict, rng: np.random.Generator) -> Layer:
-    kind = desc["kind"]
-    if kind == "dense":
-        return Dense(desc["n_in"], desc["n_out"], rng)
-    if kind == "batchnorm":
-        return BatchNorm(desc["width"], desc.get("momentum", 0.9), desc.get("eps", 1e-5))
-    if kind == "elu":
-        return Elu(desc.get("alpha", 1.0))
-    if kind == "relu":
-        return Relu()
-    if kind == "softmax":
-        return Softmax()
-    if kind == "dropout":
-        return Dropout(desc["rate"])
-    if kind == "conv1d":
-        return Conv1d(desc["in_channels"], desc["n_filters"], desc["kernel_width"], rng)
-    if kind == "maxpool":
-        return MaxPool1d(desc["pool"])
-    if kind == "flatten":
-        return Flatten()
-    raise ValueError(f"unknown layer kind {kind!r}")
+# each layer kind's class and descriptor fields, in its constructor's order
+_LAYERS: dict[str, tuple[type[Layer], dict[str, type]]] = {
+    "dense": (Dense, {"n_in": int, "n_out": int}),
+    "batchnorm": (BatchNorm, {"width": int}),
+    "elu": (Elu, {"alpha": float}),
+    "relu": (Relu, {}),
+    "softmax": (Softmax, {}),
+    "dropout": (Dropout, {"rate": float}),
+    "conv1d": (Conv1d, {"in_channels": int, "n_filters": int, "kernel_width": int}),
+    "maxpool": (MaxPool1d, {"pool": int}),
+    "flatten": (Flatten, {}),
+}
 
 
-def _check_layer_chain(spec: NetworkSpec) -> None:
-    """Raise ModelDataMismatch unless every layer of spec is of a known kind
-    and takes the shape the layers before it give: (width,) for a row,
-    (length, channels) for a signal.  The input is (input_width,), or
-    (input_width, 1) before a leading conv1d; the output is (class_count,)."""
-
-    def size(value, name: str) -> int:
-        if not has_type(value, int) or value < 1:
-            raise ModelDataMismatch(f"network size {name!r} must be an int >= 1, got {value!r:.80}")
-        return value
-
-    shape: tuple[int, ...] = (size(spec.input_width, "input_width"),)
+def _build_layers(spec: NetworkSpec, rng: np.random.Generator) -> list[Layer]:
+    """The layers of spec (dense and conv1d draw from rng), built only once
+    every check has passed; a failed check is ModelDataMismatch.  Each
+    descriptor has a known kind and exactly its fields, each value of its
+    type and range (jsontypes), and each layer takes the shape the layers
+    before it give: (width,) for a row, (length, channels) for a signal,
+    from (input_width,), or (input_width, 1) before a leading conv1d, to a
+    final softmax over (class_count,)."""
+    for name in ("input_width", "class_count"):
+        problem = value_problem(name, getattr(spec, name), int)
+        if problem:
+            raise ModelDataMismatch(f"network {name!r} {problem}")
+    shape: tuple[int, ...] = (spec.input_width,)
     if spec.layers and spec.layers[0].get("kind") == "conv1d":
         shape += (1,)
+    built = []  # (class, constructor arguments) of each layer, made after the checks
     for i, desc in enumerate(spec.layers):
         kind = desc.get("kind")
-        if kind == "dense" and shape == (size(desc.get("n_in"), "n_in"),):
-            shape = (size(desc.get("n_out"), "n_out"),)
-        elif kind == "batchnorm" and shape == (size(desc.get("width"), "width"),):
-            pass
-        elif (kind == "conv1d" and len(shape) == 2 and shape[1] == size(desc.get("in_channels"), "in_channels")
-              and shape[0] >= size(desc.get("kernel_width"), "kernel_width")):
-            shape = (shape[0] - desc["kernel_width"] + 1, size(desc.get("n_filters"), "n_filters"))
-        elif kind == "maxpool" and len(shape) == 2 and shape[0] >= size(desc.get("pool"), "pool"):
+        if type(kind) is not str or kind not in _LAYERS:
+            raise ModelDataMismatch(f"network layer {i} has unknown kind {kind!r:.80}")
+        cls, fields = _LAYERS[kind]
+        if desc.keys() != {"kind", *fields}:
+            raise ModelDataMismatch(f"network layer {i} ({kind}) must have exactly the fields {sorted(fields)}")
+        for name, hint in fields.items():
+            problem = value_problem(name, desc[name], hint)
+            if problem:
+                raise ModelDataMismatch(f"network layer {i} ({kind}) {name!r} {problem}")
+        if kind == "dense" and shape == (desc["n_in"],):
+            shape = (desc["n_out"],)
+        elif (kind == "conv1d" and len(shape) == 2 and shape[1] == desc["in_channels"]
+              and shape[0] >= desc["kernel_width"]):
+            shape = (shape[0] - desc["kernel_width"] + 1, desc["n_filters"])
+        elif kind == "maxpool" and len(shape) == 2 and shape[0] >= desc["pool"]:
             shape = (shape[0] // desc["pool"], shape[1])
         elif kind == "flatten":
             shape = (math.prod(shape),)
-        elif kind not in ("elu", "relu", "dropout", "softmax"):
-            raise ModelDataMismatch(f"network layer {i} ({kind!r}) does not take input of shape {shape}")
-    if shape != (size(spec.class_count, "class_count"),):
-        raise ModelDataMismatch(f"network output has shape {shape}, expected ({spec.class_count},)")
+        elif kind in ("dense", "conv1d", "maxpool") or kind == "batchnorm" and shape != (desc["width"],):
+            raise ModelDataMismatch(f"network layer {i} ({kind}) does not take input of shape {shape}")
+        built.append((cls, [desc[name] for name in fields]))
+    if not spec.layers or spec.layers[-1]["kind"] != "softmax" or shape != (spec.class_count,):
+        raise ModelDataMismatch(f"network must end in a softmax over ({spec.class_count},), not over {shape}")
+    return [cls(*args, rng) if cls in (Dense, Conv1d) else cls(*args) for cls, args in built]
 
 
 @dataclass
@@ -153,10 +155,7 @@ class Network:
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng: np.random.Generator) -> "Network":
-        net = cls(spec, [_materialize(d, rng) for d in spec.layers])
-        if not isinstance(net.layers[-1], Softmax):
-            raise ShapeMismatch("layer stack must end in softmax")
-        return net
+        return cls(spec, _build_layers(spec, rng))
 
     @property
     def n_features(self) -> int:
@@ -287,7 +286,6 @@ class Network:
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
         spec = NetworkSpec(**bundle_field(d, "spec", NetworkSpec))
-        _check_layer_chain(spec)  # before initialize allocates every layer
         net = cls.initialize(spec, np.random.default_rng(0))
         entries = bundle_field(d, "params", list) + bundle_field(d, "buffers", list)
         state = {

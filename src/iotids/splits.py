@@ -16,8 +16,6 @@ class SplitIndices:
     train: np.ndarray
     test: np.ndarray
     val: np.ndarray
-    fractions: tuple[float, float, float]
-    seed: int
 
     def partitions(self) -> dict[str, np.ndarray]:
         return {"train": self.train, "test": self.test, "val": self.val}
@@ -27,7 +25,6 @@ class SplitIndices:
 class FoldPlan:
     k: int
     folds: tuple[np.ndarray, ...]
-    seed: int
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (train, validation) index pairs, one per fold in fold order."""
@@ -97,7 +94,7 @@ def stratified_split(
     train, test, val = (
         np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts
     )
-    return SplitIndices(train.astype(np.int64), test.astype(np.int64), val.astype(np.int64), fractions, seed)
+    return SplitIndices(train.astype(np.int64), test.astype(np.int64), val.astype(np.int64))
 
 
 def k_fold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
@@ -129,7 +126,7 @@ def k_fold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
             sizes[i] += quota[i]
             start += quota[i]
 
-    return FoldPlan(k, tuple(np.concatenate(f).astype(np.int64) for f in folds), seed)
+    return FoldPlan(k, tuple(np.concatenate(f).astype(np.int64) for f in folds))
 
 
 def mean_score(scores: Sequence[float]) -> float:

@@ -19,7 +19,9 @@ from .nn.network import Network
 
 class Model(Protocol):
     """What every model kind provides; kinds with class probabilities also
-    have predict_proba(X)."""
+    have predict_proba(X), and then predict(X) equals
+    predict_proba(X).argmax(axis=1) (so `iotids predict` takes its labels
+    from the probabilities it already has)."""
 
     n_features: int
     n_classes: int

@@ -304,6 +304,7 @@ class TestConfigErrors:
         ("ada", {"weak_depth": 0}),
         ("ann", {"hidden": [8, 0]}),
         ("ann", {"dropout_rate": 1.0}),
+        ("ann", {"elu_alpha": 0}),
         ("cnn", {"pool": 0}),
     ])
     def test_out_of_range_model_params_value(self, probe_data, tmp_path, caplog, monkeypatch, kind, params):

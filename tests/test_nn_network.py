@@ -151,6 +151,15 @@ class TestNetworkRuntime:
         lambda layers: layers[1].update(width=7),  # batchnorm wider than its dense
         lambda layers: [layers[-3].update(n_out=3), layers[-2].update(width=3)],  # 3 outputs, 2 classes
         lambda layers: layers[0].update(n_in=True),  # a bool is not a width
+        lambda layers: layers[2].update(alpha=-1),  # ELU alpha must be positive
+        lambda layers: layers[2].update(alpha="x"),
+        lambda layers: layers[1].update(eps="x"),  # batchnorm eps is a constant, not a field
+        lambda layers: layers[1].update(eps=-10),
+        lambda layers: layers[1].update(momentum=0.5),
+        lambda layers: layers[0].update(bias=True),  # a key dense does not have
+        lambda layers: layers[3].update(rate=1.0),  # dropout rate in [0, 1)
+        lambda layers: layers.pop(),  # the stack no longer ends in softmax
+        lambda layers: layers[2].pop("alpha"),  # a missing field
     ])
     def test_spec_whose_widths_do_not_chain_is_model_error(self, change):
         doc = Network.initialize(build_ann(6, 2, hidden=(4,)), np.random.default_rng(0)).to_dict()

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from iotids.cli import EXIT_MODEL, EXIT_OK, main
+from iotids.cli import EXIT_MODEL, EXIT_OK, main, predictions_csv
 from iotids.flows import parse_conn_log_file, task_class_names
 from iotids.persist import load_bundle
 
@@ -329,6 +329,50 @@ def test_network_layers_that_do_not_chain_are_model_error(runs, tmp_path, kind, 
     data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
     assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layer, change", [
+    ("batchnorm", {"eps": -10}),  # a NaN for every probability if it were read
+    ("elu", {"alpha": -1}),
+    ("dense", {"bias": True}),
+])
+def test_network_layer_value_out_of_range_is_model_error(runs, tmp_path, layer, change):
+    """An ann bundle whose first `layer` descriptor carries an out-of-range
+    value or a key the kind does not have exits 4 and writes no CSV."""
+    doc = json.loads((runs / "multiclass" / "models" / "ann.json").read_text())
+    next(d for d in doc["model"]["spec"]["layers"] if d["kind"] == layer).update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
+    assert not out.exists()
+
+
+def test_every_kind_predicts_a_header_only_log_as_a_header_only_csv(runs, tmp_path):
+    for path in bundle_paths(runs):
+        task = path.parent.parent.name
+        log = (runs / f"{task}_data" / f"synth_{task}.labeled").read_text().splitlines(keepends=True)
+        empty, out = tmp_path / "empty.labeled", tmp_path / "preds.csv"
+        empty.write_text("".join(line for line in log if line.startswith("#")))
+        assert main(["predict", "--model", str(path), "--input", str(empty), "--output", str(out)]) == EXIT_OK, path
+        bundle = load_bundle(path)
+        header = ["row_index", "predicted_label"]
+        if hasattr(bundle.model, "predict_proba"):
+            header += [f"p_{name}" for name in bundle.class_names]
+        assert out.read_text() == ",".join(header) + "\n", path
+
+
+@pytest.mark.parametrize("kind", ["gbm", "ann", "cnn"])
+def test_predict_csv_of_a_probability_model_matches_its_predict(runs, tmp_path, kind):
+    """The labels `iotids predict` takes from predict_proba are the model's
+    predict(X): the CSV is byte-identical to one built from both calls (rf:
+    tests/test_cli.py)."""
+    path, data = runs / "multiclass" / "models" / f"{kind}.json", runs / "multiclass_data" / "synth_multiclass.labeled"
+    out = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(path), "--input", str(data), "--output", str(out)]) == EXIT_OK
+    bundle = load_bundle(path)
+    X = bundle.featurize(parse_conn_log_file(data, allow_unlabeled=True))
+    assert out.read_text() == predictions_csv(bundle.class_names, bundle.predict(X), bundle.predict_proba(X))
 
 
 def first_tree(model):
