@@ -22,7 +22,7 @@ from .features import (
 )
 from .flows import FlowTable, task_class_names
 from .jsontypes import bundle_field
-from .voting import MODEL_CLASSES, Model
+from .models import KINDS, Model
 
 BUNDLE_VERSION = 1
 
@@ -127,7 +127,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         if doc["class_names"] != class_names:
             raise ModelDataMismatch(f"a {doc['task']} bundle has classes {class_names}, got {doc['class_names']}")
         preproc = PreprocState.from_dict(doc["preprocessing"])
-        model = MODEL_CLASSES[kind].from_dict(doc["model"])
+        model = KINDS[kind].model_class.from_dict(doc["model"])
         if model.n_features != preproc.schema.width:
             raise ModelDataMismatch(
                 f"model expects {model.n_features} features but bundled schema has {preproc.schema.width}"

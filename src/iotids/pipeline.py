@@ -13,8 +13,9 @@ import inspect
 import json
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +39,10 @@ from .flows import (
 )
 from .jsontypes import check_fields, from_json_object, value_problem
 from .metrics import compute_metrics, confusion, export_report
-from .models.adaboost import AdaParams, fit_adaboost
-from .models.forest import ForestParams, fit_random_forest
-from .models.gbm import GbmParams, fit_gbm
-from .models.knn import fit_knn
-from .models.svm import SvmParams, fit_linear_svm
-from .nn.network import build_ann, build_cnn
-from .nn.training import TrainParams, train_network
+from .models import KINDS
 from .persist import ModelBundle, PreprocState
 from .splits import k_fold, mean_score, stratified_split
-from .voting import HYBRID_MEMBERS, MODEL_CLASSES, build_hybrid
-
-VALID_MODELS = tuple(MODEL_CLASSES)
-_MODEL_SEED_INDEX = {"rf": 1, "gbm": 2, "ada": 3, "knn": 4, "svm": 5, "ann": 6, "cnn": 7}
-_TRAIN_KEYS = {f.name for f in fields(TrainParams)}
+from .voting import HYBRID_MEMBERS, build_hybrid
 
 CONFIG_VERSION = 1
 
@@ -76,13 +67,14 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config_version {self.config_version!r}")
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"task must be binary or multiclass, got {self.task!r}")
-        unknown = [m for m in self.models if m not in VALID_MODELS]
+        unknown = [m for m in self.models if m not in KINDS]
         if unknown:
-            raise ConfigError(f"unknown models {unknown}; valid: {list(VALID_MODELS)}")
+            raise ConfigError(f"unknown models {unknown}; valid: {list(KINDS)}")
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model names")
-        if "svm" in self.models and self.task != "binary":
-            raise ConfigError("svm is a binary-task model")
+        for kind in self.models:
+            if KINDS[kind].binary_only and self.task != "binary":
+                raise ConfigError(f"{kind} is a binary-task model")
         if "hybrid" in self.models:
             missing = [m for m in HYBRID_MEMBERS[self.task] if m not in self.models]
             if missing:
@@ -96,7 +88,7 @@ class ExperimentConfig:
         if self.cv_folds == 1:
             raise ConfigError("cv_folds must be 0 (off) or an integer >= 2")
         for kind in self.models:
-            if kind != "hybrid":
+            if KINDS[kind].fit:
                 model_settings(kind, self.model_params.get(kind, {}), self.seed)
 
     def to_dict(self) -> dict:
@@ -145,7 +137,7 @@ def read_labeled_dir(data_path: str | Path) -> Dataset:
 
 
 def _derived_seed(seed: int, name: str, extra: int = 0) -> int:
-    return int(np.random.SeedSequence([seed, _MODEL_SEED_INDEX[name], extra]).generate_state(1)[0])
+    return int(np.random.SeedSequence([seed, KINDS[name].seed_index, extra]).generate_state(1)[0])
 
 
 def _with_params(kind: str, target, overrides: dict, **derived):
@@ -169,28 +161,22 @@ def _with_params(kind: str, target, overrides: dict, **derived):
 
 def model_settings(kind: str, overrides: dict, seed: int, fold_extra: int = 0):
     """One standalone model's settings from its model_params entry, checked
-    by _with_params: the params object for rf, gbm, ada and svm, fit_knn
-    bound to its keys for knn, and (builder bound to its keys, TrainParams)
-    for ann and cnn.  No data is needed, so the config is checked before any
-    is read."""
-    if kind == "gbm":
-        return _with_params(kind, GbmParams, overrides)()
-    if kind == "ada":
-        return _with_params(kind, AdaParams, overrides)()
-    if kind == "knn":
-        return _with_params(kind, fit_knn, overrides)
-    if kind not in ("rf", "svm", "ann", "cnn"):
-        raise ConfigError(f"not a standalone model: {kind!r}")
-    seeded = {"seed": _derived_seed(seed, kind, fold_extra)}
-    if kind == "rf":
-        return _with_params(kind, ForestParams, overrides, **seeded)()
-    if kind == "svm":
-        return _with_params(kind, SvmParams, overrides, **seeded)()
-    # TrainParams fields go to training, every other key to the builder
-    build = build_ann if kind == "ann" else build_cnn
-    arch = {k: v for k, v in overrides.items() if k not in _TRAIN_KEYS}
-    train = {k: v for k, v in overrides.items() if k in _TRAIN_KEYS}
-    return _with_params(kind, build, arch), _with_params(kind, TrainParams, train, **seeded)()
+    by _with_params: its KINDS row's settings target bound to the keys
+    (called when the target is a params dataclass), paired with its train
+    dataclass for ann and cnn.  No data is needed, so the config is checked
+    before any is read."""
+    row = KINDS[kind]
+    seeded = {} if row.seed_index is None else {"seed": _derived_seed(seed, kind, fold_extra)}
+    target = row.load(row.settings)
+    if row.train is None:
+        bound = _with_params(kind, target, overrides, **seeded)
+        return bound() if isinstance(target, type) else bound
+    # keys naming a train field go to training, every other key to the target
+    train = row.load(row.train)
+    train_keys = inspect.signature(train).parameters
+    arch = {k: v for k, v in overrides.items() if k not in train_keys}
+    fitting = {k: v for k, v in overrides.items() if k in train_keys}
+    return _with_params(kind, target, arch), _with_params(kind, train, fitting, **seeded)()
 
 
 def train_one_model(
@@ -212,19 +198,9 @@ def train_one_model(
     full train partition when a validation partition exists); X_val/y_val is
     their validation set.
     """
+    row = KINDS[kind]
     settings = model_settings(kind, overrides, seed, fold_extra)
-    if kind == "rf":
-        return fit_random_forest(X_train, y_train, settings, n_classes=n_classes), None
-    if kind == "gbm":
-        return fit_gbm(X_es, y_es, X_val, y_val, settings, n_classes=n_classes)
-    if kind == "ada":
-        return fit_adaboost(X_train, y_train, settings, n_classes=n_classes), None
-    if kind == "knn":
-        return settings(X_train, y_train), None
-    if kind == "svm":
-        return fit_linear_svm(X_train, 2.0 * y_train - 1.0, settings), None
-    build, train = settings
-    return train_network(build(X_train.shape[1], n_classes), X_es, y_es, X_val, y_val, train)
+    return row.fit(import_module(row.module), settings, (X_train, y_train), (X_es, y_es, X_val, y_val), n_classes)
 
 
 @dataclass
@@ -294,7 +270,7 @@ def run_training(
     trained: dict[str, object] = {}
     curves: dict[str, object] = {}
     timings: dict[str, float] = {}
-    standalone = [m for m in config.models if m != "hybrid"]
+    standalone = [m for m in config.models if KINDS[m].fit]
     for name in standalone:
         t0 = time.perf_counter()
         try:
@@ -384,13 +360,13 @@ def _run_cross_validation(
     n_classes: int,
     out: Path,
 ) -> list[Path]:
-    """Per-fold accuracy for each non-neural standalone model, plus, when
+    """Per-fold accuracy for each cross-validated standalone model, plus, when
     configured, the per-fold accuracy of a hybrid built from that fold's
     members."""
     plan = k_fold(y_train, config.cv_folds, config.seed)
     scores: dict[str, dict] = {}
     fold_models: list[dict[str, object]] = [{} for _ in range(config.cv_folds)]
-    cv_models = [m for m in config.models if m in ("rf", "gbm", "ada", "knn", "svm")]
+    cv_models = [m for m in config.models if KINDS[m].cross_validated]
     for name in cv_models:
         fold_acc = []
         for fold_no, (tr, va) in enumerate(plan):

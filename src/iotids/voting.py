@@ -1,37 +1,14 @@
-"""Hard-majority voting hybrids with first-member-priority tie-breaking, and
-the table of model kinds whose classes the hybrids (and bundles) load."""
+"""Hard-majority voting hybrids with first-member-priority tie-breaking."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelDataMismatch, SchemaMismatch, WidthMismatch
-from .models.adaboost import AdaModel
-from .models.forest import ForestModel
-from .models.gbm import GbmModel
-from .models.knn import KnnModel
-from .models.svm import SvmClassifier
-from .nn.network import Network
-
-
-class Model(Protocol):
-    """What every model kind provides; kinds with class probabilities also
-    have predict_proba(X), and then predict(X) equals
-    predict_proba(X).argmax(axis=1) (so `iotids predict` takes its labels
-    from the probabilities it already has)."""
-
-    n_features: int
-    n_classes: int
-
-    def predict(self, X: np.ndarray) -> np.ndarray: ...
-
-    def to_dict(self) -> dict: ...
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Model": ...
+from .models import KINDS, Model
 
 
 # each task's hybrid members in priority order: vote ties fall to the earliest
@@ -68,7 +45,7 @@ class VotingEnsemble:
         kinds = [m["kind"] for m in d["members"]]
         if d["member_names"] != names or kinds != names:
             raise ModelDataMismatch(f"a {d['task']} hybrid has members {names}, got {kinds}")
-        members = [MODEL_CLASSES[m["kind"]].from_dict(m["model"]) for m in d["members"]]
+        members = [KINDS[m["kind"]].model_class.from_dict(m["model"]) for m in d["members"]]
         return build_hybrid(d["task"], members)
 
 
@@ -84,19 +61,6 @@ def build_hybrid(task: str, members: Sequence[Model]) -> VotingEnsemble:
             f"members disagree on feature width {widths} or class count {classes}"
         )
     return VotingEnsemble(list(members), list(names), widths.pop(), classes.pop(), task)
-
-
-# every model kind a config or bundle may name, with the class that loads it
-MODEL_CLASSES: dict[str, type[Model]] = {
-    "rf": ForestModel,
-    "gbm": GbmModel,
-    "ada": AdaModel,
-    "knn": KnnModel,
-    "svm": SvmClassifier,
-    "ann": Network,
-    "cnn": Network,
-    "hybrid": VotingEnsemble,
-}
 
 
 def vote(votes: np.ndarray) -> np.ndarray:

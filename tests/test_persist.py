@@ -2,10 +2,15 @@
 earlier versions, and malformed bundles for every kind."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iotids
 from iotids.cli import EXIT_MODEL, EXIT_OK, main, predictions_csv
 from iotids.flows import parse_conn_log_file, task_class_names
 from iotids.persist import load_bundle
@@ -107,15 +112,53 @@ def test_dropped_model_key_is_model_error(runs, tmp_path):
             assert code == EXIT_MODEL, (path.name, task, what)
 
 
-def test_unknown_member_kind_is_model_error(runs, tmp_path):
+def predict_in_new_process(bundle, data, out):
+    """(exit code, modules before, modules after) of cli.main(["predict", ...])
+    in a new interpreter that has imported iotids.cli."""
+    script = (
+        "import json, sys\n"
+        "from iotids.cli import main\n"
+        "before = sorted(sys.modules)\n"
+        f"code = main(['predict', '--model', {str(bundle)!r}, '--input', {str(data)!r}, '--output', {str(out)!r}])\n"
+        "print(json.dumps([code, before, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    code, before, after = json.loads(run.stdout)
+    return code, set(before), set(after)
+
+
+@pytest.mark.parametrize("member, kind", [
+    (True, "zzz"),
+    (False, "os"),
+    (False, "__class__"),
+    (False, "Network"),
+    (False, ["rf"]),
+])
+def test_unknown_member_kind_is_model_error(runs, tmp_path, member, kind):
+    # a bundle's kind is only a key into KINDS, never a module or attribute name
     doc = json.loads((runs / "binary" / "models" / "hybrid.json").read_text())
-    doc["model"]["members"][2]["kind"] = "zzz"
+    if member:
+        doc["model"]["members"][2]["kind"] = kind
+    else:
+        doc["kind"] = kind
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code = main(["predict", "--model", str(bad),
-                 "--input", str(runs / "binary_data" / "synth_binary.labeled"),
-                 "--output", str(tmp_path / "preds.csv")])
+    code, before, after = predict_in_new_process(
+        bad, runs / "binary_data" / "synth_binary.labeled", tmp_path / "preds.csv"
+    )
     assert code == EXIT_MODEL
+    assert [m for m in after - before if m.startswith("iotids")] == []
+
+
+def test_predict_imports_only_the_kinds_it_loads(runs, tmp_path):
+    data = runs / "multiclass_data" / "synth_multiclass.labeled"
+    code, _, after = predict_in_new_process(runs / "multiclass" / "models" / "hybrid.json", data, tmp_path / "h.csv")
+    assert code == EXIT_OK
+    assert [m for m in after if m.startswith(("iotids.nn", "iotids.models.svm", "iotids.models.knn"))] == []
+    code, before, after = predict_in_new_process(runs / "multiclass" / "models" / "ann.json", data, tmp_path / "a.csv")
+    assert code == EXIT_OK
+    assert "iotids.nn.network" in after - before
 
 
 def test_non_object_bundle_is_model_error(runs, tmp_path):

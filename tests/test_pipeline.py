@@ -20,7 +20,7 @@ from iotids.flows import balance_sample
 from iotids.metrics import compute_metrics, confusion
 from iotids.persist import load_bundle
 from iotids import pipeline
-from iotids.pipeline import ExperimentConfig, read_labeled_dir, run_training, train_one_model
+from iotids.pipeline import ExperimentConfig, _derived_seed, read_labeled_dir, run_training, train_one_model
 from iotids.splits import k_fold, stratified_split
 from iotids.synth import SynthSpec, write_synth_dataset
 from iotids.voting import HYBRID_MEMBERS, build_hybrid
@@ -435,3 +435,14 @@ class TestNeuralPipeline:
             probs = loaded.predict_proba(X)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
             assert (tmp_path / "nn" / "curves" / f"{name}_curve.csv").exists()
+
+
+@pytest.mark.parametrize("kind, seed, fold_2_seed", [
+    ("rf", 457190280, 1620210449),
+    ("svm", 3746004709, 1019788328),
+    ("ann", 534926514, 1951860232),
+    ("cnn", 2580024465, 2979199701),
+])
+def test_derived_seeds_are_unchanged(kind, seed, fold_2_seed):
+    # values of the earlier per-kind seed index table; a changed index reseeds every model of the kind
+    assert (_derived_seed(3, kind), _derived_seed(3, kind, 2)) == (seed, fold_2_seed)
