@@ -5,9 +5,8 @@ ever a key into KINDS, never a module path."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -29,16 +28,14 @@ class Model(Protocol):
     def from_dict(cls, d: dict) -> "Model": ...
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """One model kind.  `model` names its class and `settings` the target
     its model_params entry binds to (a params dataclass, fit_knn or a
     network builder), both in `module`; keys naming a field of `train`
-    ("module:name") go to that dataclass instead.  A kind with a seed_index
-    takes a seed derived from the experiment's (in `train` when given).
-    fit(module, settings, (X, y), (X_es, y_es, X_val, y_val), n_classes)
-    returns (model, curve or None).  hybrid has no settings or fit: it is
-    built from its members."""
+    ("module:name") go to that dataclass instead, as does the derived seed
+    of a kind with a seed_index.  fit(module, settings, (X, y), (X_es, y_es,
+    X_val, y_val), n_classes) returns (model, curve or None).  hybrid has no
+    settings or fit: it is built from its members."""
 
     module: str
     model: str

@@ -87,6 +87,9 @@ class ExperimentConfig:
             raise ConfigError("split must give the train partition a fraction above 0")
         if self.cv_folds == 1:
             raise ConfigError("cv_folds must be 0 (off) or an integer >= 2")
+        stray = [k for k in self.model_params if k not in KINDS or not KINDS[k].fit]
+        if stray:
+            raise ConfigError(f"model_params keys {stray} name no standalone model")
         for kind in self.models:
             if KINDS[kind].fit:
                 model_settings(kind, self.model_params.get(kind, {}), self.seed)

@@ -271,6 +271,17 @@ class TestConfigErrors:
         (key,) = params
         assert f"{kind} model_params" in caplog.text and repr(key) in caplog.text
 
+    @pytest.mark.parametrize("params", [{"rff": {"n_trees": 3}}, {"hybrid": {"x": 1}}])
+    def test_model_params_naming_no_standalone_model(self, probe_data, tmp_path, caplog, params):
+        config = dict(PROBE_CONFIG, model_params=params)
+        assert train_exit(config, probe_data, tmp_path) == EXIT_CONFIG
+        assert repr(list(params)) in caplog.text
+
+    def test_model_params_of_an_unlisted_model_are_allowed(self):
+        from iotids.pipeline import ExperimentConfig
+
+        ExperimentConfig(task="binary", models=["rf"], per_class=20, seed=1, model_params={"gbm": {}}).validate()
+
     @pytest.mark.parametrize("kind, params", [
         ("rf", {"n_trees": "x"}),
         ("gbm", {"learning_rate": "a"}),
