@@ -70,7 +70,7 @@ KINDS: dict[str, Kind] = {
     "ada": Kind("iotids.models.adaboost", "AdaModel", "AdaParams", cross_validated=True,
                 fit=lambda m, s, tr, es, n: (m.fit_adaboost(*tr, s, n_classes=n), None)),
     "knn": Kind("iotids.models.knn", "KnnModel", "fit_knn", cross_validated=True,
-                fit=lambda m, s, tr, es, n: (s(*tr), None)),
+                fit=lambda m, s, tr, es, n: (s(*tr, n_classes=n), None)),
     "svm": Kind("iotids.models.svm", "SvmClassifier", "SvmParams", seed_index=5, cross_validated=True,
                 binary_only=True, fit=lambda m, s, tr, es, n: (m.fit_linear_svm(tr[0], 2.0 * tr[1] - 1.0, s), None)),
     "ann": Kind("iotids.nn.network", "Network", "build_ann", _fit_network, "iotids.nn.training:TrainParams",

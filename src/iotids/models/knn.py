@@ -50,36 +50,36 @@ class KnnModel:
     X: np.ndarray
     y: np.ndarray
     k: int
+    n_classes: int
 
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.y.max()) + 1
-
     def predict(self, X_query: np.ndarray) -> np.ndarray:
         return predict_knn(self, X_query)
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "X": self.X.tolist(), "y": self.y.tolist()}
+        return {"k": self.k, "n_classes": self.n_classes, "X": self.X.tolist(), "y": self.y.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnnModel":
-        model = fit_knn(bundle_field(d, "X", list), bundle_field(d, "y", list[int]), d["k"])
-        if model.X.ndim != 2 or model.y.shape != model.X.shape[:1] or model.y.min() < 0:
-            raise ModelDataMismatch("a KNN bundle needs a 2-D X and one class index >= 0 per stored row")
+        n_classes = bundle_field(d, "n_classes", int)
+        model = fit_knn(bundle_field(d, "X", list), bundle_field(d, "y", list[int]), d["k"], n_classes=n_classes)
+        y = model.y
+        if model.X.ndim != 2 or y.shape != model.X.shape[:1] or y.min() < 0 or y.max() >= n_classes:
+            raise ModelDataMismatch("a KNN bundle needs a 2-D X and one class index in [0, n_classes) per stored row")
         return model
 
 
-def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:
-    """Lazy learner: stores the (scaled) training data verbatim."""
+def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 5, *, n_classes: int) -> KnnModel:
+    """Lazy learner: stores the (scaled) training data verbatim, with the
+    task's class count (a class may have no stored row)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if type(k) is not int or not 1 <= k <= X.shape[0]:
         raise BadK(f"k={k!r} is not an int in [1, {X.shape[0]}]")
-    return KnnModel(X, y, k)
+    return KnnModel(X, y, k, n_classes)
 
 
 def predict_knn(model: KnnModel, X_query: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ def predict_knn(model: KnnModel, X_query: np.ndarray) -> np.ndarray:
             nn, nn_dist = _nearest(Q, X, np.broadcast_to(np.arange(n), (Q.shape[0], n)), k)
         else:
             nn, nn_dist = _shortlist_nearest(Q, X, x_sq, x_sq_max, k, shortlist)
-        out[start : start + step] = _vote(nn, nn_dist, model.y)
+        out[start : start + step] = _vote(nn, nn_dist, model.y, model.n_classes)
     return out
 
 
@@ -146,12 +146,11 @@ def _nearest(Q, X, candidates, k):
     return np.take_along_axis(candidates, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
-def _vote(nn, nn_dist, y):
+def _vote(nn, nn_dist, y, n_classes):
     """Majority class per row of neighbours; a count tie goes to the smaller
     summed neighbour distance (summed in neighbour order), then the lower
     class index."""
     labels = y[nn]
-    n_classes = int(y.max()) + 1
     offsets = n_classes * np.arange(nn.shape[0])[:, None]
     counts = np.bincount((labels + offsets).ravel(), minlength=nn.shape[0] * n_classes)
     counts = counts.reshape(nn.shape[0], n_classes)

@@ -294,7 +294,7 @@ def test_criterion_07_synthetic_end_to_end():
     acc["gbm"] = test_acc(gbm)
     ada = fit_adaboost(Xm["train"], ym["train"], AdaParams(n_rounds=15, weak_depth=3), n_classes=7)
     acc["ada"] = test_acc(ada)
-    knn = fit_knn(Xm["train"], ym["train"], k=5)
+    knn = fit_knn(Xm["train"], ym["train"], k=5, n_classes=7)
     acc["knn"] = test_acc(knn)
     ann, _ = train_network(build_ann(20, 7, hidden=(64, 32, 16)), Xm["train"], ym["train"],
                            Xm["val"], ym["val"], TrainParams(epochs=25, batch_size=256,
@@ -316,7 +316,7 @@ def test_criterion_07_synthetic_end_to_end():
     gbm_b, _ = fit_gbm(Xb["train"], yb["train"], Xb["val"], yb["val"],
                        GbmParams(max_rounds=10, learning_rate=0.4, max_depth=3, patience=4), n_classes=2)
     svm_b = fit_linear_svm(Xb["train"], 2.0 * yb["train"] - 1.0, SvmParams(C=10.0, epochs=5, seed=5))
-    knn_b = fit_knn(Xb["train"], yb["train"], k=5)
+    knn_b = fit_knn(Xb["train"], yb["train"], k=5, n_classes=2)
     acc["svm"] = float(np.mean(svm_b.predict(Xb["test"]) == yb["test"]))
 
     binary_hybrid = build_hybrid("binary", [rf_b, gbm_b, svm_b, knn_b])

@@ -44,26 +44,26 @@ class TestKnn:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 3))
         y = rng.integers(0, 3, 20)
-        model = fit_knn(X, y, k=1)
+        model = fit_knn(X, y, k=1, n_classes=3)
         np.testing.assert_array_equal(predict_knn(model, X), y)
 
     def test_k_equals_rows_modal_class(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.array([0] * 6 + [1] * 4)
-        model = fit_knn(X, y, k=10)
+        model = fit_knn(X, y, k=10, n_classes=2)
         np.testing.assert_array_equal(predict_knn(model, X), np.zeros(10))
 
     def test_duplicate_rows_conflicting_labels_k1(self):
         # exact distance tie: the lower stored index wins
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
         y = np.array([1, 0])
-        model = fit_knn(X, y, k=1)
+        model = fit_knn(X, y, k=1, n_classes=2)
         assert predict_knn(model, np.array([[1.0, 1.0]]))[0] == 1
 
     def test_majority_two_vs_one(self):
         X = np.array([[0.0], [0.1], [5.0]])
         y = np.array([0, 0, 1])
-        model = fit_knn(X, y, k=3)
+        model = fit_knn(X, y, k=3, n_classes=2)
         assert predict_knn(model, np.array([[0.05]]))[0] == 0
 
     def test_k2_sum_distance_tiebreak(self):
@@ -71,7 +71,7 @@ class TestKnn:
         # (class 0, dist .2): tie 1-1, class 1 has the smaller summed distance
         X = np.array([[0.9], [1.2], [9.0], [9.5], [10.0]])
         y = np.array([1, 0, 0, 1, 0])
-        model = fit_knn(X, y, k=2)
+        model = fit_knn(X, y, k=2, n_classes=2)
         assert predict_knn(model, np.array([[1.0]]))[0] == 1
 
     def test_oracle_exact_on_random_fixtures(self):
@@ -85,7 +85,7 @@ class TestKnn:
             ytr = rng.integers(0, n_classes, n)
             Xq = rng.integers(0, 4, size=(15, d)).astype(float)
             k = int(rng.integers(1, 8))
-            model = fit_knn(Xtr, ytr, k=k)
+            model = fit_knn(Xtr, ytr, k=k, n_classes=n_classes)
             np.testing.assert_array_equal(
                 predict_knn(model, Xq), knn_oracle(Xtr, ytr, Xq, k, n_classes), f"trial {trial}"
             )
@@ -95,20 +95,20 @@ class TestKnn:
         X = rng.normal(size=(50, 2))
         y = rng.integers(0, 2, 50)
         Xq = rng.normal(size=(10, 2))
-        a = predict_knn(fit_knn(X, y, 5), Xq)
+        a = predict_knn(fit_knn(X, y, 5, n_classes=2), Xq)
         perm = rng.permutation(50)
-        b = predict_knn(fit_knn(X[perm], y[perm], 5), Xq)
+        b = predict_knn(fit_knn(X[perm], y[perm], 5, n_classes=2), Xq)
         np.testing.assert_array_equal(a, b)
 
     def test_bad_k(self):
         X = np.zeros((3, 1))
         with pytest.raises(BadK):
-            fit_knn(X, np.zeros(3, dtype=int), k=0)
+            fit_knn(X, np.zeros(3, dtype=int), k=0, n_classes=2)
         with pytest.raises(BadK):
-            fit_knn(X, np.zeros(3, dtype=int), k=4)
+            fit_knn(X, np.zeros(3, dtype=int), k=4, n_classes=2)
 
     def test_width_mismatch(self):
-        model = fit_knn(np.zeros((3, 2)), np.array([0, 1, 0]), k=1)
+        model = fit_knn(np.zeros((3, 2)), np.array([0, 1, 0]), k=1, n_classes=2)
         with pytest.raises(WidthMismatch):
             predict_knn(model, np.zeros((1, 3)))
 
@@ -218,7 +218,7 @@ class TestShortlistEquivalence:
             forced = case % 3 == 0
             monkeypatch.setattr(knn_module, "_SHORTLIST_EXTRA", 0 if forced else 16)
             monkeypatch.setattr(knn_module, "_BLOCK_ELEMENTS", 1 if forced else 1 << 18)
-            model = fit_knn(X, y, k)
+            model = fit_knn(X, y, k, n_classes=int(y.max()) + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 got = predict_knn(model, Q)
                 want = reference_predict_knn(model, Q)
@@ -230,7 +230,7 @@ class TestShortlistEquivalence:
         """20,000 x 20 store, 1,000 queries: the old 64-row chunks allocated
         64 x 20,000 x 20 doubles twice (about 410 MB)."""
         rng = np.random.default_rng(20)
-        model = fit_knn(rng.random((20_000, 20)), rng.integers(0, 2, 20_000), k=5)
+        model = fit_knn(rng.random((20_000, 20)), rng.integers(0, 2, 20_000), k=5, n_classes=2)
         Q = rng.random((1_000, 20))
         tracemalloc.start()
         try:
@@ -318,7 +318,7 @@ def test_oracle_exact_on_500_row_fixture():
     Xtr = rng.integers(0, 5, size=(500, 3)).astype(float)
     ytr = rng.integers(0, 3, 500)
     Xq = rng.integers(0, 5, size=(40, 3)).astype(float)
-    model = fit_knn(Xtr, ytr, k=7)
+    model = fit_knn(Xtr, ytr, k=7, n_classes=3)
     np.testing.assert_array_equal(
         predict_knn(model, Xq), knn_oracle(Xtr, ytr, Xq, 7, 3)
     )

@@ -291,11 +291,35 @@ def test_retyped_key_is_model_error(runs, tmp_path):
     ("gbm", "best_round", 0.0), ("gbm", "best_round", True),
     ("svm", "b", None), ("svm", "b", "x"), ("svm", "b", {}),
     ("knn", "y", [1]), ("knn", "y", 1.5), ("knn", "y", True), ("knn", "y", "x"),
+    ("knn", "n_classes", 2.0), ("knn", "n_classes", True),
 ])
 def test_retyped_model_value_is_model_error(runs, tmp_path, kind, key, value):
     doc = json.loads((runs / "binary" / "models" / f"{kind}.json").read_text())
     doc["model"][key] = value
     assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+
+
+def test_knn_bundle_without_class_count_is_model_error(runs, tmp_path, caplog):
+    # KNN bundles written before the class count was stored
+    doc = json.loads((runs / "binary" / "models" / "knn.json").read_text())
+    del doc["model"]["n_classes"]
+    assert predict_and_evaluate_exits(runs, tmp_path, doc) == (EXIT_MODEL, EXIT_MODEL)
+    assert "n_classes" in caplog.text
+
+
+def test_knn_keeps_the_task_class_count(tmp_path):
+    """A train partition with no row of some class still gives a KNN over
+    every class of the task, like the other kinds."""
+    (tmp_path / "spec.json").write_text(json.dumps({"task": "multiclass", "rows_per_class": 40, "seed": 4}))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == EXIT_OK
+    cfg = {"config_version": 1, "task": "multiclass", "models": ["rf", "knn"], "per_class": 5, "seed": 1,
+           "split": [0.15, 0.75, 0.1], "model_params": {"knn": {"k": 1}}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    knn = load_bundle(tmp_path / "run" / "models" / "knn.json").model
+    assert len(set(knn.y.tolist())) < 7
+    assert knn.n_classes == load_bundle(tmp_path / "run" / "models" / "rf.json").model.n_classes == 7
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
@@ -320,11 +344,14 @@ def with_duplicate(entries):
     ("multiclass", "cnn", "params", lambda e: [dict(e[0], shape=e[0]["shape"][::-1])] + e[1:]),
     ("binary", "knn", "y", lambda y: y[:-1]),
     ("binary", "knn", "y", lambda y: [-1] * len(y)),
+    ("binary", "knn", "y", lambda y: [2] * len(y)),
+    ("binary", "knn", "n_classes", lambda n: 3),
 ])
 def test_inconsistent_model_value_is_model_error(runs, tmp_path, task, kind, key, change):
     """Well-typed values that do not fit the rest of the model: a network
-    missing, repeating or reshaping a parameter or buffer, and KNN labels
-    that are too few or negative."""
+    missing, repeating or reshaping a parameter or buffer, KNN labels that
+    are too few, negative or not below the class count, and a KNN class
+    count that is not the task's."""
     doc = json.loads((runs / task / "models" / f"{kind}.json").read_text())
     doc["model"][key] = change(doc["model"][key])
     bad = tmp_path / "bad.json"
