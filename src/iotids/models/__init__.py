@@ -32,10 +32,11 @@ class Kind(NamedTuple):
     """One model kind.  `model` names its class and `settings` the target
     its model_params entry binds to (a params dataclass, fit_knn or a
     network builder), both in `module`; keys naming a field of `train`
-    ("module:name") go to that dataclass instead, as does the derived seed
-    of a kind with a seed_index.  fit(module, settings, (X, y), (X_es, y_es,
-    X_val, y_val), n_classes) returns (model, curve or None).  hybrid has no
-    settings or fit: it is built from its members."""
+    ("module:name") go to that dataclass instead.  A kind with a seed_index
+    takes a seed derived from the experiment's, in `train` when it has one.
+    fit(module, settings, (X, y), (X_es, y_es, X_val, y_val), n_classes)
+    returns (model, curve or None).  hybrid has no settings or fit: it is
+    built from its members."""
 
     module: str
     model: str

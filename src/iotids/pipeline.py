@@ -165,9 +165,9 @@ def _with_params(kind: str, target, overrides: dict, **derived):
 def model_settings(kind: str, overrides: dict, seed: int, fold_extra: int = 0):
     """One standalone model's settings from its model_params entry, checked
     by _with_params: its KINDS row's settings target bound to the keys
-    (called when the target is a params dataclass), paired with its train
-    dataclass for ann and cnn.  No data is needed, so the config is checked
-    before any is read."""
+    (called when the target is a params dataclass), paired with the row's
+    train dataclass when it names one.  No data is needed, so the config is
+    checked before any is read."""
     row = KINDS[kind]
     seeded = {} if row.seed_index is None else {"seed": _derived_seed(seed, kind, fold_extra)}
     target = row.load(row.settings)

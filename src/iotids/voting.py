@@ -10,7 +10,6 @@ import numpy as np
 from .errors import ModelDataMismatch, SchemaMismatch, WidthMismatch
 from .models import KINDS, Model
 
-
 # each task's hybrid members in priority order: vote ties fall to the earliest
 HYBRID_MEMBERS = {"binary": ("rf", "gbm", "svm", "knn"), "multiclass": ("rf", "gbm", "ada")}
 
