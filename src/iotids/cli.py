@@ -91,8 +91,7 @@ def predictions_csv(class_names: list[str], labels: np.ndarray, probs: np.ndarra
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
-    table = parse_conn_log_file(args.input, allow_unlabeled=True)
-    X = bundle.featurize(table)
+    X = bundle.featurize(parse_conn_log_file(args.input, allow_unlabeled=True))  # the table is freed here
     probs = bundle.predict_proba(X)
     labels = bundle.predict(X) if probs is None else probs.argmax(axis=1)
 

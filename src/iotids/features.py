@@ -250,15 +250,21 @@ def fit_one_hot(columns: Mapping[str, Sequence[str]]) -> OneHotVocabulary:
 def encode_one_hot(vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> np.ndarray:
     """The len(values) x width indicator block of one feature; unseen
     categories encode as all-zero rows, counted in one warning."""
+    block = np.zeros((len(values), vocabulary.width(feature)))
+    _write_one_hot(block, vocabulary, feature, values)
+    return block
+
+
+def _write_one_hot(out: np.ndarray, vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> None:
+    """Set the indicators of one feature in the zeroed columns out (a view
+    may be given); an unseen category sets none, counted in one warning."""
     column = {cat: j for j, cat in enumerate(vocabulary.categories[feature])}
     cols = np.array([column.get(v, -1) for v in values], dtype=np.intp)
     seen = cols >= 0
-    block = np.zeros((len(values), len(column)))
-    block[np.flatnonzero(seen), cols[seen]] = 1.0
+    out[np.flatnonzero(seen), cols[seen]] = 1.0
     unseen = len(values) - int(seen.sum())
     if unseen:
         log.warning("%d rows with an unseen category for feature %r encoded as all zeros", unseen, feature)
-    return block
 
 
 # --- min-max scaling ----------------------------------------------------------
@@ -288,12 +294,16 @@ def transform_min_max(params: MinMaxParams, matrix: np.ndarray) -> np.ndarray:
     """(X - x_min) / (x_max - x_min), clamped to [0, 1]; constant columns map to 0."""
     if matrix.shape[1] != params.width:
         raise ColumnMismatch(f"scaler fitted on {params.width} columns, matrix has {matrix.shape[1]}")
+    return _scale_in_place(params, matrix - params.x_min)  # the one copy
+
+
+def _scale_in_place(params: MinMaxParams, shifted: np.ndarray) -> np.ndarray:
+    """shifted = X - x_min, scaled in place as transform_min_max describes."""
     span = params.x_max - params.x_min
     constant = span == 0.0
-    scaled = matrix - params.x_min  # the one copy; the steps below work in place
-    np.divide(scaled, np.where(constant, 1.0, span), out=scaled)
-    scaled[:, constant] = 0.0
-    return np.clip(scaled, 0.0, 1.0, out=scaled)
+    np.divide(shifted, np.where(constant, 1.0, span), out=shifted)
+    shifted[:, constant] = 0.0
+    return np.clip(shifted, 0.0, 1.0, out=shifted)
 
 
 # --- schema and matrix assembly -------------------------------------------------
@@ -344,15 +354,16 @@ def matrix_from_records(
     values[:, start : start + 2] = scopes
     start += 2
     for feature in CATEGORICAL_FIELDS:
-        block = encode_one_hot(vocabulary, feature, columns[feature])
-        values[:, start : start + block.shape[1]] = block
-        start += block.shape[1]
+        width = vocabulary.width(feature)
+        _write_one_hot(values[:, start : start + width], vocabulary, feature, columns[feature])
+        start += width
     if params is not None:
         if params.width != schema.width:
             raise SchemaMismatch(
                 f"scaler fitted on {params.width} columns, schema has {schema.width}"
             )
-        values = transform_min_max(params, values)
+        np.subtract(values, params.x_min, out=values)
+        _scale_in_place(params, values)
     return values, schema
 
 

@@ -127,7 +127,7 @@ def fit_gbm(
     loss has not improved for `patience` rounds, and prediction uses rounds
     0..best_round only.
     """
-    from ..parallel import forked_map  # here, so predicting loads no module for fitting
+    from ..parallel import Workers, usable_cpus  # here, so predicting loads no module for fitting
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -155,30 +155,35 @@ def fit_gbm(
     best_round = 0
     best_val = np.inf
     stopped_at = 0
-    for r in range(params.max_rounds):
-        P = softmax(F_train)
-        G = P - Y
-        # the class trees all read this round's G, so they grow in parallel
-        grown = forked_map(lambda c: grow_tree(X, -G[:, c], None, tree_params, presorted=sorted_rows),
-                           range(n_classes))
-        round_trees: list[DecisionTree] = []
-        for c, (tree, leaves) in enumerate(grown):
-            g = G[:, c]
-            h = P[:, c] * (1.0 - P[:, c])
-            _newton_leaf_scores(tree, leaves, g, h, params.leaf_l2)
-            F_train[:, c] += params.learning_rate * tree.leaf_score[leaves]
-            F_val[:, c] += params.learning_rate * tree.leaf_score[tree.apply(X_val)]
-            round_trees.append(tree)
-        rounds.append(round_trees)
 
-        train_losses.append(cross_entropy_mean(softmax(F_train), y))
-        val_losses.append(cross_entropy_mean(softmax(F_val), y_val))
-        stopped_at = r
-        if val_losses[-1] < best_val:
-            best_val = val_losses[-1]
-            best_round = r
-        if r - best_round >= params.patience:
-            break
+    def grow(target):
+        return grow_tree(X, target, None, tree_params, presorted=sorted_rows)
+
+    # the class trees of a round all read that round's G, so they grow in
+    # parallel, in workers forked once for the whole fit
+    with Workers(grow, min(usable_cpus(), n_classes)) as workers:
+        for r in range(params.max_rounds):
+            P = softmax(F_train)
+            G = P - Y
+            grown = workers.map([-G[:, c] for c in range(n_classes)])
+            round_trees: list[DecisionTree] = []
+            for c, (tree, leaves) in enumerate(grown):
+                g = G[:, c]
+                h = P[:, c] * (1.0 - P[:, c])
+                _newton_leaf_scores(tree, leaves, g, h, params.leaf_l2)
+                F_train[:, c] += params.learning_rate * tree.leaf_score[leaves]
+                F_val[:, c] += params.learning_rate * tree.leaf_score[tree.apply(X_val)]
+                round_trees.append(tree)
+            rounds.append(round_trees)
+
+            train_losses.append(cross_entropy_mean(softmax(F_train), y))
+            val_losses.append(cross_entropy_mean(softmax(F_val), y_val))
+            stopped_at = r
+            if val_losses[-1] < best_val:
+                best_val = val_losses[-1]
+                best_round = r
+            if r - best_round >= params.patience:
+                break
 
     model = GbmModel(rounds, params.learning_rate, best_round, n_classes, d, params)
     return model, TrainCurve(train_losses, val_losses, stopped_at)

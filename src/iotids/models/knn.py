@@ -21,6 +21,11 @@ squared distance then exceeds those of k shortlisted rows by more than
 left-out row can tie or beat them, so the stored-index tie rule cannot reach
 it.  A query that cannot be certified (near-ties straddling the shortlist,
 or a non-finite or huge value) is searched over every stored row instead.
+The shortlist is one selection at its own length, and the k-th value is
+taken from the shortlist's values, which hold the k smallest.  Which of
+the rows tied with the left-out value fall inside the shortlist is then
+arbitrary, and does not matter: for a certified query they are all more
+than 2 eps beyond the k-th value, so none of them is among the k nearest.
 
 Each block holds at most _BLOCK_ELEMENTS query rows x (stored rows +
 shortlist x features), so the temporaries stay bounded for a large store.
@@ -120,10 +125,11 @@ def _shortlist_nearest(Q, X, x_sq, x_sq_max, k, shortlist):
     approx *= -2.0
     approx += q_sq[:, None]
     approx += x_sq
-    part = np.argpartition(approx, (k - 1, shortlist), axis=1)
-    rows = np.arange(Q.shape[0])
-    kth = approx[rows, part[:, k - 1]]
-    left_out = approx[rows, part[:, shortlist]]
+    # one kth: the shortlist holds the k nearest approximate values, so the
+    # k-th of those is the k-th of the row
+    part = np.argpartition(approx, shortlist, axis=1)
+    left_out = approx[np.arange(Q.shape[0]), part[:, shortlist]]
+    kth = np.partition(np.take_along_axis(approx, part[:, :shortlist], axis=1), k - 1, axis=1)[:, k - 1]
     scale = q_sq + x_sq_max
     eps = 4 * (X.shape[1] + 4) * (_UNIT_ROUNDOFF * scale + _SUBNORMAL)
     certified = (left_out > kth + 2 * eps) & (scale < _SCALE_LIMIT)

@@ -10,6 +10,9 @@ import numpy as np
 from ..errors import SingleClass, WidthMismatch
 from ..jsontypes import bundle_field
 
+# SGD steps whose rows are gathered at once (bounds that copy to this many rows)
+_CHUNK_STEPS = 4096
+
 
 @dataclass(frozen=True)
 class SvmParams:
@@ -64,32 +67,38 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
 
     y must be in {-1, +1}.  Row visit order reshuffles each epoch from the
     seeded generator, so training is reproducible and order-contractual.
+    Each step computes, in this order, with these IEEE operations:
+    violated = y_i * (x_i . w + b) < 1; w = (1 - eta) * w; and if violated,
+    w = w + (eta * C * y_i) * x_i and b = b + eta * C * y_i.  The rows of
+    up to _CHUNK_STEPS consecutive steps, and their step rows
+    (eta * C * y_i) * x_i, are gathered and computed at once, so a step
+    makes three numpy calls.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # contiguous rows: the dot product's bits depend on the stride
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise SingleClass("labels must contain both -1 and +1")
 
     n, d = X.shape
     w = np.zeros(d)
-    step = np.empty(d)
     b = 0.0
     t = 0
-    rows, labels = list(X), y.tolist()
     rng = np.random.default_rng(params.seed)
     for _ in range(params.epochs):
-        for i in rng.permutation(n).tolist():
-            eta = params.lr0 / (1.0 + t * params.decay)
-            t += 1
-            x_i, y_i = rows[i], labels[i]
-            violated = y_i * (x_i @ w + b) < 1.0
-            # in place, with the same operations in the same order as
-            # w = (1 - eta) * w + eta * C * y_i * x_i, so w keeps its bits
-            w *= 1.0 - eta
-            if violated:
-                np.multiply(eta * params.C * y_i, x_i, out=step)
-                w += step
-                b = b + eta * params.C * y_i
+        order = rng.permutation(n)
+        for start in range(0, n, _CHUNK_STEPS):
+            chunk = order[start : start + _CHUNK_STEPS]
+            rows, labels = X[chunk], y[chunk]
+            etas = np.array([params.lr0 / (1.0 + (t + j) * params.decay) for j in range(chunk.shape[0])])
+            t += chunk.shape[0]
+            c = (etas * params.C) * labels
+            steps = c[:, None] * rows
+            for x_i, y_i, eta, c_i, step_i in zip(rows, labels.tolist(), etas.tolist(), c.tolist(), steps):
+                violated = y_i * (x_i.dot(w) + b) < 1.0
+                np.multiply(w, 1.0 - eta, out=w)
+                if violated:
+                    np.add(w, step_i, out=w)
+                    b = b + c_i
     return SvmClassifier(w, b, params.C, params.epochs)
 
 

@@ -38,14 +38,26 @@ class Layer:
         """Non-trainable state that must survive snapshot/restore (BN stats)."""
         return {}
 
+    @staticmethod
+    def state_shapes(*args) -> dict[str, tuple[int, ...]]:
+        """The shape of each parameter, then each buffer, of the layer that
+        these constructor arguments build, computed without building it."""
+        return {}
+
 
 class Dense(Layer):
     penalized = ("W",)
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
+        """Glorot weights drawn from rng; with no rng, zeros to be restored."""
         super().__init__()
-        self.params = {"W": glorot_uniform(n_in, n_out, rng), "b": np.zeros(n_out)}
+        W = np.zeros((n_in, n_out)) if rng is None else glorot_uniform(n_in, n_out, rng)
+        self.params = {"W": W, "b": np.zeros(n_out)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    @staticmethod
+    def state_shapes(n_in, n_out):
+        return {"W": (n_in, n_out), "b": (n_out,)}
 
     def forward(self, x, training, rng=None):
         self._x = x
@@ -77,6 +89,10 @@ class BatchNorm(Layer):
 
     def buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
+
+    @staticmethod
+    def state_shapes(width):
+        return dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (width,))
 
     def forward(self, x, training, rng=None):
         if training:
@@ -163,17 +179,23 @@ class Conv1d(Layer):
 
     penalized = ("K",)
 
-    def __init__(self, in_channels: int, n_filters: int, kernel_width: int, rng: np.random.Generator):
+    def __init__(self, in_channels: int, n_filters: int, kernel_width: int, rng: np.random.Generator | None):
+        """Glorot kernels drawn from rng; with no rng, zeros to be restored."""
         super().__init__()
         fan_in = kernel_width * in_channels
         fan_out = kernel_width * n_filters
         bound = glorot_uniform_bound(fan_in, fan_out)
+        shape = (n_filters, kernel_width, in_channels)
         self.params = {
-            "K": rng.uniform(-bound, bound, size=(n_filters, kernel_width, in_channels)),
+            "K": np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape),
             "b": np.zeros(n_filters),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.kernel_width = kernel_width
+
+    @staticmethod
+    def state_shapes(in_channels, n_filters, kernel_width):
+        return {"K": (n_filters, kernel_width, in_channels), "b": (n_filters,)}
 
     def forward(self, x, training, rng=None):
         self._x = x

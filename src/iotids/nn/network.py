@@ -104,14 +104,21 @@ _LAYERS: dict[str, tuple[type[Layer], dict[str, type]]] = {
 }
 
 
-def _build_layers(spec: NetworkSpec, rng: np.random.Generator) -> list[Layer]:
-    """The layers of spec (dense and conv1d draw from rng), built only once
-    every check has passed; a failed check is ModelDataMismatch.  Each
-    descriptor has a known kind and exactly its fields, each value of its
-    type and range (jsontypes), and each layer takes the shape the layers
-    before it give: (width,) for a row, (length, channels) for a signal,
-    from (input_width,), or (input_width, 1) before a leading conv1d, to a
-    final softmax over (class_count,)."""
+def _build_layers(plan: list[tuple[type[Layer], list]], rng: np.random.Generator | None) -> list[Layer]:
+    """The layers of a checked plan (see _layer_plan); dense and conv1d
+    draw their weights from rng, or start at zero with no rng."""
+    return [cls(*args, rng) if cls in (Dense, Conv1d) else cls(*args) for cls, args in plan]
+
+
+def _layer_plan(spec: NetworkSpec) -> list[tuple[type[Layer], list]]:
+    """The class and constructor arguments of each layer of spec, from a
+    walk over shapes that allocates nothing; a failed check is
+    ModelDataMismatch.  Each descriptor has a known kind and exactly its
+    fields, each value of its type and range (jsontypes), and each layer
+    takes the shape the layers before it give: (width,) for a row,
+    (length, channels) for a signal, from (input_width,), or
+    (input_width, 1) before a leading conv1d, to a final softmax over
+    (class_count,)."""
     for name in ("input_width", "class_count"):
         problem = value_problem(name, getattr(spec, name), int)
         if problem:
@@ -119,7 +126,7 @@ def _build_layers(spec: NetworkSpec, rng: np.random.Generator) -> list[Layer]:
     shape: tuple[int, ...] = (spec.input_width,)
     if spec.layers and spec.layers[0].get("kind") == "conv1d":
         shape += (1,)
-    built = []  # (class, constructor arguments) of each layer, made after the checks
+    plan = []
     for i, desc in enumerate(spec.layers):
         kind = desc.get("kind")
         if type(kind) is not str or kind not in _LAYERS:
@@ -142,10 +149,10 @@ def _build_layers(spec: NetworkSpec, rng: np.random.Generator) -> list[Layer]:
             shape = (math.prod(shape),)
         elif kind in ("dense", "conv1d", "maxpool") or kind == "batchnorm" and shape != (desc["width"],):
             raise ModelDataMismatch(f"network layer {i} ({kind}) does not take input of shape {shape}")
-        built.append((cls, [desc[name] for name in fields]))
+        plan.append((cls, [desc[name] for name in fields]))
     if not spec.layers or spec.layers[-1]["kind"] != "softmax" or shape != (spec.class_count,):
         raise ModelDataMismatch(f"network must end in a softmax over ({spec.class_count},), not over {shape}")
-    return [cls(*args, rng) if cls in (Dense, Conv1d) else cls(*args) for cls, args in built]
+    return plan
 
 
 @dataclass
@@ -155,7 +162,7 @@ class Network:
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng: np.random.Generator) -> "Network":
-        return cls(spec, _build_layers(spec, rng))
+        return cls(spec, _build_layers(_layer_plan(spec), rng))
 
     @property
     def n_features(self) -> int:
@@ -285,15 +292,32 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
+        """The stored network.  Every stored shape is checked against the
+        one the spec gives, and every value count against its shape, before
+        any array is made; the layers then take the stored arrays, with no
+        weight draw, so a load allocates what the bundle's bytes hold."""
         spec = NetworkSpec(**bundle_field(d, "spec", NetworkSpec))
-        net = cls.initialize(spec, np.random.default_rng(0))
-        entries = bundle_field(d, "params", list) + bundle_field(d, "buffers", list)
-        state = {
-            (e["layer"], e["name"]): np.asarray(e["values"], dtype=float).reshape(e["shape"]) for e in entries
+        plan = _layer_plan(spec)
+        expected = {
+            (i, name): shape for i, (layer, args) in enumerate(plan) for name, shape in layer.state_shapes(*args).items()
         }
-        # every parameter and buffer of the spec's layers, once, with its shape
-        shapes = {k: v.shape for k, v in state.items()}
-        if len(entries) != len(state) or shapes != {k: v.shape for k, v in net.snapshot().items()}:
+        entries = bundle_field(d, "params", list[_StoredArray]) + bundle_field(d, "buffers", list[_StoredArray])
+        keys = [(e["layer"], e["name"]) for e in entries]
+        # every parameter and buffer of the spec's layers, once, with its shape and as many values
+        if (len(set(keys)) != len(keys) or set(keys) != expected.keys()
+                or any(tuple(e["shape"]) != expected[key] or len(e["values"]) != math.prod(e["shape"])
+                       for key, e in zip(keys, entries))):
             raise ModelDataMismatch("network parameters and buffers do not match its spec")
-        net.restore(state)
+        net = cls(spec, _build_layers(plan, None))
+        net.restore({key: np.asarray(e["values"], dtype=float).reshape(e["shape"]) for key, e in zip(keys, entries)})
         return net
+
+
+@dataclass(frozen=True)
+class _StoredArray:
+    """One stored parameter or buffer of a network bundle."""
+
+    layer: int
+    name: str
+    shape: list[int]
+    values: list[float]

@@ -1,18 +1,32 @@
-"""Map a function over items in forked children, one per usable CPU.
+"""Apply a function to items in forked children, one per usable CPU.
 
 The children are made with os.fork, so they start with the parent's memory:
-the function, its closure and the items reach them without pickling; only
-each child's results come back, pickled over a pipe.  Fork is safe here only
-because of what a child runs: tree growth, numpy array operations with no
-BLAS call (the parent's BLAS threads are not copied), no logging, no import
-and no I/O other than its pipe.  A child leaves with os._exit, so it runs no
-exit handler and flushes no buffer of the parent's.
+the function and its closure (a fit's training matrix and presorted rows)
+reach them once, without pickling.  The children of a Workers live until it
+is closed and serve any number of rounds: each round, every child gets its
+share of the round's items, pickled down its request pipe, and sends its
+results back, pickled down its result pipe, while this process computes
+share 0.  A boosting fit forks its workers once and serves one round per
+boosting round; forked_map is a single round.
+
+Fork is safe here only because of what a child runs: tree growth, numpy
+array operations with no BLAS call (the parent's BLAS threads are not
+copied), no logging, no import and no I/O other than its pipes.  A child
+leaves with os._exit, so it runs no exit handler and flushes no buffer of
+the parent's.  The no-BLAS rule also has a cost reason: KNN prediction of
+997 queries against 3,978 stored rows of width 20, split over two forked
+children, took 50-181 ms against 28-54 ms serially (5 runs, 2-vCPU VM),
+because each child's matrix product competes with OpenBLAS's own threads;
+so KNN prediction is not spread over workers.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import struct
+
+_LENGTH = struct.Struct("<Q")  # the byte length sent before each pickled message
 
 
 def usable_cpus() -> int:
@@ -25,61 +39,101 @@ def usable_cpus() -> int:
 
 def forked_map(fn, items) -> list:
     """[fn(item) for item in items], computed by this process and up to one
-    forked child per usable CPU beyond the first.
-
-    Items are dealt round-robin: worker k computes items[k::workers], and
-    worker 0 is this process.  The exception of the first item that raises,
-    in item order, is raised here with its type, arguments and attributes,
-    as the serial loop would raise it.  A child that ends without a result
-    (killed, or holding a result or exception that cannot be pickled)
-    raises ChildProcessError.  Every child is reaped before this returns.
-    With one usable CPU, or one item, nothing is forked.
-    """
+    forked child per usable CPU beyond the first (see Workers.map)."""
     items = list(items)
-    workers = min(usable_cpus(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
+    with Workers(fn, min(usable_cpus(), len(items))) as workers:
+        return workers.map(items)
 
-    pids: list[int] = []
-    pipes: list[int] = []  # read end of each child's pipe
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(read_fd)
+
+class Workers:
+    """This process and workers - 1 forked children that apply fn to rounds
+    of items until close (a context manager); with workers <= 1 nothing is
+    forked.  Every child is reaped by close, whatever ended the rounds."""
+
+    def __init__(self, fn, workers: int):
+        self.fn = fn
+        self.workers = max(1, workers)
+        self._children: list[tuple[int, int, int]] = []  # (pid, request write end, result read end)
+        try:
+            for _ in range(1, self.workers):
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self) -> None:
+        request_r, request_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # the parent's ends, its own and its elder siblings': an elder
+            # sibling whose request write end stayed open here would never
+            # see the end of its requests
+            parent_ends = [request_w, result_r] + [fd for _, w, r in self._children for fd in (w, r)]
+            _serve(self.fn, parent_ends, request_r, result_w)
+        os.close(request_r)
+        os.close(result_w)
+        self._children.append((pid, request_w, result_r))
+
+    def map(self, items) -> list:
+        """[fn(item) for item in items] for one round.
+
+        Items are dealt round-robin: worker k computes items[k::workers], and
+        worker 0 is this process.  The exception of the first item that
+        raises, in item order, is raised here with its type, arguments and
+        attributes, as the serial loop would raise it.  A child that ends
+        without a result (killed, or holding a result or exception that
+        cannot be pickled) raises ChildProcessError.
+        """
+        items = list(items)
+        if not self._children:
+            return [self.fn(item) for item in items]
+        workers = self.workers
+        for k, (pid, request_w, _) in enumerate(self._children, start=1):
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(fn, items[k::workers], pipes, write_fd)
-            os.close(write_fd)
-            pids.append(pid)
-        shares = [_run_share(fn, items[0::workers])]
-        for pid, read_fd in zip(pids, pipes):
-            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
+                _send(request_w, items[k::workers])
+            except BrokenPipeError:
+                raise ChildProcessError(f"forked worker {pid} ended before its items were sent") from None
+        shares = [_run_share(self.fn, items[0::workers])]
+        for pid, _, result_r in self._children:
+            data = _receive(result_r)
+            if data is None:
                 raise ChildProcessError(f"forked worker {pid} ended without a result")
             shares.append(pickle.loads(data))  # written by this process's own child
-    finally:
-        for read_fd in pipes:
-            os.close(read_fd)  # a child still writing gets EPIPE and leaves
-        for pid in pids:
+
+        failed = [(k + workers * len(results), k) for k, (results, exc) in enumerate(shares) if exc is not None]
+        if failed:
+            exc = shares[min(failed)[1]][1]
+            if isinstance(exc, tuple):  # a child's exception, in the parts _serve sent
+                cls, args, state = exc
+                exc = cls.__new__(cls, *args)
+                exc.__dict__.update(state)
+            raise exc
+        out: list = [None] * len(items)
+        for k, (results, _) in enumerate(shares):
+            out[k::workers] = results
+        return out
+
+    def close(self) -> None:
+        """End and reap every child: each sees the end of its requests, and
+        a child still writing a result gets EPIPE; both leave."""
+        children, self._children = self._children, []
+        for _, request_w, result_r in children:
+            os.close(request_w)
+            os.close(result_r)
+        for pid, _, _ in children:
             os.waitpid(pid, 0)
 
-    failed = [(k + workers * len(results), k) for k, (results, exc) in enumerate(shares) if exc is not None]
-    if failed:
-        exc = shares[min(failed)[1]][1]
-        if isinstance(exc, tuple):  # a child's exception, in the parts _child sent
-            cls, args, state = exc
-            exc = cls.__new__(cls, *args)
-            exc.__dict__.update(state)
-        raise exc
-    out: list = [None] * len(items)
-    for k, (results, _) in enumerate(shares):
-        out[k::workers] = results
-    return out
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _run_share(fn, share: list) -> tuple[list, Exception | None]:
@@ -93,20 +147,44 @@ def _run_share(fn, share: list) -> tuple[list, Exception | None]:
     return results, None
 
 
-def _child(fn, share: list, pipes: list[int], write_fd: int) -> None:
-    """Compute a share in a forked child, send it down the pipe and leave."""
+def _serve(fn, parent_ends: list[int], request_r: int, result_w: int) -> None:
+    """A forked child: compute each share that arrives and send it back,
+    until the requests end; then leave."""
     status = 1
     try:
-        for read_fd in pipes:  # its own pipe's and its elder siblings'
-            os.close(read_fd)
-        results, exc = _run_share(fn, share)
-        # an exception goes as its parts, so a subclass whose __init__ takes
-        # other arguments than its message is rebuilt all the same; what
-        # cannot be pickled leaves the parent with no result
-        parts = None if exc is None else (type(exc), exc.args, vars(exc))
-        data = pickle.dumps((results, parts), pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
+        for fd in parent_ends:
+            os.close(fd)
+        while (data := _receive(request_r)) is not None:
+            results, exc = _run_share(fn, pickle.loads(data))
+            # an exception goes as its parts, so a subclass whose __init__
+            # takes other arguments than its message is rebuilt all the
+            # same; what cannot be pickled leaves the parent with no result
+            parts = None if exc is None else (type(exc), exc.args, vars(exc))
+            _send(result_w, (results, parts))
         status = 0
     finally:
         os._exit(status)
+
+
+def _send(fd: int, obj) -> None:
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_LENGTH.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int) -> bytearray | None:
+    """The next message on fd, or None when the pipe ends before it does."""
+    header = _read_exactly(fd, _LENGTH.size)
+    return None if header is None else _read_exactly(fd, _LENGTH.unpack(header)[0])
+
+
+def _read_exactly(fd: int, size: int) -> bytearray | None:
+    buf = bytearray(size)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return None
+        view = view[got:]
+    return buf

@@ -7,6 +7,7 @@ import pytest
 
 from iotids.errors import BadK, SingleClass, WidthMismatch
 from iotids.models import knn as knn_module
+from iotids.models import svm as svm_module
 from iotids.models.knn import fit_knn, predict_knn
 from iotids.models.svm import (
     SvmClassifier,
@@ -226,6 +227,35 @@ class TestShortlistEquivalence:
             np.testing.assert_array_equal(got, want, f"part {part} case {case}")
         assert any(full_searches) and not all(full_searches)
 
+    @pytest.mark.parametrize("k", [1, 3, 8, 12])
+    @pytest.mark.parametrize("nearer", [0, 5, 16])
+    def test_duplicates_straddling_the_shortlist_boundary(self, k, nearer):
+        """`nearer` distinct stored rows, then 30 copies of one row, then 10
+        far rows, in shuffled stored order: the shortlist (k + 16 rows) ends
+        inside the copies.  Neighbours, their distance bits and the labels
+        equal a brute-force elementwise search that sorts every stored row
+        by (distance, index).  The query on the copies has k-th and left-out
+        values equal, so it also takes the full search."""
+        rng = np.random.default_rng(100 * k + nearer)
+        shortlist = k + knn_module._SHORTLIST_EXTRA
+        assert nearer < shortlist < nearer + 30
+        X = np.vstack([
+            np.column_stack([0.1 * np.arange(1, nearer + 1), np.zeros(nearer)]),
+            np.tile([[5.0, 5.0]], (30, 1)),
+            rng.normal(20.0, 1.0, (10, 2)),
+        ])[rng.permutation(nearer + 40)]
+        y = rng.integers(0, 3, X.shape[0])
+        Q = np.vstack([[0.0, 0.0], rng.normal(0.0, 0.05, (5, 2)), [5.0, 5.0], [5.0, 5.5]])
+        x_sq = (X * X).sum(axis=1)
+        nn, nn_dist = knn_module._shortlist_nearest(Q, X, x_sq, x_sq.max(), k, shortlist)
+        for i, q in enumerate(Q):
+            dist = np.sqrt(((q - X) ** 2).sum(axis=1))
+            order = sorted(range(X.shape[0]), key=lambda j: (dist[j], j))[:k]
+            assert nn[i].tolist() == order, i
+            assert nn_dist[i].tobytes() == dist[order].tobytes(), i
+        model = fit_knn(X, y, k, n_classes=3)
+        np.testing.assert_array_equal(predict_knn(model, Q), knn_oracle(X, y, Q, k, 3))
+
     def test_peak_memory_is_bounded(self):
         """20,000 x 20 store, 1,000 queries: the old 64-row chunks allocated
         64 x 20,000 x 20 doubles twice (about 410 MB)."""
@@ -334,8 +364,10 @@ def test_svm_retrain_bitwise_identical():
 
 def svm_reference(X, y, params):
     """The SGD loop restated with a new w each step, as first written; also
-    counts the steps whose row violated the margin."""
-    X = np.asarray(X, dtype=float)
+    counts the steps whose row violated the margin.  Rows come from a
+    C-ordered copy, as in the fit: a strided row's dot product can round
+    differently from a contiguous one."""
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
     w, b, t, violations = np.zeros(d), 0.0, 0, 0
@@ -374,6 +406,14 @@ def svm_cases():
     yield "only the first step violates", np.array([[100.0], [-100.0], [80.0]]), np.array([1.0, -1.0, 1.0]), \
         SvmParams(epochs=4, seed=0)
     yield "no step", X, y, SvmParams(epochs=0)
+    for d in (20, 36):
+        wide = rng.normal(0, 1.0, (50, d))
+        labels = np.where(wide[:, 0] + rng.normal(0, 0.5, 50) > 0, 1.0, -1.0)
+        labels[:2] = [-1.0, 1.0]
+        yield f"d={d}", wide, labels, SvmParams(C=0.5, epochs=3, seed=d)
+        yield f"d={d} fortran order", np.asfortranarray(wide), labels, SvmParams(C=0.5, epochs=3, seed=d)
+    X, y = separable(seed=8, n=svm_module._CHUNK_STEPS + 3)
+    yield "more steps than one chunk", X, y, SvmParams(lr0=1e-4, epochs=2, seed=4)
 
 
 def test_svm_fit_bitwise_equals_reference_loop():
@@ -388,3 +428,12 @@ def test_svm_fit_bitwise_equals_reference_loop():
     # the first step always violates: it starts from w = 0, b = 0
     assert violations["only the first step violates"] == 1
     assert violations["no step"] == 0
+    assert violations["more steps than one chunk"] > 2 * svm_module._CHUNK_STEPS
+
+
+@pytest.mark.parametrize("d", [20, 36])
+def test_svm_fit_does_not_depend_on_memory_order(d):
+    cases = {name: (X, y, params) for name, X, y, params in svm_cases()}
+    models = [fit_linear_svm(*cases[name]) for name in (f"d={d}", f"d={d} fortran order")]
+    assert models[0].w.tobytes() == models[1].w.tobytes()
+    assert float(models[0].b).hex() == float(models[1].b).hex()

@@ -1,5 +1,6 @@
-"""forked_map: item order, errors and reaping at forced worker counts, and
-tree ensembles that are bitwise the same whatever the worker count."""
+"""forked_map and the workers a boosting fit keeps: item order, errors and
+reaping at forced worker counts, and tree ensembles that are bitwise the
+same whatever the worker count."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from iotids.errors import IotidsError, WidthMismatch
+from iotids.models import gbm as gbm_module
 from iotids.models.forest import ForestParams, fit_random_forest
 from iotids.models.gbm import GbmParams, fit_gbm
 from iotids.parallel import forked_map, usable_cpus
@@ -23,12 +25,18 @@ def force_cpus(monkeypatch, count):
     assert usable_cpus() == count
 
 
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 @pytest.fixture(autouse=True)
-def no_child_left_and_bounded_time():
-    """Each test ends within 60 s and leaves no child process behind."""
+def no_child_or_fd_left_and_bounded_time():
+    """Each test ends within 60 s and leaves no child process and no open
+    file descriptor behind."""
     def timeout(signum, frame):
         raise TimeoutError("forked_map test took over 60 s")
 
+    fds = open_fds()
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)
     try:
@@ -38,6 +46,7 @@ def no_child_left_and_bounded_time():
         signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
@@ -55,6 +64,18 @@ def test_one_process_per_worker(monkeypatch, workers):
     pids = forked_map(lambda i: os.getpid(), items)
     assert len(set(pids)) == min(count, len(items))
     assert pids[0] == os.getpid()  # share 0 is computed here
+
+
+@pytest.mark.parametrize("workers", WORKERS[1:], ids=WORKER_IDS[1:])
+def test_each_child_holds_only_its_own_pipe_ends(monkeypatch, workers):
+    """A child keeps this process's descriptors and the two ends of its own
+    pipes, and no end of an elder sibling's pipes (an elder sibling's
+    request end held open elsewhere keeps its requests from ending)."""
+    items = list(range(7))
+    force_cpus(monkeypatch, workers(len(items)))
+    here = len(open_fds())
+    counts = forked_map(lambda i: (os.getpid(), len(open_fds())), items)
+    assert {count for pid, count in counts if pid != os.getpid()} == {here + 2}
 
 
 def test_no_items(monkeypatch):
@@ -124,3 +145,63 @@ def test_child_that_ends_without_a_result_is_an_error(monkeypatch, workers):
     force_cpus(monkeypatch, workers(5))
     with pytest.raises(ChildProcessError, match="ended without a result"):
         forked_map(lambda i: os._exit(3) if i == 1 else i, range(5))
+
+
+def gbm_failing_at(monkeypatch, y, target, failure):
+    """Make fit_gbm's tree growth call failure(class) on the second round's
+    tree of class `target` (the class whose rows the target column favours)."""
+    grow = gbm_module.grow_tree
+    calls = {}
+
+    def failing_grow(X, target_column, *args, **kwargs):
+        c = int(y[np.argmax(target_column)])
+        calls[c] = calls.get(c, 0) + 1
+        if c == target and calls[c] == 2:
+            failure(c)
+        return grow(X, target_column, *args, **kwargs)
+
+    monkeypatch.setattr(gbm_module, "grow_tree", failing_grow)
+
+
+def raise_width_mismatch(c):
+    exc = WidthMismatch(c, 2)
+    exc.pid = os.getpid()
+    raise exc
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_classes", [2, 4])
+@pytest.mark.parametrize("share", ["child", "parent"])
+def test_gbm_error_in_a_share_is_raised_and_every_worker_reaped(monkeypatch, workers, n_classes, share):
+    """Class 1 is grown by worker 1 (a child, with two workers or more) and
+    class 0 by this process; the error raised for it in the second round
+    comes back with its type and attributes, and the fixture checks that
+    no worker and no pipe is left."""
+    X, y = blobs(2, n_classes)
+    target = 1 if share == "child" else 0
+    gbm_failing_at(monkeypatch, y, target, raise_width_mismatch)
+    force_cpus(monkeypatch, workers)
+    with pytest.raises(WidthMismatch, match="model expects") as caught:
+        fit_gbm(X, y, X[::3], y[::3], GbmParams(max_rounds=4, max_depth=3, patience=4), n_classes=n_classes)
+    assert (caught.value.expected, caught.value.got) == (target, 2)
+    assert (caught.value.pid != os.getpid()) == (share == "child" and workers > 1)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n_classes", [2, 4])
+def test_gbm_worker_that_dies_is_a_child_process_error(monkeypatch, workers, n_classes):
+    X, y = blobs(2, n_classes)
+    gbm_failing_at(monkeypatch, y, 1, lambda c: os._exit(3))
+    force_cpus(monkeypatch, workers)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        fit_gbm(X, y, X[::3], y[::3], GbmParams(max_rounds=4, max_depth=3, patience=4), n_classes=n_classes)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_gbm_early_stop_reaps_its_workers(monkeypatch, workers):
+    """Early stopping leaves the rounds before max_rounds; the fixture checks
+    that every worker is reaped and every pipe closed all the same."""
+    X, y = blobs(3, 3)
+    force_cpus(monkeypatch, workers)
+    _, curve = fit_gbm(X, y, X[1::2], 2 - y[1::2], GbmParams(max_rounds=50, max_depth=3, patience=1), n_classes=3)
+    assert curve.stopped_at < 49

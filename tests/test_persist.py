@@ -361,6 +361,20 @@ def test_inconsistent_model_value_is_model_error(runs, tmp_path, task, kind, key
                  "--output", str(tmp_path / "preds.csv")]) == EXIT_MODEL
 
 
+@pytest.mark.parametrize("kind, key", [("ann", "params"), ("ann", "buffers"), ("cnn", "params")])
+@pytest.mark.parametrize("value", [None, True])
+def test_network_value_that_is_not_a_number_is_model_error(runs, tmp_path, kind, key, value):
+    """A stored network value of null (NaN if read as a float) or a bool
+    exits 4 and writes no CSV."""
+    doc = json.loads((runs / "multiclass" / "models" / f"{kind}.json").read_text())
+    doc["model"][key][0]["values"][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
+    assert not out.exists()
+
+
 def set_dense_inputs(model, layer, n_in):
     """Dense layer `layer` of a network document takes n_in inputs, with a W
     of n_in rows (cut, or padded with zeros), so every shape fits the spec."""
@@ -415,6 +429,39 @@ def test_network_layer_value_out_of_range_is_model_error(runs, tmp_path, layer, 
     bad.write_text(json.dumps(doc))
     data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
     assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
+    assert not out.exists()
+
+
+def test_network_claiming_huge_widths_is_model_error_without_allocating(runs, tmp_path):
+    """An ann bundle of a few kilobytes whose spec claims input_width
+    100,000 and a first dense layer of 100,000 x 100,000 (74.5 GiB of
+    weights), with its stored arrays left small, exits 4 with no traceback
+    in a process whose address space is capped 2 GiB above its size after
+    import: the spec is checked against the stored shapes before anything
+    is allocated."""
+    doc = json.loads((runs / "multiclass" / "models" / "ann.json").read_text())
+    spec = doc["model"]["spec"]
+    dense = [i for i, layer in enumerate(spec["layers"]) if layer["kind"] == "dense"]
+    spec["input_width"] = 100_000
+    spec["layers"][dense[0]].update(n_in=100_000, n_out=100_000)
+    spec["layers"][dense[0] + 1]["width"] = 100_000
+    spec["layers"][dense[1]]["n_in"] = 100_000
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert bad.stat().st_size < 50_000
+    data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
+    script = (
+        "import os, resource, sys\n"
+        "from iotids.cli import main\n"
+        "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (2 << 30),) * 2)\n"
+        f"sys.exit(main(['predict', '--model', {str(bad)!r}, '--input', {str(data)!r}, '--output', {str(out)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_MODEL, run.stderr[-2000:]
+    assert "Traceback" not in run.stderr
+    assert "do not match its spec" in run.stderr
     assert not out.exists()
 
 
