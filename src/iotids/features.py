@@ -247,14 +247,6 @@ def fit_one_hot(columns: Mapping[str, Sequence[str]]) -> OneHotVocabulary:
     return OneHotVocabulary({f: tuple(dict.fromkeys(column)) for f, column in columns.items()})
 
 
-def encode_one_hot(vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> np.ndarray:
-    """The len(values) x width indicator block of one feature; unseen
-    categories encode as all-zero rows, counted in one warning."""
-    block = np.zeros((len(values), vocabulary.width(feature)))
-    _write_one_hot(block, vocabulary, feature, values)
-    return block
-
-
 def _write_one_hot(out: np.ndarray, vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> None:
     """Set the indicators of one feature in the zeroed columns out (a view
     may be given); an unseen category sets none, counted in one warning."""

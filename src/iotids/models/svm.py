@@ -10,8 +10,9 @@ import numpy as np
 from ..errors import SingleClass, WidthMismatch
 from ..jsontypes import bundle_field
 
-# SGD steps whose rows are gathered at once (bounds that copy to this many rows)
-_CHUNK_STEPS = 4096
+# bound on the elements (steps x width) of one chunk's gathered rows, and of
+# its step rows: the steps of a chunk are max(1, _CHUNK_ELEMENTS // width)
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
     Each step computes, in this order, with these IEEE operations:
     violated = y_i * (x_i . w + b) < 1; w = (1 - eta) * w; and if violated,
     w = w + (eta * C * y_i) * x_i and b = b + eta * C * y_i.  The rows of
-    up to _CHUNK_STEPS consecutive steps, and their step rows
-    (eta * C * y_i) * x_i, are gathered and computed at once, so a step
-    makes three numpy calls.
+    a chunk of consecutive steps (_CHUNK_ELEMENTS // width of them), and
+    their step rows (eta * C * y_i) * x_i, are gathered and computed at
+    once, so a step makes three numpy calls.
     """
     X = np.ascontiguousarray(X, dtype=float)  # contiguous rows: the dot product's bits depend on the stride
     y = np.asarray(y, dtype=float)
@@ -80,14 +81,15 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
         raise SingleClass("labels must contain both -1 and +1")
 
     n, d = X.shape
+    chunk_steps = max(1, _CHUNK_ELEMENTS // max(1, d))
     w = np.zeros(d)
     b = 0.0
     t = 0
     rng = np.random.default_rng(params.seed)
     for _ in range(params.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, _CHUNK_STEPS):
-            chunk = order[start : start + _CHUNK_STEPS]
+        for start in range(0, n, chunk_steps):
+            chunk = order[start : start + chunk_steps]
             rows, labels = X[chunk], y[chunk]
             etas = np.array([params.lr0 / (1.0 + (t + j) * params.decay) for j in range(chunk.shape[0])])
             t += chunk.shape[0]

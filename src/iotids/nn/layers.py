@@ -51,8 +51,9 @@ class Dense(Layer):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
         """Glorot weights drawn from rng; with no rng, zeros to be restored."""
         super().__init__()
-        W = np.zeros((n_in, n_out)) if rng is None else glorot_uniform(n_in, n_out, rng)
-        self.params = {"W": W, "b": np.zeros(n_out)}
+        shapes = self.state_shapes(n_in, n_out)
+        W = np.zeros(shapes["W"]) if rng is None else glorot_uniform(n_in, n_out, rng)
+        self.params = {"W": W, "b": np.zeros(shapes["b"])}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     @staticmethod
@@ -82,10 +83,11 @@ class BatchNorm(Layer):
 
     def __init__(self, width: int):
         super().__init__()
-        self.params = {"gamma": np.ones(width), "beta": np.zeros(width)}
+        shapes = self.state_shapes(width)
+        self.params = {"gamma": np.ones(shapes["gamma"]), "beta": np.zeros(shapes["beta"])}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
+        self.running_mean = np.zeros(shapes["running_mean"])
+        self.running_var = np.ones(shapes["running_var"])
 
     def buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -185,10 +187,10 @@ class Conv1d(Layer):
         fan_in = kernel_width * in_channels
         fan_out = kernel_width * n_filters
         bound = glorot_uniform_bound(fan_in, fan_out)
-        shape = (n_filters, kernel_width, in_channels)
+        shapes = self.state_shapes(in_channels, n_filters, kernel_width)
         self.params = {
-            "K": np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape),
-            "b": np.zeros(n_filters),
+            "K": np.zeros(shapes["K"]) if rng is None else rng.uniform(-bound, bound, size=shapes["K"]),
+            "b": np.zeros(shapes["b"]),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.kernel_width = kernel_width

@@ -22,11 +22,9 @@ so KNN prediction is not spread over workers.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
-import struct
-
-_LENGTH = struct.Struct("<Q")  # the byte length sent before each pickled message
 
 
 def usable_cpus() -> int:
@@ -53,7 +51,7 @@ class Workers:
     def __init__(self, fn, workers: int):
         self.fn = fn
         self.workers = max(1, workers)
-        self._children: list[tuple[int, int, int]] = []  # (pid, request write end, result read end)
+        self._children: list[tuple] = []  # (pid, request writer, result reader)
         try:
             for _ in range(1, self.workers):
                 self._fork()
@@ -74,11 +72,11 @@ class Workers:
             # the parent's ends, its own and its elder siblings': an elder
             # sibling whose request write end stayed open here would never
             # see the end of its requests
-            parent_ends = [request_w, result_r] + [fd for _, w, r in self._children for fd in (w, r)]
+            parent_ends = [request_w, result_r] + [f.fileno() for _, w, r in self._children for f in (w, r)]
             _serve(self.fn, parent_ends, request_r, result_w)
         os.close(request_r)
         os.close(result_w)
-        self._children.append((pid, request_w, result_r))
+        self._children.append((pid, os.fdopen(request_w, "wb"), os.fdopen(result_r, "rb")))
 
     def map(self, items) -> list:
         """[fn(item) for item in items] for one round.
@@ -94,17 +92,18 @@ class Workers:
         if not self._children:
             return [self.fn(item) for item in items]
         workers = self.workers
-        for k, (pid, request_w, _) in enumerate(self._children, start=1):
+        for k, (pid, requests, _) in enumerate(self._children, start=1):
             try:
-                _send(request_w, items[k::workers])
+                pickle.dump(items[k::workers], requests, pickle.HIGHEST_PROTOCOL)
+                requests.flush()
             except BrokenPipeError:
                 raise ChildProcessError(f"forked worker {pid} ended before its items were sent") from None
         shares = [_run_share(self.fn, items[0::workers])]
-        for pid, _, result_r in self._children:
-            data = _receive(result_r)
-            if data is None:
-                raise ChildProcessError(f"forked worker {pid} ended without a result")
-            shares.append(pickle.loads(data))  # written by this process's own child
+        for pid, _, results in self._children:
+            try:
+                shares.append(pickle.load(results))  # written by this process's own child
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"forked worker {pid} ended without a result") from None
 
         failed = [(k + workers * len(results), k) for k, (results, exc) in enumerate(shares) if exc is not None]
         if failed:
@@ -123,9 +122,10 @@ class Workers:
         """End and reap every child: each sees the end of its requests, and
         a child still writing a result gets EPIPE; both leave."""
         children, self._children = self._children, []
-        for _, request_w, result_r in children:
-            os.close(request_w)
-            os.close(result_r)
+        for _, requests, results in children:
+            with contextlib.suppress(BrokenPipeError):  # items a dead child never read
+                requests.close()
+            results.close()
         for pid, _, _ in children:
             os.waitpid(pid, 0)
 
@@ -154,37 +154,21 @@ def _serve(fn, parent_ends: list[int], request_r: int, result_w: int) -> None:
     try:
         for fd in parent_ends:
             os.close(fd)
-        while (data := _receive(request_r)) is not None:
-            results, exc = _run_share(fn, pickle.loads(data))
+        requests, replies = os.fdopen(request_r, "rb"), os.fdopen(result_w, "wb")
+        while True:
+            try:
+                share = pickle.load(requests)
+            except EOFError:  # the requests ended
+                break
+            results, exc = _run_share(fn, share)
             # an exception goes as its parts, so a subclass whose __init__
             # takes other arguments than its message is rebuilt all the
-            # same; what cannot be pickled leaves the parent with no result
+            # same; what cannot be pickled leaves the parent with a cut
+            # stream (this process leaves unflushed), so with no result
             parts = None if exc is None else (type(exc), exc.args, vars(exc))
-            _send(result_w, (results, parts))
+            pickle.dump((results, parts), replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
         status = 0
     finally:
         os._exit(status)
 
-
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_LENGTH.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int) -> bytearray | None:
-    """The next message on fd, or None when the pipe ends before it does."""
-    header = _read_exactly(fd, _LENGTH.size)
-    return None if header is None else _read_exactly(fd, _LENGTH.unpack(header)[0])
-
-
-def _read_exactly(fd: int, size: int) -> bytearray | None:
-    buf = bytearray(size)
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            return None
-        view = view[got:]
-    return buf

@@ -11,8 +11,8 @@ from iotids.features import (
     CATEGORICAL_FIELDS,
     NUMERIC_FIELDS,
     CidrTable,
+    _write_one_hot,
     build_schema,
-    encode_one_hot,
     fit_min_max,
     fit_one_hot,
     ip_and_categorical_columns,
@@ -131,6 +131,14 @@ class TestIpFeatures:
         path.write_text("prefix,cc\n8.8.8.0/24,US\n")
         with pytest.raises(DataError, match="cidr.csv"):
             CidrTable.from_csv(path)
+
+
+def encode_one_hot(vocab, feature, values):
+    """The len(values) x width indicator block that matrix_from_records
+    writes for one feature."""
+    block = np.zeros((len(values), vocab.width(feature)))
+    _write_one_hot(block, vocab, feature, values)
+    return block
 
 
 class TestOneHot:

@@ -412,8 +412,12 @@ def svm_cases():
         labels[:2] = [-1.0, 1.0]
         yield f"d={d}", wide, labels, SvmParams(C=0.5, epochs=3, seed=d)
         yield f"d={d} fortran order", np.asfortranarray(wide), labels, SvmParams(C=0.5, epochs=3, seed=d)
-    X, y = separable(seed=8, n=svm_module._CHUNK_STEPS + 3)
-    yield "more steps than one chunk", X, y, SvmParams(lr0=1e-4, epochs=2, seed=4)
+    d = 32
+    n = svm_module._CHUNK_ELEMENTS // d + 3
+    wide = rng.normal(0, 1.0, (n, d))
+    labels = np.where(wide[:, 0] > 0, 1.0, -1.0)
+    labels[:2] = [-1.0, 1.0]
+    yield "more steps than one chunk", wide, labels, SvmParams(lr0=1e-4, epochs=2, seed=4)
 
 
 def test_svm_fit_bitwise_equals_reference_loop():
@@ -428,7 +432,7 @@ def test_svm_fit_bitwise_equals_reference_loop():
     # the first step always violates: it starts from w = 0, b = 0
     assert violations["only the first step violates"] == 1
     assert violations["no step"] == 0
-    assert violations["more steps than one chunk"] > 2 * svm_module._CHUNK_STEPS
+    assert violations["more steps than one chunk"] > 2 * (svm_module._CHUNK_ELEMENTS // 32)
 
 
 @pytest.mark.parametrize("d", [20, 36])

@@ -147,6 +147,15 @@ def test_child_that_ends_without_a_result_is_an_error(monkeypatch, workers):
         forked_map(lambda i: os._exit(3) if i == 1 else i, range(5))
 
 
+@pytest.mark.parametrize("workers", WORKERS[1:], ids=WORKER_IDS[1:])
+def test_child_whose_result_cannot_be_pickled_is_an_error(monkeypatch, workers):
+    """The array is written down the pipe before the lambda fails to pickle,
+    so this process reads a cut stream."""
+    force_cpus(monkeypatch, workers(5))
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        forked_map(lambda i: [np.zeros(1 << 17), lambda: i] if i == 1 else i, range(5))
+
+
 def gbm_failing_at(monkeypatch, y, target, failure):
     """Make fit_gbm's tree growth call failure(class) on the second round's
     tree of class `target` (the class whose rows the target column favours)."""

@@ -2,16 +2,16 @@
 
 Usage (from anywhere; the CLI runs from this checkout's `src/`):
 
-    python3 tools/time_importance.py --seed N [--runs R] [--workload NAME ...]
+    python3 tools/time_importance.py --seed N
 
-For each chosen training workload of perfbench/workloads.json (read, never
-changed; by default train_binary and train_multiclass) it runs, in a
-temporary directory, `iotids synth` of the workload's data spec and `iotids
+For each of the train_binary and train_multiclass workloads of
+perfbench/workloads.json (read, never changed) it runs, in a temporary
+directory, `iotids synth` of the workload's data spec and `iotids
 train` of its config, with the seeds of perfbench/run.py (config N, data
-2N). It then times R runs each of `iotids evaluate` and `iotids importance`
+2N). It then times one run each of `iotids evaluate` and `iotids importance`
 (5 repeats, seed 0) of the trained hybrid on the training data, one
 subprocess at a time. Each timed command prints one JSON line:
-{"workload", "command", "seed", "wall_s": [per run], "sha256"}, where sha256
+{"workload", "command", "seed", "wall_s", "sha256"}, where sha256
 is that of the command's report (the importance CSV, or the evaluate
 metrics JSON), so two checkouts can be compared for speed and for bytes.
 """
@@ -41,7 +41,7 @@ def cli(*args: str) -> float:
     return time.perf_counter() - start
 
 
-def time_workload(name: str, w: dict, seed: int, runs: int, dest: Path) -> None:
+def time_workload(name: str, w: dict, seed: int, dest: Path) -> None:
     dest.mkdir()
     spec, config = dest / "data_spec.json", dest / "config.json"
     spec.write_text(json.dumps(dict(w["data"], seed=2 * seed)))
@@ -55,7 +55,7 @@ def time_workload(name: str, w: dict, seed: int, runs: int, dest: Path) -> None:
                        ["importance", "--model", hybrid, "--data", data, "--repeats", "5", "--seed", "0", "--out"]),
     }
     for command, (report, args) in commands.items():
-        wall = [cli(*args, str(report)) for _ in range(runs)]
+        wall = cli(*args, str(report))
         digest = hashlib.sha256(report.read_bytes()).hexdigest()
         print(json.dumps({"workload": name, "command": command, "seed": seed, "wall_s": wall, "sha256": digest}),
               flush=True)
@@ -64,16 +64,13 @@ def time_workload(name: str, w: dict, seed: int, runs: int, dest: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--runs", type=int, default=1, help="timed runs of each command")
-    parser.add_argument("--workload", action="append", choices=TRAIN_WORKLOADS,
-                        help="a workload to time (repeatable; default: both)")
     args = parser.parse_args(argv)
-    if args.seed < 0 or args.runs < 1:
-        parser.error("--seed must be >= 0 and --runs >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
     with tempfile.TemporaryDirectory(prefix="time_importance-") as tmp:
-        for name in args.workload or TRAIN_WORKLOADS:
-            time_workload(name, workloads[name], args.seed, args.runs, Path(tmp) / name)
+        for name in TRAIN_WORKLOADS:
+            time_workload(name, workloads[name], args.seed, Path(tmp) / name)
     return 0
 
 
