@@ -10,6 +10,8 @@ import functools
 import sys
 import typing
 
+import numpy as np
+
 from .errors import ConfigError, ModelDataMismatch
 
 
@@ -132,3 +134,17 @@ def bundle_field(d: dict, key: str, hint):
     if not has_type(value, hint):
         raise ModelDataMismatch(f"bundle field {key!r} must be {type_name(hint)}, got {value!r:.80}")
     return value
+
+
+def bundle_float_array(d: dict, key: str) -> np.ndarray:
+    """d[key] as a float array of finite numbers, checked at array speed: a
+    null (NaN as a float), a non-finite or non-numeric value, or ragged
+    nesting makes the bundle malformed."""
+    problem = f"bundle field {key!r} must hold finite numbers"
+    try:
+        values = np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelDataMismatch(problem) from exc
+    if not np.isfinite(values).all():
+        raise ModelDataMismatch(problem)
+    return values

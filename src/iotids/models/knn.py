@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BadK, ModelDataMismatch, WidthMismatch
-from ..jsontypes import bundle_field
+from ..jsontypes import bundle_field, bundle_float_array
 
 # bound on query rows x (stored rows + shortlist x features) per search block
 _BLOCK_ELEMENTS = 1 << 18
@@ -70,7 +70,7 @@ class KnnModel:
     @classmethod
     def from_dict(cls, d: dict) -> "KnnModel":
         n_classes = bundle_field(d, "n_classes", int)
-        model = fit_knn(bundle_field(d, "X", list), bundle_field(d, "y", list[int]), d["k"], n_classes=n_classes)
+        model = fit_knn(bundle_float_array(d, "X"), bundle_field(d, "y", list[int]), d["k"], n_classes=n_classes)
         y = model.y
         if model.X.ndim != 2 or y.shape != model.X.shape[:1] or y.min() < 0 or y.max() >= n_classes:
             raise ModelDataMismatch("a KNN bundle needs a 2-D X and one class index in [0, n_classes) per stored row")

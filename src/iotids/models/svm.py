@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClass, WidthMismatch
-from ..jsontypes import bundle_field
+from ..errors import ModelDataMismatch, SingleClass, WidthMismatch
+from ..jsontypes import bundle_field, bundle_float_array
 
 # bound on the elements (steps x width) of one chunk's gathered rows, and of
 # its step rows: the steps of a chunk are max(1, _CHUNK_ELEMENTS // width)
@@ -50,8 +50,11 @@ class SvmClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvmClassifier":
+        w = bundle_float_array(d, "w")
+        if w.ndim != 1:
+            raise ModelDataMismatch("an SVM bundle needs w as one list of numbers")
         return cls(
-            np.asarray(bundle_field(d, "w", list), dtype=float),
+            w,
             bundle_field(d, "b", float),
             bundle_field(d, "C", float),
             bundle_field(d, "epochs_trained", int),

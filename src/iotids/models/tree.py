@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
-from ..jsontypes import bundle_field
+from ..jsontypes import bundle_field, bundle_float_array
 
 _NO_CHILD = -1
 # bound on candidates x node rows (x classes) per temporary of the split search
@@ -122,7 +122,7 @@ class DecisionTree:
                 f"expected a {task} tree over {n_classes} classes, got {params.task} over {params.n_classes}"
             )
         feature, left, right = (_int_array(d, key) for key in ("feature", "left", "right"))
-        threshold = _float_array(d, "threshold")
+        threshold = bundle_float_array(d, "threshold")
         n = feature.shape[0]
         if n == 0 or not (threshold.shape == left.shape == right.shape == (n,)):
             raise ModelDataMismatch(
@@ -142,7 +142,7 @@ class DecisionTree:
             key, unused, shape = "leaf_score", "leaf_class_counts", (n,)
         else:
             key, unused, shape = "leaf_class_counts", "leaf_score", (n, n_classes)
-        values = _float_array(d, key)
+        values = bundle_float_array(d, key)
         if values.shape != shape or d[unused] is not None:
             raise ModelDataMismatch(f"a {task} tree of {n} nodes needs {key} of shape {shape} and {unused} null")
         counts, scores = (None, values) if n_classes is None else (values, None)
@@ -155,14 +155,6 @@ def _int_array(d: dict, key: str) -> np.ndarray:
     if values.ndim != 1 or (values.size and values.dtype.kind != "i"):
         raise ModelDataMismatch(f"bundle field {key!r} must be a list of ints")
     return values.astype(np.int64)
-
-
-def _float_array(d: dict, key: str) -> np.ndarray:
-    """d[key] as a float array of finite numbers (null reads as NaN)."""
-    values = np.asarray(d[key], dtype=float)
-    if not np.isfinite(values).all():
-        raise ModelDataMismatch(f"bundle field {key!r} must hold finite numbers")
-    return values
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Activation, initialization, penalty, and loss primitives.
+"""Initialization, penalty, and loss primitives (the activations and their
+derivatives are the layers' own, in layers.py).
 
-Gradient conventions that matter for finite-difference checks: the ReLU
-derivative at exactly 0 is 0, the ELU derivative at 0 follows the x <= 0
-branch (alpha * e^0 = alpha), and sign(0) = 0 in the L1 penalty gradient.
+Gradient convention that matters for finite-difference checks: sign(0) = 0
+in the L1 penalty gradient.
 """
 
 from __future__ import annotations
@@ -11,23 +11,6 @@ import numpy as np
 
 from ..errors import BadOneHot
 from ..numerics import PROB_FLOOR, softmax  # noqa: F401  (softmax re-exported)
-
-
-def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max(0, x) and its elementwise derivative."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(0.0, x), (x > 0.0).astype(float)
-
-
-def elu(x: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """x for x > 0, alpha*(e^x - 1) otherwise, with elementwise derivative."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    neg = alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)
-    y = np.where(x > 0.0, x, neg)
-    grad = np.where(x > 0.0, 1.0, neg + alpha)  # alpha * e^x on the closed branch
-    return y, grad
 
 
 def categorical_cross_entropy(p: np.ndarray, y_one_hot: np.ndarray) -> float:

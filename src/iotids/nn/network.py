@@ -187,9 +187,12 @@ class Network:
     # --- forward / predict ----------------------------------------------------
 
     def forward(self, X: np.ndarray, training: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
+        """The output of a pass that is not differentiated: each layer drops
+        what it saved for backward once it has produced its output."""
         h = self._prepare(X)
         for layer in self.layers:
             h = layer.forward(h, training, rng)
+            layer.release()
         return h
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -250,7 +253,8 @@ class Network:
         """Mean cross-entropy + elastic net, with gradients for parameters().
 
         Softmax and cross-entropy are fused: the gradient at the logits is
-        (p - y_one_hot) / batch, which is exact and stable.
+        (p - y_one_hot) / batch, which is exact and stable.  Each layer keeps
+        what its forward saved until its backward has run, then drops it.
         """
         y = np.asarray(y, dtype=np.int64)
         h = self._prepare(X)
@@ -264,6 +268,7 @@ class Network:
         grad = (probs - one_hot(y, self.spec.class_count)) / X.shape[0]
         for layer in reversed(body):
             grad = layer.backward(grad)
+            layer.release()
 
         pen_iter = iter(pen_grads)
         grads: list[np.ndarray] = []

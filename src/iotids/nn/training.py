@@ -39,23 +39,41 @@ class TrainingCurve:
 
 
 class Adam:
-    def __init__(self, shapes: list[tuple[int, ...]], params: TrainParams):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+    """Adam over one flat parameter vector, updated in place.  Per element,
+    in this order: m = beta1 * m + (1 - beta1) * g, v = beta2 * v +
+    (1 - beta2) * g^2, and w = w - lr * (m / (1 - beta1^t)) /
+    (sqrt(v / (1 - beta2^t)) + eps)."""
+
+    def __init__(self, size: int, params: TrainParams):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
         self.p = params
 
-    def step(self, values: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    def step(self, values: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         p = self.p
-        out = []
-        for i, (value, grad) in enumerate(zip(values, grads)):
-            self.m[i] = p.beta1 * self.m[i] + (1.0 - p.beta1) * grad
-            self.v[i] = p.beta2 * self.v[i] + (1.0 - p.beta2) * grad**2
-            m_hat = self.m[i] / (1.0 - p.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - p.beta2**self.t)
-            out.append(value - p.learning_rate * m_hat / (np.sqrt(v_hat) + p.eps))
-        return out
+        self.m *= p.beta1
+        self.m += (1.0 - p.beta1) * grad
+        self.v *= p.beta2
+        self.v += (1.0 - p.beta2) * (grad * grad)
+        update = self.m / (1.0 - p.beta1**self.t)
+        denom = np.sqrt(self.v / (1.0 - p.beta2**self.t))
+        denom += p.eps
+        update *= p.learning_rate
+        update /= denom
+        values -= update
+
+
+def _flat_parameters(net: Network) -> np.ndarray:
+    """One vector of every parameter of net, in parameters() order; each
+    layer's params become views of it, until net.restore replaces them."""
+    values = np.concatenate([v.ravel() for _, _, v in net.parameters()])
+    offset = 0
+    for i, name, value in net.parameters():
+        net.layers[i].params[name] = values[offset : offset + value.size].reshape(value.shape)
+        offset += value.size
+    return values
 
 
 def train_network(
@@ -86,7 +104,8 @@ def train_network(
     init_rng = np.random.default_rng([params.seed, 0])
     train_rng = np.random.default_rng([params.seed, 1])
     net = Network.initialize(spec, init_rng)
-    optimizer = Adam([v.shape for _, _, v in net.parameters()], params)
+    values = _flat_parameters(net)
+    optimizer = Adam(values.size, params)
 
     curve = TrainingCurve()
     best_val = math.inf
@@ -101,9 +120,7 @@ def train_network(
             if not math.isfinite(loss):
                 raise NonFiniteLoss(epoch, loss)
             batch_losses.append(loss)
-            updated = optimizer.step([v for _, _, v in net.parameters()], grads)
-            for (i, name, _), new in zip(net.parameters(), updated):
-                net.layers[i].params[name] = new
+            optimizer.step(values, np.concatenate([g.ravel() for g in grads]))
 
         probs = net.predict_proba(X_val)
         val_loss = cross_entropy_mean(probs, y_val) + net.penalty()

@@ -27,6 +27,11 @@ from .models import KINDS, Model
 BUNDLE_VERSION = 1
 
 
+def compact_json(value) -> str:
+    """value as JSON with no whitespace, the encoding of every bundle."""
+    return json.dumps(value, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class PreprocState:
     vocabulary: OneHotVocabulary
@@ -91,23 +96,34 @@ class ModelBundle:
         predict_proba = getattr(self.model, "predict_proba", None)
         return None if predict_proba is None else predict_proba(X)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json(self, encoded: dict[str, str] | None = None) -> str:
+        """The bundle as one line of compact JSON.  encoded, when given,
+        holds the compact JSON text of each model of the run encoded so far,
+        by kind: a hybrid's text is spliced from its members' texts there
+        (the same bytes as encoding it whole), and this model's text is
+        added to it, so a run encodes each model once."""
+        if encoded is not None and self.kind == "hybrid":
+            model_json = self.model.to_json([encoded[name] for name in self.model.member_names])
+        else:
+            model_json = compact_json(self.model.to_dict())
+        if encoded is not None:
+            encoded[self.kind] = model_json
+        head = compact_json({
             "format_version": BUNDLE_VERSION,
             "kind": self.kind,
             "task": self.task,
             "seed": self.seed,
             "class_names": self.class_names,
             "preprocessing": self.preproc.to_dict(),
-            "model": self.model.to_dict(),
-        }
-        return json.dumps(doc, separators=(",", ":")) + "\n"
+        })
+        return f'{head[:-1]},"model":{model_json}}}\n'
 
-    def save(self, path: str | Path) -> Path:
+    def save(self, path: str | Path, encoded: dict[str, str] | None = None) -> Path:
+        """Write to_json(encoded) to path."""
         path = Path(path)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(self.to_json())
+            path.write_text(self.to_json(encoded))
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
         return path

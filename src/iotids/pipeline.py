@@ -257,6 +257,9 @@ def run_training(
     for part in ("train", "test", "val"):
         X[part], _ = matrix_from_records(sampled.table.take(partitions[part]), cidr, vocabulary, min_max)
         y[part] = y_all[partitions[part]]
+    # the flow tables and the raw train matrix are not needed past featurizing
+    source_files, sampled_rows = list(sampled.source_files), len(sampled)
+    del dataset, sampled, train_rows, raw_train
 
     # validation source for early-stopping models: the val partition when
     # present, otherwise the first rotation of the (cv_folds or 5)-fold plan
@@ -306,10 +309,12 @@ def run_training(
     # persist bundles, curves, and test-partition reports
     bundles: dict[str, ModelBundle] = {}
     artifact_paths: list[Path] = []
+    encoded: dict[str, str] = {}  # each model's JSON text, for the hybrid's to reuse
     for name, model in trained.items():
         bundle = ModelBundle(name, task, model, preproc, config.seed)
         bundles[name] = bundle
-        artifact_paths.append(bundle.save(out / "models" / f"{name}.json"))
+        artifact_paths.append(bundle.save(out / "models" / f"{name}.json", encoded))
+    del encoded
     for name, curve in curves.items():
         path = out / "curves" / f"{name}_curve.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -335,10 +340,10 @@ def run_training(
         "manifest_version": 1,
         "config": config.to_dict(),
         "provenance": {
-            "source_files": list(sampled.source_files),
+            "source_files": source_files,
             "seed": config.seed,
             "label_map_version": LABEL_MAP_VERSION,
-            "sampled_rows": len(sampled),
+            "sampled_rows": sampled_rows,
             "partition_sizes": {k: int(len(v)) for k, v in partitions.items()},
             "feature_width": schema.width,
         },

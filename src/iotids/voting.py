@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,15 @@ class VotingEnsemble:
                 for name, member in zip(self.member_names, self.members)
             ],
         }
+
+    def to_json(self, member_json: Sequence[str]) -> str:
+        """The compact JSON text of to_dict(), spliced from each member's
+        compact JSON text (in member order) instead of encoding it again."""
+        head = json.dumps({"task": self.task, "member_names": self.member_names}, separators=(",", ":"))
+        members = ",".join(
+            f'{{"kind":{json.dumps(name)},"model":{text}}}' for name, text in zip(self.member_names, member_json)
+        )
+        return f'{head[:-1]},"members":[{members}]}}'
 
     @classmethod
     def from_dict(cls, d: dict) -> "VotingEnsemble":

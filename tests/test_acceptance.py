@@ -24,12 +24,12 @@ from iotids.models.svm import SvmParams, fit_linear_svm
 from iotids.models.tree import TreeParams, fit_tree
 from iotids.nn.functional import (
     categorical_cross_entropy,
-    elu,
     glorot_uniform,
     glorot_uniform_bound,
     softmax,
 )
 from iotids.nn.gradcheck import grad_check
+from iotids.nn.layers import Elu
 from iotids.nn.network import Network, build_ann, build_cnn
 from iotids.nn.training import TrainParams, train_network
 from iotids.numerics import one_hot
@@ -154,7 +154,7 @@ def test_criterion_03_gradient_checks():
 
 
 def test_criterion_04_formula_spot_values():
-    y_elu, _ = elu(np.array([-1.0]), alpha=1.0)
+    y_elu = Elu(alpha=1.0).forward(np.array([-1.0]), training=False)
     assert abs(y_elu[0] - (-0.6321205588)) <= 1e-9
 
     p = softmax(np.array([0.0, math.log(3.0)]))

@@ -1,4 +1,5 @@
-"""Activation/initializer/penalty/loss formulas at pinned spot values."""
+"""Softmax/initializer/penalty/loss formulas at pinned spot values (the
+activation layers' are in test_nn_network.py)."""
 
 import math
 
@@ -9,52 +10,12 @@ from iotids.errors import BadOneHot
 from iotids.nn.functional import (
     categorical_cross_entropy,
     elastic_net_penalty,
-    elu,
     glorot_uniform,
     glorot_uniform_bound,
-    relu,
     softmax,
 )
 from iotids.nn.layers import Softmax
 from iotids.numerics import one_hot
-
-
-class TestRelu:
-    def test_positive_identity(self):
-        y, g = relu(np.array([3.5]))
-        assert y[0] == 3.5 and g[0] == 1.0
-
-    def test_negative_zero(self):
-        y, g = relu(np.array([-2.0]))
-        assert y[0] == 0.0 and g[0] == 0.0
-
-    def test_zero_convention(self):
-        y, g = relu(np.array([0.0]))
-        assert y[0] == 0.0 and g[0] == 0.0
-
-
-class TestElu:
-    def test_zero(self):
-        y, _ = elu(np.array([0.0]), alpha=1.0)
-        assert y[0] == 0.0
-
-    def test_positive_identity_any_alpha(self):
-        for alpha in (0.5, 1.0, 2.0):
-            y, g = elu(np.array([2.0]), alpha)
-            assert y[0] == 2.0 and g[0] == 1.0
-
-    def test_minus_one_alpha_one(self):
-        y, _ = elu(np.array([-1.0]), alpha=1.0)
-        assert y[0] == pytest.approx(-0.6321205588, abs=1e-9)
-
-    def test_gradient_is_alpha_exp(self):
-        x = np.array([-0.5])
-        _, g = elu(x, alpha=1.5)
-        assert g[0] == pytest.approx(1.5 * math.exp(-0.5), abs=1e-12)
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            elu(np.array([1.0]), alpha=0.0)
 
 
 class TestSoftmax:

@@ -5,7 +5,7 @@ import pytest
 
 from iotids.errors import EmptyValidation, NonFiniteLoss, ShapeMismatch
 from iotids.nn.network import Network, NetworkSpec, build_ann
-from iotids.nn.training import TrainParams, train_network
+from iotids.nn.training import Adam, TrainParams, train_network
 
 
 def blob_task(seed=7, n=150, d=6, gap=4.0):
@@ -112,3 +112,33 @@ class TestElasticNetEffect:
             net, _ = train_network(spec, X[:96], y[:96], X[96:], y[96:], params)
             norms.append(sum(float((w**2).sum()) for w in net.penalized_weights()))
         assert norms[0] >= norms[1] >= norms[2]
+
+
+def listwise_adam(values, grad_steps, p):
+    """Adam over a list of arrays, each step's new arrays from the
+    expressions written out (the reference for the in-place Adam)."""
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        for i, (value, grad) in enumerate(zip(values, grads)):
+            m[i] = p.beta1 * m[i] + (1.0 - p.beta1) * grad
+            v2[i] = p.beta2 * v2[i] + (1.0 - p.beta2) * grad**2
+            m_hat = m[i] / (1.0 - p.beta1**t)
+            v_hat = v2[i] / (1.0 - p.beta2**t)
+            values[i] = value - p.learning_rate * m_hat / (np.sqrt(v_hat) + p.eps)
+    return values
+
+
+def test_in_place_adam_matches_the_written_out_formula_bit_for_bit():
+    rng = np.random.default_rng(6)
+    shapes = [(3, 4), (4,), (2, 3, 1)]
+    values = [rng.normal(size=s) for s in shapes]
+    grad_steps = [[rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes] for _ in range(7)]
+    grad_steps[2][1][:] = 0.0
+    p = TrainParams(learning_rate=3e-3)
+    flat = np.concatenate([v.ravel() for v in values])
+    optimizer = Adam(flat.size, p)
+    for grads in grad_steps:
+        optimizer.step(flat, np.concatenate([g.ravel() for g in grads]))
+    expected = np.concatenate([v.ravel() for v in listwise_adam(values, grad_steps, p)])
+    assert flat.tobytes() == expected.tobytes()

@@ -13,7 +13,7 @@ import pytest
 import iotids
 from iotids.cli import EXIT_MODEL, EXIT_OK, main, predictions_csv
 from iotids.flows import parse_conn_log_file, task_class_names
-from iotids.persist import load_bundle
+from iotids.persist import compact_json, load_bundle
 
 RUNS = {
     "binary": {
@@ -61,6 +61,13 @@ def bundle_paths(root):
 def test_every_kind_reloads_to_identical_bytes(runs):
     for path in bundle_paths(runs):
         assert load_bundle(path).to_json() == path.read_text(), path
+
+
+@pytest.mark.parametrize("task", RUNS)
+def test_hybrid_json_spliced_from_its_members_is_its_compact_encoding(runs, task):
+    hybrid = load_bundle(runs / task / "models" / "hybrid.json").model
+    member_json = [compact_json(member.to_dict()) for member in hybrid.members]
+    assert hybrid.to_json(member_json) == json.dumps(hybrid.to_dict(), separators=(",", ":"))
 
 
 def test_every_bundle_is_one_line_of_compact_json(runs):
@@ -371,6 +378,24 @@ def test_network_value_that_is_not_a_number_is_model_error(runs, tmp_path, kind,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     data, out = runs / "multiclass_data" / "synth_multiclass.labeled", tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key, at", [("knn", "X", (0, 0)), ("knn", "X", (-1, 5)), ("svm", "w", (0,))])
+@pytest.mark.parametrize("value", [None, "x", float("inf"), float("nan")])
+def test_stored_value_that_is_not_a_finite_number_is_model_error(runs, tmp_path, kind, key, at, value):
+    """A null (NaN if read as a float), non-numeric or non-finite value in a
+    KNN's stored rows or an SVM's weights exits 4 and writes no CSV."""
+    doc = json.loads((runs / "binary" / "models" / f"{kind}.json").read_text())
+    *outer, last = at
+    target = doc["model"][key]
+    for i in outer:
+        target = target[i]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    data, out = runs / "binary_data" / "synth_binary.labeled", tmp_path / "preds.csv"
     assert main(["predict", "--model", str(bad), "--input", str(data), "--output", str(out)]) == EXIT_MODEL
     assert not out.exists()
 

@@ -18,6 +18,7 @@ from iotids.features import (
 )
 from iotids.flows import balance_sample
 from iotids.metrics import compute_metrics, confusion
+from iotids.models import KINDS
 from iotids.persist import load_bundle
 from iotids import pipeline
 from iotids.pipeline import ExperimentConfig, _derived_seed, read_labeled_dir, run_training, train_one_model
@@ -333,6 +334,27 @@ class TestPersistenceRoundTrip:
         for name, bundle in binary_run.bundles.items():
             loaded = load_bundle(binary_run.out_dir / "models" / f"{name}.json")
             np.testing.assert_array_equal(loaded.predict(X), bundle.predict(X))
+
+    def test_each_model_is_encoded_once(self, binary_data, tmp_path, monkeypatch):
+        """The hybrid bundle's model text is spliced from its members' texts,
+        so no model's to_dict runs twice and the hybrid's never runs."""
+        calls = []
+
+        def counted(kind, to_dict):
+            def counting_to_dict(self):
+                calls.append(kind)
+                return to_dict(self)
+            return counting_to_dict
+
+        for kind in ("rf", "gbm", "svm", "knn", "hybrid"):
+            cls = KINDS[kind].model_class
+            monkeypatch.setattr(cls, "to_dict", counted(kind, cls.to_dict))
+        cfg = ExperimentConfig(task="binary", models=["rf", "gbm", "svm", "knn", "hybrid"], per_class=40,
+                               seed=7, split=(0.8, 0.2, 0.0), model_params=FAST_BINARY)
+        run = run_training(cfg, binary_data, tmp_path)
+        assert sorted(calls) == ["gbm", "knn", "rf", "svm"]
+        hybrid = load_bundle(run.out_dir / "models" / "hybrid.json")
+        assert hybrid.to_json() == (run.out_dir / "models" / "hybrid.json").read_text()
 
     def test_bad_version_rejected(self, binary_run, tmp_path):
         doc = json.loads((binary_run.out_dir / "models" / "rf.json").read_text())

@@ -1,6 +1,7 @@
 """Hard-voting hybrids and the array vote against an exhaustive mode-with-priority oracle."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -132,3 +133,15 @@ class TestComposition:
         ens = binary_ensemble([0, 1, 1, 0])
         with pytest.raises(WidthMismatch):
             ens.predict(np.zeros((2, 5)))
+
+
+class EncodedModel(FixedModel):
+    def to_dict(self):
+        return {"label": self.label, "weights": [0.1, -2.5e-300, 1e300], "name": "caf\u00e9 \"q\""}
+
+
+@pytest.mark.parametrize("task, n_members", [("binary", 4), ("multiclass", 3)])
+def test_to_json_spliced_from_member_texts_is_the_compact_encoding(task, n_members):
+    hybrid = build_hybrid(task, [EncodedModel(i) for i in range(n_members)])
+    member_json = [json.dumps(m.to_dict(), separators=(",", ":")) for m in hybrid.members]
+    assert hybrid.to_json(member_json) == json.dumps(hybrid.to_dict(), separators=(",", ":"))
