@@ -1,4 +1,9 @@
-"""Command-line entry point: synth, train, evaluate, predict, importance."""
+"""Command-line entry point: synth, train, evaluate, predict, importance.
+
+A command imports only the modules it uses: the names in _LAZY are this
+module's attributes, imported on first use (PEP 562), and the handlers look
+them up through _use, so a wrapper set on one beforehand (as
+perfbench/traced.py sets) is the one called."""
 
 from __future__ import annotations
 
@@ -6,19 +11,44 @@ import argparse
 import logging
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, IoFailure, ModelError
-from .features import permutation_importance
-from .flows import parse_conn_log_file
-from .metrics import compute_metrics, confusion, metrics_to_json
-from .persist import load_bundle
-from .pipeline import ExperimentConfig, read_labeled_dir, run_training
-from .synth import SynthSpec, write_synth_dataset
 
 log = logging.getLogger("iotids")
+
+# name -> the module it comes from
+_LAZY = {
+    "permutation_importance": ".features",
+    "parse_conn_log_file": ".flows",
+    "compute_metrics": ".metrics",
+    "confusion": ".metrics",
+    "metrics_to_json": ".metrics",
+    "load_bundle": ".persist",
+    "ExperimentConfig": ".pipeline",
+    "read_labeled_dir": ".pipeline",
+    "run_training": ".pipeline",
+    "SynthSpec": ".synth",
+    "write_synth_dataset": ".synth",
+}
+
+
+def __getattr__(name: str):
+    """A name of _LAZY, imported now and kept as this module's attribute."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name], __package__), name)
+    return value
+
+
+def _use(name: str):
+    """This module's attribute `name`: the one already set, or else the one
+    __getattr__ imports."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,14 +65,14 @@ def _setup_logging() -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec.from_json_file(args.spec)
-    path = write_synth_dataset(spec, args.out)
+    spec = _use("SynthSpec").from_json_file(args.spec)
+    path = _use("write_synth_dataset")(spec, args.out)
     log.info("wrote %s", path)
     return EXIT_OK
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_json_file(args.config)
+    config = _use("ExperimentConfig").from_json_file(args.config)
     data = args.data or config.paths.get("data")
     if not data:
         raise ConfigError("no data path: pass --data or set paths.data in the config")
@@ -50,27 +80,27 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not out:
         raise ConfigError("no output path: pass --out or set paths.out in the config")
     cidr = args.cidr or config.paths.get("cidr")
-    result = run_training(config, data, out, cidr)
+    result = _use("run_training")(config, data, out, cidr)
     log.info("wrote %s", result.manifest_path)
     return EXIT_OK
 
 
 def _labeled_task_rows(bundle, data_path):
     """(table, targets) for the bundle's task; sentinel rows dropped."""
-    dataset = read_labeled_dir(data_path)
+    dataset = _use("read_labeled_dir")(data_path)
     kept = dataset.take(np.flatnonzero(dataset.targets(bundle.task) >= 0))
     return kept.table, kept.targets(bundle.task)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.model)
+    bundle = _use("load_bundle")(args.model)
     table, y_true = _labeled_task_rows(bundle, args.data)
     X = bundle.featurize(table)
-    matrix = confusion(y_true, bundle.predict(X), len(bundle.class_names), bundle.class_names)
-    report = compute_metrics(matrix)
+    matrix = _use("confusion")(y_true, bundle.predict(X), len(bundle.class_names), bundle.class_names)
+    report = _use("compute_metrics")(matrix)
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(metrics_to_json(report, bundle.task))
+    report_path.write_text(_use("metrics_to_json")(report, bundle.task))
     report_path.with_suffix(".confusion.csv").write_text(matrix.to_csv())
     log.info("accuracy %.4f -> %s", report.accuracy, report_path)
     return EXIT_OK
@@ -90,8 +120,8 @@ def predictions_csv(class_names: list[str], labels: np.ndarray, probs: np.ndarra
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.model)
-    X = bundle.featurize(parse_conn_log_file(args.input, allow_unlabeled=True))  # the table is freed here
+    bundle = _use("load_bundle")(args.model)
+    X = bundle.featurize(_use("parse_conn_log_file")(args.input, allow_unlabeled=True))  # the table is freed here
     probs = bundle.predict_proba(X)
     labels = bundle.predict(X) if probs is None else probs.argmax(axis=1)
 
@@ -107,10 +137,10 @@ def _cmd_importance(args: argparse.Namespace) -> int:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    bundle = load_bundle(args.model)
+    bundle = _use("load_bundle")(args.model)
     table, y_true = _labeled_task_rows(bundle, args.data)
     X = bundle.featurize(table)
-    report = permutation_importance(
+    report = _use("permutation_importance")(
         bundle,
         X,
         y_true,

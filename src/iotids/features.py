@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import BadIpSyntax, ColumnMismatch, DataError, EmptyMatrix, IoFailure, SchemaMismatch
 from .flows import FlowTable
+from .parallel import map_row_ranges
 
 log = logging.getLogger(__name__)
 
@@ -247,16 +248,15 @@ def fit_one_hot(columns: Mapping[str, Sequence[str]]) -> OneHotVocabulary:
     return OneHotVocabulary({f: tuple(dict.fromkeys(column)) for f, column in columns.items()})
 
 
-def _write_one_hot(out: np.ndarray, vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> None:
+def _write_one_hot(out: np.ndarray, vocabulary: OneHotVocabulary, feature: str, values: Sequence[str]) -> int:
     """Set the indicators of one feature in the zeroed columns out (a view
-    may be given); an unseen category sets none, counted in one warning."""
+    may be given); an unseen category sets none.  Returns how many rows
+    have an unseen category."""
     column = {cat: j for j, cat in enumerate(vocabulary.categories[feature])}
     cols = np.array([column.get(v, -1) for v in values], dtype=np.intp)
     seen = cols >= 0
     out[np.flatnonzero(seen), cols[seen]] = 1.0
-    unseen = len(values) - int(seen.sum())
-    if unseen:
-        log.warning("%d rows with an unseen category for feature %r encoded as all zeros", unseen, feature)
+    return len(values) - int(seen.sum())
 
 
 # --- min-max scaling ----------------------------------------------------------
@@ -323,6 +323,10 @@ def build_schema(vocabulary: OneHotVocabulary) -> FeatureSchema:
     return FeatureSchema(tuple(columns))
 
 
+# estimated serial featurize time of a row: 32 ms for 30,100 flows (2-vCPU VM)
+_FEATURIZE_ROW_S = 1e-6
+
+
 def matrix_from_records(
     table: FlowTable,
     cidr: CidrTable,
@@ -333,30 +337,55 @@ def matrix_from_records(
 
     Columns are the numerics (missing values, tri-state bools included,
     imputed as 0), the IP scopes, then one-hot blocks; their order is a pure
-    function of the schema.
+    function of the schema.  Rows with an unseen category are counted in one
+    warning per feature.  A large table's rows are filled in ranges spread
+    over forked workers (parallel.map_row_ranges); a row's values do not
+    depend on its range.
     """
     schema = build_schema(vocabulary)
-    values = np.zeros((len(table), schema.width))
+    scale = params is not None and params.width == schema.width
+    values = np.empty((len(table), schema.width))
+
+    def fill(start: int, stop: int) -> tuple[int, np.ndarray, list[int]]:
+        block = values[start:stop]
+        return start, block, _fill_rows(block, table.rows(start, stop), cidr, vocabulary, params if scale else None)
+
+    unseen = np.zeros(len(CATEGORICAL_FIELDS), dtype=np.int64)
+    for start, block, counts in map_row_ranges(fill, len(table), _FEATURIZE_ROW_S):
+        if block.base is not values:  # a forked child's rows, as it sent them
+            values[start : start + len(block)] = block
+        unseen += counts
+    for feature, count in zip(CATEGORICAL_FIELDS, unseen.tolist()):
+        if count:
+            log.warning("%d rows with an unseen category for feature %r encoded as all zeros", count, feature)
+    if params is not None and not scale:
+        raise SchemaMismatch(f"scaler fitted on {params.width} columns, schema has {schema.width}")
+    return values, schema
+
+
+def _fill_rows(
+    out: np.ndarray, table: FlowTable, cidr: CidrTable, vocabulary: OneHotVocabulary, params: MinMaxParams | None
+) -> list[int]:
+    """Write the table's matrix rows into out (scaled when params are
+    given); returns each categorical feature's count of unseen categories."""
     start = len(NUMERIC_FIELDS)
-    numerics = values[:, :start]  # a view into values
+    numerics = out[:, :start]  # a view into out
     for j, name in enumerate(NUMERIC_FIELDS):
         numerics[:, j] = table[name]
     numerics[np.isnan(numerics)] = 0.0
     scopes, columns = ip_and_categorical_columns(table, cidr)
-    values[:, start : start + 2] = scopes
+    out[:, start : start + 2] = scopes
     start += 2
+    out[:, start:] = 0.0
+    unseen = []
     for feature in CATEGORICAL_FIELDS:
         width = vocabulary.width(feature)
-        _write_one_hot(values[:, start : start + width], vocabulary, feature, columns[feature])
+        unseen.append(_write_one_hot(out[:, start : start + width], vocabulary, feature, columns[feature]))
         start += width
     if params is not None:
-        if params.width != schema.width:
-            raise SchemaMismatch(
-                f"scaler fitted on {params.width} columns, schema has {schema.width}"
-            )
-        np.subtract(values, params.x_min, out=values)
-        _scale_in_place(params, values)
-    return values, schema
+        np.subtract(out, params.x_min, out=out)
+        _scale_in_place(params, out)
+    return unseen
 
 
 # --- permutation importance -----------------------------------------------------

@@ -101,11 +101,15 @@ def predict_adaboost(model: AdaModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise WidthMismatch(model.n_features, X.shape[1] if X.ndim == 2 else -1)
-    scores = np.zeros((X.shape[0], model.n_classes))
     table = stack_trees([tree for tree, _ in model.stages])
-    for rows, leaves in table.leaf_blocks(X):
-        votes, block = table.value[leaves], scores[rows]
-        at = np.arange(block.shape[0])
-        for s, (_, alpha) in enumerate(model.stages):  # stage by stage, as fit
-            block[at, votes[s]] += alpha
-    return np.argmax(scores, axis=1)
+
+    def labels(X: np.ndarray) -> np.ndarray:
+        scores = np.zeros((X.shape[0], model.n_classes))
+        for rows, leaves in table.leaf_blocks(X):
+            votes, block = table.value[leaves], scores[rows]
+            at = np.arange(block.shape[0])
+            for s, (_, alpha) in enumerate(model.stages):  # stage by stage, as fit
+                block[at, votes[s]] += alpha
+        return np.argmax(scores, axis=1)
+
+    return np.concatenate(table.map_row_ranges(labels, X))

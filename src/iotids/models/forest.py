@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
+from ..parallel import forked_map
 from .tree import DecisionTree, TreeParams, fit_tree, stack_trees
 
 
@@ -36,12 +37,16 @@ class ForestModel:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
-        votes = np.zeros((X.shape[0], self.n_classes))
         table = stack_trees(self.trees)
-        for rows, leaves in table.leaf_blocks(X):
-            cells = table.value[leaves] * leaves.shape[1] + np.arange(leaves.shape[1])  # class-major
-            votes[rows] = np.bincount(cells.ravel(), minlength=votes[rows].size).reshape(self.n_classes, -1).T
-        return votes / len(self.trees)
+
+        def shares(X: np.ndarray) -> np.ndarray:
+            votes = np.zeros((X.shape[0], self.n_classes))
+            for rows, leaves in table.leaf_blocks(X):
+                cells = table.value[leaves] * leaves.shape[1] + np.arange(leaves.shape[1])  # class-major
+                votes[rows] = np.bincount(cells.ravel(), minlength=votes[rows].size).reshape(self.n_classes, -1).T
+            return votes / len(self.trees)
+
+        return np.concatenate(table.map_row_ranges(shares, X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Modal tree vote; ties go to the lowest class."""
@@ -92,8 +97,6 @@ def fit_random_forest(
     children, one per usable CPU (parallel.forked_map); the model is the same
     whatever their number.
     """
-    from ..parallel import forked_map  # here, so predicting loads no module for fitting
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:

@@ -10,6 +10,7 @@ import numpy as np
 from ..errors import EmptyInput, EmptyValidation, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
+from ..parallel import Workers, usable_cpus
 from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 
@@ -51,17 +52,21 @@ class GbmModel:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
-        F = np.zeros((X.shape[0], self.n_classes))
         kept = self.rounds[: self.best_round + 1]
         table = stack_trees([tree for round_trees in kept for tree in round_trees])
         steps = self.learning_rate * table.value
-        for rows, leaves in table.leaf_blocks(X):
-            round_steps = steps[leaves].reshape(len(kept), self.n_classes, leaves.shape[1])
-            block = np.zeros((self.n_classes, leaves.shape[1]))
-            for r in range(len(kept)):  # round by round, as fit_gbm added them
-                block += round_steps[r]
-            F[rows] = block.T
-        return softmax(F)
+
+        def scores(X: np.ndarray) -> np.ndarray:
+            F = np.zeros((X.shape[0], self.n_classes))
+            for rows, leaves in table.leaf_blocks(X):
+                round_steps = steps[leaves].reshape(len(kept), self.n_classes, leaves.shape[1])
+                block = np.zeros((self.n_classes, leaves.shape[1]))
+                for r in range(len(kept)):  # round by round, as fit_gbm added them
+                    block += round_steps[r]
+                F[rows] = block.T
+            return F
+
+        return softmax(np.concatenate(table.map_row_ranges(scores, X)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -127,8 +132,6 @@ def fit_gbm(
     loss has not improved for `patience` rounds, and prediction uses rounds
     0..best_round only.
     """
-    from ..parallel import Workers, usable_cpus  # here, so predicting loads no module for fitting
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     X_val = np.asarray(X_val, dtype=float)

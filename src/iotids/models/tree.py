@@ -44,10 +44,14 @@ import numpy as np
 
 from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
 from ..jsontypes import bundle_field, bundle_float_array
+from ..parallel import map_row_ranges
 
 _NO_CHILD = -1
 # bound on candidates x node rows (x classes) per temporary of the split search
 _BLOCK_ELEMENTS = 1 << 16
+# estimated serial predict time of one descent step (a row, a tree, a level):
+# 4.3-6.9 ns in the gbm, rf and ada predicts of 30,100 rows (2-vCPU VM)
+_STEP_S = 5e-9
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,14 @@ class NodeTable:
                 x = np.take(block, row_start + feature[slots])
                 slots = next_slot[slots + (x <= threshold[slots])]
             yield slice(start, start + block.shape[0]), slots >> 1
+
+    def map_row_ranges(self, fn, X: np.ndarray) -> list:
+        """[fn(X[start:stop]) ...] over contiguous row ranges of X, in order,
+        spread over forked workers when descending X takes long enough
+        (parallel.map_row_ranges).  A row's leaves do not depend on its
+        range, so neither does what fn computes from them."""
+        row_s = _STEP_S * self.roots.shape[0] * max(1, self.depth)
+        return map_row_ranges(lambda start, stop: fn(X[start:stop]), X.shape[0], row_s)
 
 
 def stack_trees(trees: list[DecisionTree]) -> NodeTable:

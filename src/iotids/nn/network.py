@@ -188,11 +188,19 @@ class Network:
 
     def forward(self, X: np.ndarray, training: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         """The output of a pass that is not differentiated: each layer drops
-        what it saved for backward once it has produced its output."""
+        what it saved for backward once it has produced its output, and a
+        ReLU writes into its input when that is an array this pass made,
+        never into X or an array a layer returned as-is or still holds."""
         h = self._prepare(X)
+        owned = False  # h is this pass's own array, held by no layer
         for layer in self.layers:
-            h = layer.forward(h, training, rng)
+            if owned and isinstance(layer, Relu):
+                np.maximum(0.0, h, out=h)  # Relu.forward's operands, in place
+                continue
+            out = layer.forward(h, training, rng)
             layer.release()
+            owned = owned or not np.may_share_memory(out, h)
+            h = out
         return h
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -9,15 +9,23 @@ results back, pickled down its result pipe, while this process computes
 share 0.  A boosting fit forks its workers once and serves one round per
 boosting round; forked_map is a single round.
 
-Fork is safe here only because of what a child runs: tree growth, numpy
-array operations with no BLAS call (the parent's BLAS threads are not
-copied), no logging, no import and no I/O other than its pipes.  A child
-leaves with os._exit, so it runs no exit handler and flushes no buffer of
-the parent's.  The no-BLAS rule also has a cost reason: KNN prediction of
-997 queries against 3,978 stored rows of width 20, split over two forked
-children, took 50-181 ms against 28-54 ms serially (5 runs, 2-vCPU VM),
-because each child's matrix product competes with OpenBLAS's own threads;
-so KNN prediction is not spread over workers.
+Scoring spreads rows the same way: map_row_ranges cuts a predict's rows
+into one contiguous range per usable CPU, and the results come back in range
+order.  A range is worth a child only when it holds enough work: a fork and
+its pickled result cost 1.6-3.8 ms in a predicting process (an empty result
+to a 2.4 MB one, 2-vCPU VM), so every range must be estimated to take at
+least MIN_RANGE_S serially, and smaller inputs stay in this process.
+
+Fork is safe here only because of what a child runs: tree growth and
+descent, conn-log parsing and featurizing, numpy array operations with no
+BLAS call (the parent's BLAS threads are not copied), no logging and no
+import.  A child may open and read its own range of an input file; it
+writes only to its pipe.  A child leaves with os._exit, so it runs no exit
+handler and flushes no buffer of the parent's.  The no-BLAS rule also has a
+cost reason: KNN prediction of 997 queries against 3,978 stored rows of
+width 20, split over two forked children, took 50-181 ms against 28-54 ms
+serially (5 runs, 2-vCPU VM), because each child's matrix product competes
+with OpenBLAS's own threads; so KNN prediction is not spread over workers.
 """
 
 from __future__ import annotations
@@ -33,6 +41,39 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return 1
+
+
+# the least serial time, in seconds, a row range must be estimated to take
+# to be worth a forked child: about three times what a fork and its result
+# cost, as two ranges side by side run about 1.35 times slower than alone
+MIN_RANGE_S = 0.01
+
+
+def row_ranges(n: int, row_s: float) -> list[tuple[int, int]]:
+    """range(n) cut into contiguous, non-empty (start, stop) ranges of
+    near-equal length, in order: one per usable CPU, but none estimated to
+    take less than MIN_RANGE_S at row_s seconds a row.  One range (empty
+    when n is 0) when n rows take less than twice that or one CPU is
+    usable."""
+    k = max(1, min(usable_cpus(), n, int(n * row_s / MIN_RANGE_S)))
+    bounds = [n * i // k for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def map_row_ranges(fn, n: int, row_s: float) -> list:
+    """[fn(start, stop) for (start, stop) in row_ranges(n, row_s)], each
+    range beyond the first computed in a forked child (forked_map).
+
+    When any range raises, or a child ends without a result, fn(0, n) runs
+    here and is the one item returned, or raises: errors are always the
+    ones the serial call gives."""
+    ranges = row_ranges(n, row_s)
+    if len(ranges) > 1:
+        try:
+            return forked_map(lambda bounds: fn(*bounds), ranges)
+        except Exception:
+            pass  # fn(0, n) gives the result, or the error, of the serial call
+    return [fn(0, n)]
 
 
 def forked_map(fn, items) -> list:

@@ -2,10 +2,12 @@
 
 import ipaddress
 import logging
+import os
 
 import numpy as np
 import pytest
 
+from iotids import features, parallel
 from iotids.errors import BadIpSyntax, ColumnMismatch, DataError, EmptyMatrix, SchemaMismatch
 from iotids.features import (
     CATEGORICAL_FIELDS,
@@ -160,10 +162,13 @@ class TestOneHot:
         np.testing.assert_array_equal(encode_one_hot(vocab, "proto", ["tcp"])[0], [1.0, 0.0])
 
     def test_encode_unseen_is_zeros_with_warning(self, caplog):
+        # _write_one_hot counts the row; matrix_from_records logs the count
         vocab = fit_one_hot({"proto": ["tcp", "udp"]})
+        block = np.zeros((1, 2))
+        assert _write_one_hot(block, vocab, "proto", ["icmp"]) == 1
+        np.testing.assert_array_equal(block[0], [0.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="iotids.features"):
-            vec = encode_one_hot(vocab, "proto", ["icmp"])[0]
-        np.testing.assert_array_equal(vec, [0.0, 0.0])
+            matrix_from_records(table_of([make_record(proto="icmp")]), TABLE, fit_vocab([make_record()], TABLE))
         assert any("unseen category" in r.message for r in caplog.records)
 
     def test_encode_positional(self):
@@ -414,8 +419,6 @@ class TestColumnwiseMatrix:
     def test_each_address_parsed_once(self, monkeypatch):
         # dotted quads take the array path; every other distinct address
         # goes through _parse_ip exactly once
-        import iotids.features as features
-
         vocab = self.vocab()
         records = self.TRAIN + self.TEST + self.TRAIN
         calls = []
@@ -494,6 +497,67 @@ class TestScopeCountryEquivalence:
         with pytest.raises(BadIpSyntax) as exc:
             matrix_from_records(table_of(records), table, vocab)
         assert exc.value.address == bad
+
+
+class TestRangedFeaturize:
+    """matrix_from_records over row ranges in forked workers gives the
+    serial call's bytes, warnings and errors."""
+
+    def corpus(self, rows=300):
+        table, addresses = _cidr_corpus(np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        records = [make_record(orig_h=addresses[int(rng.integers(0, len(addresses)))],
+                               resp_h=addresses[int(rng.integers(0, len(addresses)))],
+                               proto=["tcp", "udp", "icmp", "gre"][int(rng.integers(0, 4))],
+                               service=[None, "", "dns", "http", "ssh"][int(rng.integers(0, 5))],
+                               conn_state=["SF", "S0", "REJ"][int(rng.integers(0, 3))],
+                               duration=[None, 0.5, 2.0][int(rng.integers(0, 3))]) for _ in range(rows)]
+        # a vocabulary of two plain rows, so every feature has unseen categories
+        return table_of(records), table, fit_vocab([make_record(), make_record(proto="tcp", service="http")], table)
+
+    def featurize(self, monkeypatch, cpus, *args, min_range_s):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(parallel, "MIN_RANGE_S", min_range_s)
+        return matrix_from_records(*args)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_same_bytes_and_one_warning_per_feature(self, monkeypatch, caplog, cpus, scaled):
+        rows, table, vocab = self.corpus()
+        args = [rows, table, vocab]
+        if scaled:
+            args.append(fit_min_max(matrix_from_records(rows, table, vocab)[0][:50]))
+        records = {}
+        for name, workers, min_range_s in [("serial", 1, parallel.MIN_RANGE_S), ("ranged", cpus, 1e-12)]:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="iotids.features"):
+                values, schema = self.featurize(monkeypatch, workers, *args, min_range_s=min_range_s)
+            records[name] = values.tobytes(), schema, [r.getMessage() for r in caplog.records]
+        assert records["ranged"] == records["serial"]
+        warnings = records["serial"][2]
+        assert [w.split("feature ")[1] for w in warnings] == [f"{f!r} encoded as all zeros" for f in
+                                                               ("proto", "service", "conn_state", "orig_country",
+                                                                "resp_country")]
+        assert all(int(w.split()[0]) > 1 for w in warnings)  # counts summed over the ranges
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("at", [10, 150, 290])
+    def test_bad_address_in_any_range_is_the_serial_error(self, monkeypatch, cpus, at):
+        rows, table, vocab = self.corpus()
+        rows.columns["resp_h"][at] = "10.0.0.256"
+        rows.columns["orig_h"][200] = "999.1.1.1"
+        with pytest.raises(BadIpSyntax) as serial:
+            self.featurize(monkeypatch, 1, rows, table, vocab, min_range_s=parallel.MIN_RANGE_S)
+        with pytest.raises(BadIpSyntax) as ranged:
+            self.featurize(monkeypatch, cpus, rows, table, vocab, min_range_s=1e-12)
+        assert ranged.value.address == serial.value.address == ("999.1.1.1" if at == 290 else "10.0.0.256")
+
+    def test_small_tables_stay_in_this_process(self, monkeypatch):
+        rows, table, vocab = self.corpus()
+        pids = []
+        monkeypatch.setattr(features, "_fill_rows", lambda *args: pids.append(os.getpid()) or [0] * 5)
+        self.featurize(monkeypatch, 4, rows, table, vocab, min_range_s=parallel.MIN_RANGE_S)
+        assert pids == [os.getpid()]
 
 
 class _ThresholdModel:

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from iotids.features import (
     ip_and_categorical_columns,
     matrix_from_records,
 )
-from iotids import flows
+from iotids import flows, parallel
 from iotids.flows import (
     BOOL_COLUMNS,
     FLOAT_COLUMNS,
@@ -863,3 +865,141 @@ class TestParserEquivalence:
             old = _outcome_of(lambda: list(_old_iter_conn_log(file)))
         assert isinstance(old, tuple) and f"line {bad_line}:" in old[1]
         _same(_outcome_of(lambda: parse_conn_log_file(path)), old)
+
+
+# --- parsing a file in byte ranges ------------------------------------------------
+
+
+def ranged(monkeypatch, cpus):
+    """cpus usable CPUs and a byte range worth a fork at any length; returns
+    a list that gets the ranges each parse_conn_log_file is cut into, and a
+    counter of the serial parses it falls back to in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(parallel, "MIN_RANGE_S", 1e-12)
+    cuts, fallbacks = [], Counter()
+    line_ranges, parse_lines = flows._line_ranges, flows._parse_lines
+
+    def recorded(fh, nominal):
+        cuts.append(line_ranges(fh, nominal))
+        return cuts[-1]
+
+    def counted(lines, *args):
+        fallbacks["serial"] += not isinstance(lines, list)  # an open file, not a range's lines
+        return parse_lines(lines, *args)
+
+    monkeypatch.setattr(flows, "_line_ranges", recorded)
+    monkeypatch.setattr(flows, "_parse_lines", counted)
+    return cuts, fallbacks
+
+
+def ranged_outcome(path, allow, cuts, fallbacks):
+    """The outcome of the ranged parse, which parses serially only a file
+    it could not cut, or on an error."""
+    before, scans = fallbacks["serial"], len(cuts)
+    got = _outcome_of(lambda: parse_conn_log_file(path, allow_unlabeled=allow))
+    whole = len(cuts) == scans or len(cuts[-1]) == 1  # too small to scan, or not cut
+    assert fallbacks["serial"] == before + (isinstance(got, tuple) or whole)
+    return got
+
+
+def serial_outcome(path, allow=False):
+    """The table or (error class, text) of parsing the file in one piece."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(parallel, "row_ranges", lambda n, row_s: [(0, n)])
+        return _outcome_of(lambda: parse_conn_log_file(path, allow_unlabeled=allow))
+
+
+def same_outcome(got, want):
+    """Equal errors, or tables with equal line numbers and values (NaN and
+    signed zeros compared by their bits)."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.line_no.tobytes() == want.line_no.tobytes()
+    assert got.columns.keys() == want.columns.keys()
+    for attr, column in want.columns.items():
+        if isinstance(column, np.ndarray):
+            assert got[attr].dtype == column.dtype and got[attr].tobytes() == column.tobytes(), attr
+        else:
+            assert got[attr] == column, attr
+
+
+class TestRangedParse:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_corpora_match_the_serial_parse(self, tmp_path, monkeypatch, cpus):
+        cuts, fallbacks = ranged(monkeypatch, cpus)
+        seen = []
+        for corpus in range(100):
+            rng = np.random.default_rng([78, corpus])
+            lines = _corpus_lines(rng, int(rng.integers(0, 150)))
+            if corpus % 3 == 2:  # \n, \r\n and lone \r endings mixed in one file
+                text = "".join(line + ["\n", "\r\n", "\r"][rng.integers(0, 3)] for line in lines)
+            else:
+                ending = "\r\n" if corpus % 3 else "\n"
+                text = "".join(line + ending for line in lines)
+            path = tmp_path / f"c{corpus}.labeled"
+            path.write_bytes(text.encode())
+            for allow in (False, True):
+                want = serial_outcome(path, allow)
+                same_outcome(ranged_outcome(path, allow, cuts, fallbacks), want)
+                seen.append("ok" if not isinstance(want, tuple) else want[0].__name__)
+        assert sum(len(c) == cpus for c in cuts) >= 100  # most files were cut
+        assert {"ok", "BadNumeric", "ColumnCountMismatch", "MalformedHeader"} <= set(seen)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "mixed"])
+    def test_a_cut_after_every_line_matches_the_serial_parse(self, tmp_path, monkeypatch, ending):
+        """Cuts at a header change, next to blank and directive lines, and
+        around glued labels, with every ending; then two cuts at once."""
+        cuts, fallbacks = ranged(monkeypatch, 3)
+        glued = full_row(uid="G").split("\t")
+        short = [c for c in FIELDS.split("\t") if c not in ("label", "detailed-label")]
+        lines = [
+            "#separator \\x09", "#fields\t" + FIELDS, full_row(uid="A"),
+            "\t".join(glued[:-3] + ["   ".join(glued[-3:])]), "", "#path\tconn", full_row(uid="B"),
+            "#fields\t" + "\t".join(short), "\t".join(full_row(uid="C").split("\t")[:-2]), "",
+            "#fields\t" + FIELDS, "#close\t2020", full_row(uid="D", service="-"), full_row(uid="E"),
+        ]
+        rng = np.random.default_rng(5)
+        ends = [ending if ending != "mixed" else ["\n", "\r\n", "\r"][rng.integers(0, 3)] for _ in lines]
+        path = tmp_path / "cuts.labeled"
+        data = "".join(map(str.__add__, lines, ends)).encode()
+        path.write_bytes(data)
+        breaks = [i for i, b in enumerate(data) if b == ord("\n")][:-1]
+        for allow in (True, False):
+            want = serial_outcome(path, allow)
+            assert isinstance(want, tuple) != allow  # row C has no label
+            for cut_points in [[at] for at in breaks] + [list(pair) for pair in zip(breaks, breaks[2:])]:
+                bounds = [0] + cut_points + [len(data)]
+                monkeypatch.setattr(parallel, "row_ranges", lambda n, row_s: list(zip(bounds, bounds[1:])))
+                same_outcome(ranged_outcome(path, allow, cuts, fallbacks), want)
+                assert [start for start, *_ in cuts[-1]] == [0] + [at + 1 for at in cut_points]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("faults", [
+        {50: "byte"}, {200: "byte"}, {350: "byte"},
+        {300: "row", 50: "byte"}, {50: "row", 300: "byte"},
+        {300: "row"}, {50: "width", 250: "row", 350: "byte"},
+    ])
+    def test_errors_are_the_serial_ones(self, tmp_path, monkeypatch, cpus, faults):
+        """A bad UTF-8 byte or a bad row in any range, a bad row in one range
+        and a bad byte in another: the error raised, and its line, are the
+        serial parse's."""
+        cuts, fallbacks = ranged(monkeypatch, cpus)
+        rows = [full_row(uid=f"C{i}") for i in range(400)]
+        for at, fault in faults.items():
+            rows[at] = {"byte": full_row(service="caf\xe9"), "row": full_row(orig_pkts="many"),
+                        "width": full_row() + "\tz"}[fault]
+        path = tmp_path / "faults.labeled"
+        path.write_bytes(make_log(*rows).encode("latin-1"))
+        want = serial_outcome(path)
+        assert isinstance(want, tuple)
+        assert f"line {min(faults) + 2}" in want[1]  # line 1 is the header
+        assert ranged_outcome(path, False, cuts, fallbacks) == want
+        assert [len(c) for c in cuts] == [cpus]
+
+    def test_a_file_without_line_feeds_is_one_range(self, tmp_path, monkeypatch):
+        cuts, _ = ranged(monkeypatch, 2)
+        path = tmp_path / "cr.labeled"
+        path.write_bytes(make_log(*[full_row(uid=f"C{i}") for i in range(50)]).replace("\n", "\r").encode())
+        same_outcome(parse_conn_log_file(path), serial_outcome(path))
+        assert [len(c) for c in cuts] == [1]

@@ -13,7 +13,8 @@ from iotids.errors import IotidsError, WidthMismatch
 from iotids.models import gbm as gbm_module
 from iotids.models.forest import ForestParams, fit_random_forest
 from iotids.models.gbm import GbmParams, fit_gbm
-from iotids.parallel import forked_map, usable_cpus
+from iotids import parallel
+from iotids.parallel import forked_map, map_row_ranges, row_ranges, usable_cpus
 
 # workers as a function of the item count: serial, two, three, and more CPUs than items
 WORKERS = [lambda n: 1, lambda n: 2, lambda n: 3, lambda n: n + 1]
@@ -214,3 +215,60 @@ def test_gbm_early_stop_reaps_its_workers(monkeypatch, workers):
     force_cpus(monkeypatch, workers)
     _, curve = fit_gbm(X, y, X[1::2], 2 - y[1::2], GbmParams(max_rounds=50, max_depth=3, patience=1), n_classes=3)
     assert curve.stopped_at < 49
+
+
+# --- row ranges -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 100, 1001])
+def test_row_ranges_cover_the_rows_in_order(monkeypatch, cpus, n):
+    force_cpus(monkeypatch, cpus)
+    for row_s in (0.0, 1e-9, parallel.MIN_RANGE_S / 7, parallel.MIN_RANGE_S, 1.0):
+        ranges = row_ranges(n, row_s)
+        work = int(n * row_s / parallel.MIN_RANGE_S)
+        assert len(ranges) == max(1, min(cpus, n, work))
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == n
+        lengths = [stop - start for start, stop in ranges]
+        assert max(lengths) - min(lengths) <= 1
+        assert len(ranges) == 1 or min(lengths) * row_s >= parallel.MIN_RANGE_S
+
+
+def force_ranges(monkeypatch, cpus):
+    """cpus usable CPUs, and a range worth a fork at any length."""
+    force_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(parallel, "MIN_RANGE_S", 1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_row_ranges_gives_each_range_in_order(monkeypatch, workers):
+    force_ranges(monkeypatch, workers)
+    results = map_row_ranges(lambda start, stop: (start, stop, os.getpid()), 10, 1.0)
+    assert [r[:2] for r in results] == row_ranges(10, 1.0)
+    assert len({r[2] for r in results}) == workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failure", ["raise", "die"])
+def test_map_row_ranges_reruns_serially_when_a_range_fails(monkeypatch, workers, failure):
+    """A range that raises, or a child that dies, gives way to fn(0, n) in
+    this process: its result when it succeeds, its error when not."""
+    force_ranges(monkeypatch, workers)
+    here = os.getpid()
+
+    def fn(start, stop):
+        if start > 0 and failure == "raise":
+            raise WidthMismatch(start, stop)
+        if start > 0:
+            os._exit(3)
+        return (start, stop, os.getpid())
+
+    assert map_row_ranges(fn, 9, 1.0) == [(0, 9, here)]
+
+    def every_call_fails(start, stop):
+        raise WidthMismatch(start, stop)
+
+    with pytest.raises(WidthMismatch) as caught:
+        map_row_ranges(every_call_fails, 9, 1.0)
+    assert (caught.value.expected, caught.value.got) == (0, 9)  # the serial call's error

@@ -119,20 +119,29 @@ def test_dropped_model_key_is_model_error(runs, tmp_path):
             assert code == EXIT_MODEL, (path.name, task, what)
 
 
-def predict_in_new_process(bundle, data, out):
-    """(exit code, modules before, modules after) of cli.main(["predict", ...])
-    in a new interpreter that has imported iotids.cli."""
+def cli_in_new_process(*args):
+    """(exit code, modules before, modules after) of cli.main(args) in a new
+    interpreter that has imported iotids.cli."""
     script = (
         "import json, sys\n"
         "from iotids.cli import main\n"
         "before = sorted(sys.modules)\n"
-        f"code = main(['predict', '--model', {str(bundle)!r}, '--input', {str(data)!r}, '--output', {str(out)!r}])\n"
+        f"code = main({list(map(str, args))!r})\n"
         "print(json.dumps([code, before, sorted(sys.modules)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     code, before, after = json.loads(run.stdout)
     return code, set(before), set(after)
+
+
+def predict_in_new_process(bundle, data, out):
+    return cli_in_new_process("predict", "--model", bundle, "--input", data, "--output", out)
+
+
+# what reading any bundle imports, a hybrid's included
+BUNDLE_MODULES = {"iotids.data", "iotids.features", "iotids.flows", "iotids.jsontypes", "iotids.models",
+                  "iotids.parallel", "iotids.persist", "iotids.voting"}
 
 
 @pytest.mark.parametrize("member, kind", [
@@ -155,7 +164,7 @@ def test_unknown_member_kind_is_model_error(runs, tmp_path, member, kind):
         bad, runs / "binary_data" / "synth_binary.labeled", tmp_path / "preds.csv"
     )
     assert code == EXIT_MODEL
-    assert [m for m in after - before if m.startswith("iotids")] == []
+    assert {m for m in after - before if m.startswith("iotids")} <= BUNDLE_MODULES
 
 
 def test_predict_imports_only_the_kinds_it_loads(runs, tmp_path):
@@ -166,6 +175,25 @@ def test_predict_imports_only_the_kinds_it_loads(runs, tmp_path):
     code, before, after = predict_in_new_process(runs / "multiclass" / "models" / "ann.json", data, tmp_path / "a.csv")
     assert code == EXIT_OK
     assert "iotids.nn.network" in after - before
+
+
+def test_each_command_imports_only_its_modules(runs, tmp_path):
+    """A tree-hybrid predict imports no training, synthesis or report module,
+    and synth imports nothing that reads, featurizes or fits."""
+    data = runs / "multiclass_data" / "synth_multiclass.labeled"
+    code, _, after = predict_in_new_process(runs / "multiclass" / "models" / "hybrid.json", data, tmp_path / "h.csv")
+    assert code == EXIT_OK
+    assert {"iotids.persist", "iotids.models.gbm", "iotids.parallel"} <= after
+    assert [m for m in after if m.startswith(("iotids.pipeline", "iotids.synth", "iotids.splits",
+                                              "iotids.metrics"))] == []
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": "binary", "rows_per_class": 5, "seed": 1}))
+    code, _, after = cli_in_new_process("synth", "--spec", spec, "--out", tmp_path / "synth")
+    assert code == EXIT_OK
+    assert "iotids.synth" in after
+    assert [m for m in after if m.startswith(("iotids.pipeline", "iotids.persist", "iotids.features",
+                                              "iotids.models", "iotids.metrics", "iotids.splits",
+                                              "iotids.voting", "iotids.parallel", "iotids.nn"))] == []
 
 
 def test_non_object_bundle_is_model_error(runs, tmp_path):
