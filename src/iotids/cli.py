@@ -12,11 +12,11 @@ import logging
 import os
 import sys
 from importlib import import_module
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, IoFailure, ModelError
+from .output import write_output
 
 log = logging.getLogger("iotids")
 
@@ -85,23 +85,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _labeled_task_rows(bundle, data_path):
-    """(table, targets) for the bundle's task; sentinel rows dropped."""
-    dataset = _use("read_labeled_dir")(data_path)
+def _labeled_task_rows(args: argparse.Namespace):
+    """(bundle, featurized rows, targets) of the --model bundle's task in
+    the --data files; sentinel rows dropped."""
+    bundle = _use("load_bundle")(args.model)
+    dataset = _use("read_labeled_dir")(args.data)
     kept = dataset.take(np.flatnonzero(dataset.targets(bundle.task) >= 0))
-    return kept.table, kept.targets(bundle.task)
+    return bundle, bundle.featurize(kept.table), kept.targets(bundle.task)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    bundle = _use("load_bundle")(args.model)
-    table, y_true = _labeled_task_rows(bundle, args.data)
-    X = bundle.featurize(table)
+    bundle, X, y_true = _labeled_task_rows(args)
     matrix = _use("confusion")(y_true, bundle.predict(X), len(bundle.class_names), bundle.class_names)
     report = _use("compute_metrics")(matrix)
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(_use("metrics_to_json")(report, bundle.task))
-    report_path.with_suffix(".confusion.csv").write_text(matrix.to_csv())
+    report_path = write_output(args.report, _use("metrics_to_json")(report, bundle.task))
+    write_output(report_path.with_suffix(".confusion.csv"), matrix.to_csv())
     log.info("accuracy %.4f -> %s", report.accuracy, report_path)
     return EXIT_OK
 
@@ -124,10 +122,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     X = bundle.featurize(_use("parse_conn_log_file")(args.input, allow_unlabeled=True))  # the table is freed here
     probs = bundle.predict_proba(X)
     labels = bundle.predict(X) if probs is None else probs.argmax(axis=1)
-
-    out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(predictions_csv(bundle.class_names, labels, probs))
+    out_path = write_output(args.output, predictions_csv(bundle.class_names, labels, probs))
     log.info("wrote %d predictions -> %s", X.shape[0], out_path)
     return EXIT_OK
 
@@ -137,21 +132,10 @@ def _cmd_importance(args: argparse.Namespace) -> int:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    bundle = _use("load_bundle")(args.model)
-    table, y_true = _labeled_task_rows(bundle, args.data)
-    X = bundle.featurize(table)
-    report = _use("permutation_importance")(
-        bundle,
-        X,
-        y_true,
-        repeats=args.repeats,
-        seed=args.seed,
-        feature_names=bundle.preproc.schema.names(),
-    )
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(report.to_csv())
-    log.info("wrote importance report -> %s", out_path)
+    bundle, X, y_true = _labeled_task_rows(args)
+    report = _use("permutation_importance")(bundle, X, y_true, repeats=args.repeats, seed=args.seed,
+                                            feature_names=bundle.preproc.schema.names())
+    log.info("wrote importance report -> %s", write_output(args.out, report.to_csv()))
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ the parser repairs that before column mapping.
 
 Rows have one representation, columns keyed by attribute: the parser builds
 them as a FlowTable, and render_conn_log, its inverse, writes such columns
-out as a conn log.
+out as a conn log.  A file is read through one reader of a byte range, in
+line-aligned blocks of about 64 KiB, whether it is parsed whole or in ranges.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from importlib import resources
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -355,25 +356,22 @@ class _TableBuilder:
         self.line_no.append(np.arange(first_line, first_line + n))
 
     def table(self) -> FlowTable:
-        columns: dict[str, np.ndarray | list] = {}
-        for attr in ZEEK_TO_ATTR.values():
-            if attr in self.numeric:
-                columns[attr] = np.concatenate(self.numeric[attr]) if self.numeric[attr] else np.zeros(0)
-            else:
-                columns[attr] = self.text[attr]
+        # a numeric column's blocks are let go as it is joined
+        columns = {a: np.concatenate(self.numeric.pop(a) or [np.zeros(0)]) if a in self.numeric else self.text[a]
+                   for a in ZEEK_TO_ATTR.values()}
         line_no = np.concatenate(self.line_no) if self.line_no else np.zeros(0, dtype=np.int64)
         return FlowTable(columns, line_no)
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Up to BLOCK_LINES lines at a time.  When decoding fails part-way,
-    the lines read before it form one last block before the error."""
+    """Up to BLOCK_LINES lines at a time.  When reading a file fails part-way
+    (_file_lines), the lines read before it form one last block before the error."""
     it = iter(lines)
     while True:
         block: list[str] = []
         try:
-            block.extend(islice(it, BLOCK_LINES))  # keeps what was read if decoding fails
-        except UnicodeDecodeError:
+            block.extend(islice(it, BLOCK_LINES))  # keeps what was read if reading fails
+        except DataError:
             yield block
             raise
         if not block:
@@ -405,8 +403,8 @@ def _parse_lines(
     return builder.table()
 
 
-def parse_conn_log(source: str | bytes | IO[str] | Iterable[str], *, allow_unlabeled: bool = False) -> FlowTable:
-    """Parse a whole conn log from text, bytes, an open file, or lines."""
+def parse_conn_log(source: str | bytes | Iterable[str], *, allow_unlabeled: bool = False) -> FlowTable:
+    """Parse a whole conn log held in memory: text, bytes, or lines."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
@@ -417,40 +415,75 @@ def parse_conn_log(source: str | bytes | IO[str] | Iterable[str], *, allow_unlab
 # estimated serial parse time of a conn log's byte: 96 ms for the 4.8 MB of
 # 30,100 flows (2-vCPU VM)
 _PARSE_BYTE_S = 2e-8
-# bytes read at a time while looking for the line breaks to cut a file at
-_SCAN_BYTES = 1 << 20
+# bytes read from a conn-log file at a time (_chunks); bounds what a parse holds beyond its table
+_READ_BYTES = 1 << 16
 
 
 def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> FlowTable:
-    """Parse a conn-log file.  A large one is parsed in byte ranges, one per
-    usable CPU (parallel.row_ranges of its bytes), each after a line break
-    (see _line_ranges); their tables are joined in order.  When any range
-    fails, the file is parsed again serially, so the error raised, and its
-    line number, are the serial parse's."""
+    """Parse a conn-log file, read in bounded blocks (_parse_range).  A large
+    file is cut after a line break into byte ranges, one per usable CPU (see
+    _line_ranges), that forked children parse; their tables are joined in
+    order.  A file not cut, or in which any range fails, is parsed here as one
+    range, so every error (and its line) is that of a parse in file order."""
     from .parallel import forked_map, row_ranges  # here, so synth loads no module for parsing
 
     try:
         with open(path, "rb") as fh:
-            nominal = row_ranges(os.fstat(fh.fileno()).st_size, _PARSE_BYTE_S)
-            ranges = _line_ranges(fh, nominal) if len(nominal) > 1 else nominal
+            size = os.fstat(fh.fileno()).st_size
+            nominal = row_ranges(size, _PARSE_BYTE_S)
+            ranges = _line_ranges(fh, nominal) if len(nominal) > 1 else []
         if len(ranges) > 1:
             try:
                 return FlowTable.concat(forked_map(partial(_parse_range, path, allow_unlabeled), ranges))
             except Exception:
-                pass  # the serial parse below raises the error
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_lines(fh, allow_unlabeled)
+                pass  # the parse of the whole file below raises the error
+        return _parse_range(path, allow_unlabeled, (0, size, 0, None))
     except OSError as exc:
         raise IoFailure(f"cannot read conn log {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        # the streaming decoder's offsets are per chunk; find the line in the bytes
-        data = Path(path).read_bytes()
+
+
+def _parse_range(path: str | Path, allow_unlabeled: bool, piece: tuple[int, int, int, list[str] | None]) -> FlowTable:
+    """A FlowTable of a byte range of the file, as _line_ranges gives them."""
+    start, stop, line_no, header = piece
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _parse_lines(chain.from_iterable(_file_lines(fh, stop, line_no, path)), allow_unlabeled, header, line_no)
+
+
+def _chunks(fh: BinaryIO, stop: int) -> Iterator[bytes]:
+    r"""fh's bytes from its position to offset `stop` in chunks of about
+    _READ_BYTES, each extended to the next \n within _READ_BYTES more."""
+    while (left := stop - fh.tell()) > 0 and (chunk := fh.read(min(_READ_BYTES, left))):  # b"": the file shrank
+        if len(chunk) < left and not chunk.endswith(b"\n"):
+            chunk += fh.readline(min(_READ_BYTES, left - len(chunk)))
+        yield chunk
+
+
+def _file_lines(fh: BinaryIO, stop: int, line_no: int, path: str | Path) -> Iterator[list[str]]:
+    r"""The lines of fh from its position (line line_no + 1) to offset
+    `stop`, a list per chunk, ended as text mode ends them (\n, \r\n or a
+    lone \r).  A bad UTF-8 byte raises DataError naming its line, after the
+    lines before that line."""
+    tail, error = b"", None  # tail: the start of a line that goes on in the next chunk
+    for chunk in chain(_chunks(fh, stop), [b""]):  # b"": the end, where tail is the last line
+        data = tail + chunk
+        # the lines data ends: up to its last line break, but a \r that ends it may begin a \r\n
+        end = 1 + max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) if chunk else len(data)
+        data, tail = data[:end], data[end:]
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            error, end = exc, 1 + max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start))
+            text = data[:end].decode("utf-8")
+        if "\r" in text:  # str.replace copies even when nothing matches
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # what follows the last line break
+        yield lines
+        line_no += len(lines)
+        if error:
+            raise DataError(f"{path} line {line_no + 1}: not UTF-8 text ({error.reason})")
 
 
 def _line_ranges(fh: BinaryIO, nominal: list[tuple[int, int]]) -> list[tuple[int, int, int, list[str] | None]]:
@@ -462,18 +495,14 @@ def _line_ranges(fh: BinaryIO, nominal: list[tuple[int, int]]) -> list[tuple[int
     start of a range of `nominal`, byte ranges that cover the file (from
     parallel.row_ranges), when the file is read from its start.  Lines end as
     text mode ends them (\n, \r\n or a lone \r).  One pass reads the file in
-    chunks of about _SCAN_BYTES, each extended to a \n, so that no \r\n or
-    line is cut between chunks; a chunk that no \n ends within _SCAN_BYTES
-    more (the last, or one in a line too long) ends the search after its
-    own line breaks, and the last range runs to the end."""
+    _chunks, so that no \r\n or line is cut between chunks; a chunk that
+    does not end in \n (the last, or one in a line too long) ends the search
+    after its own line breaks, and the last range runs to the end."""
     size = nominal[-1][1]
     cuts = [start for start, _ in nominal[1:]]
     starts = [(0, 0, None)]  # (offset, lines before it, header in effect there)
     pos, lines, header = 0, 0, None  # the same, at the chunk's start
-    while cuts:
-        chunk = fh.read(_SCAN_BYTES)
-        if not chunk.endswith(b"\n"):
-            chunk += fh.readline(_SCAN_BYTES)
+    for chunk in _chunks(fh, size):
         done = 0  # the chunk's bytes counted into lines and header
         while cuts and cuts[0] < pos + len(chunk):
             end = chunk.find(b"\n", max(0, cuts[0] - pos)) + 1
@@ -484,7 +513,7 @@ def _line_ranges(fh: BinaryIO, nominal: list[tuple[int, int]]) -> list[tuple[int
             starts.append((pos + end, lines, header))
             cuts = [cut for cut in cuts if cut >= pos + end]
             done = end
-        if not chunk.endswith(b"\n"):
+        if not (cuts and chunk.endswith(b"\n")):
             break
         lines, header = _scanned(chunk, done, len(chunk), lines, header)
         pos += len(chunk)
@@ -507,20 +536,6 @@ def _scanned(chunk: bytes, start: int, end: int, lines: int, header: list[str] |
         # an undecodable header also fails its own range's decode, so the parse
         header = chunk[at : min(stops, default=end)].decode("utf-8", "replace").split("\t")[1:]
     return lines, header
-
-
-def _parse_range(path: str | Path, allow_unlabeled: bool, piece: tuple[int, int, int, list[str] | None]) -> FlowTable:
-    """A FlowTable of one of _line_ranges's byte ranges of the file."""
-    start, stop, line_no, header = piece
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        text = fh.read(stop - start).decode("utf-8")
-    if "\r" in text:  # line breaks as text mode reads them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # what follows the last line break
-    return _parse_lines(lines, allow_unlabeled, header, line_no)
 
 
 def conn_log_header() -> str:

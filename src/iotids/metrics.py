@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMatrix, IoFailure, LengthMismatch
+from .errors import EmptyMatrix, LengthMismatch
+from .output import write_output
 
 
 @dataclass
@@ -131,15 +132,7 @@ def export_report(
     byte-identical.
     """
     dest = Path(destination)
-    try:
-        dest.mkdir(parents=True, exist_ok=True)
-        written = []
-        metrics_path = dest / "metrics.json"
-        metrics_path.write_text(metrics_to_json(report, task))
-        written.append(metrics_path)
-        confusion_path = dest / "confusion.csv"
-        confusion_path.write_text(matrix.to_csv())
-        written.append(confusion_path)
-        return written
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    return [
+        write_output(dest / "metrics.json", metrics_to_json(report, task)),
+        write_output(dest / "confusion.csv", matrix.to_csv()),
+    ]

@@ -10,6 +10,8 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
+from ..errors import WidthMismatch
+
 
 class Model(Protocol):
     """What every model kind provides; kinds with class probabilities also
@@ -26,6 +28,14 @@ class Model(Protocol):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Model": ...
+
+
+def input_rows(X, width: int) -> np.ndarray:
+    """X as a float64 matrix `width` columns wide; WidthMismatch otherwise."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise WidthMismatch(width, X.shape[1] if X.ndim == 2 else -1)
+    return X
 
 
 class Kind(NamedTuple):

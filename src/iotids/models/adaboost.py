@@ -7,8 +7,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, WidthMismatch
+from ..errors import EmptyInput
 from ..jsontypes import bundle_field
+from . import input_rows
 from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 # floor for the weighted error when a weak learner is perfect; caps the stage weight
@@ -98,9 +99,7 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, params: AdaParams = AdaParams(), 
 
 def predict_adaboost(model: AdaModel, X: np.ndarray) -> np.ndarray:
     """argmax over summed stage weights of each stage's hard vote."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise WidthMismatch(model.n_features, X.shape[1] if X.ndim == 2 else -1)
+    X = input_rows(X, model.n_features)
     table = stack_trees([tree for tree, _ in model.stages])
 
     def labels(X: np.ndarray) -> np.ndarray:

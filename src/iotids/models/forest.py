@@ -7,9 +7,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, ModelDataMismatch, WidthMismatch
+from ..errors import EmptyInput, ModelDataMismatch
 from ..jsontypes import bundle_field
 from ..parallel import forked_map
+from . import input_rows
 from .tree import DecisionTree, TreeParams, fit_tree, stack_trees
 
 
@@ -34,9 +35,7 @@ class ForestModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Share of the trees voting for each class."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
+        X = input_rows(X, self.n_features)
         table = stack_trees(self.trees)
 
         def shares(X: np.ndarray) -> np.ndarray:

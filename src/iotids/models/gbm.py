@@ -7,10 +7,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, EmptyValidation, ModelDataMismatch, WidthMismatch
+from ..errors import EmptyInput, EmptyValidation, ModelDataMismatch
 from ..jsontypes import bundle_field
 from ..numerics import cross_entropy_mean, one_hot, softmax
 from ..parallel import Workers, usable_cpus
+from . import input_rows
 from .tree import DecisionTree, TreeParams, grow_tree, presort, stack_trees
 
 
@@ -49,9 +50,7 @@ class GbmModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Softmax over scores accumulated through best_round; a zero-round
         model yields the uniform distribution."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
+        X = input_rows(X, self.n_features)
         kept = self.rounds[: self.best_round + 1]
         table = stack_trees([tree for round_trees in kept for tree in round_trees])
         steps = self.learning_rate * table.value

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadK, ModelDataMismatch, WidthMismatch
+from ..errors import BadK, ModelDataMismatch
 from ..jsontypes import bundle_field, bundle_float_array
+from . import input_rows
 
 # bound on query rows x (stored rows + shortlist x features) per search block
 _BLOCK_ELEMENTS = 1 << 18
@@ -97,10 +98,8 @@ def predict_knn(model: KnnModel, X_query: np.ndarray) -> np.ndarray:
     the module docstring); either way they and their distances are those of
     a full elementwise search.
     """
-    X_query = np.asarray(X_query, dtype=float)
     X, k = model.X, model.k
-    if X_query.ndim != 2 or X_query.shape[1] != X.shape[1]:
-        raise WidthMismatch(X.shape[1], X_query.shape[1] if X_query.ndim == 2 else -1)
+    X_query = input_rows(X_query, X.shape[1])
     n, d = X.shape
     shortlist = min(n, k + _SHORTLIST_EXTRA)
     x_sq = (X * X).sum(axis=1)

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ModelDataMismatch, SingleClass, WidthMismatch
+from ..errors import ModelDataMismatch, SingleClass
 from ..jsontypes import bundle_field, bundle_float_array
+from . import input_rows
 
 # bound on the elements (steps x width) of one chunk's gathered rows, and of
 # its step rows: the steps of a chunk are max(1, _CHUNK_ELEMENTS // width)
@@ -109,9 +110,7 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
 
 def predict_svm(model: SvmClassifier, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels in {-1,+1}, margins); a zero margin classifies as +1."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.w.shape[0]:
-        raise WidthMismatch(model.w.shape[0], X.shape[1] if X.ndim == 2 else -1)
+    X = input_rows(X, model.w.shape[0])
     margins = X @ model.w + model.b
     labels = np.where(margins >= 0.0, 1, -1)
     return labels, margins

@@ -87,15 +87,18 @@ def forked_map(fn, items) -> list:
 class Workers:
     """This process and workers - 1 forked children that apply fn to rounds
     of items until close (a context manager); with workers <= 1 nothing is
-    forked.  Every child is reaped by close, whatever ended the rounds."""
+    forked.  When a fork fails (EAGAIN: no process to spare), the children
+    already forked are all the workers beyond this process.  Every child is
+    reaped by close, whatever ended the rounds."""
 
     def __init__(self, fn, workers: int):
         self.fn = fn
-        self.workers = max(1, workers)
         self._children: list[tuple] = []  # (pid, request writer, result reader)
         try:
-            for _ in range(1, self.workers):
+            for _ in range(1, workers):
                 self._fork()
+        except OSError:
+            pass  # the items are dealt over this process and the children it has
         except BaseException:
             self.close()
             raise
@@ -132,7 +135,7 @@ class Workers:
         items = list(items)
         if not self._children:
             return [self.fn(item) for item in items]
-        workers = self.workers
+        workers = 1 + len(self._children)
         for k, (pid, requests, _) in enumerate(self._children, start=1):
             try:
                 pickle.dump(items[k::workers], requests, pickle.HIGHEST_PROTOCOL)

@@ -23,6 +23,7 @@ from .features import (
 from .flows import FlowTable, task_class_names
 from .jsontypes import bundle_field
 from .models import KINDS, Model
+from .output import write_output
 
 BUNDLE_VERSION = 1
 
@@ -119,14 +120,8 @@ class ModelBundle:
         return f'{head[:-1]},"model":{model_json}}}\n'
 
     def save(self, path: str | Path, encoded: dict[str, str] | None = None) -> Path:
-        """Write to_json(encoded) to path."""
-        path = Path(path)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(self.to_json(encoded))
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-        return path
+        """Write to_json(encoded) to path (write_output); returns the path."""
+        return write_output(path, self.to_json(encoded))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:

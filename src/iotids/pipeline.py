@@ -40,6 +40,7 @@ from .flows import (
 from .jsontypes import check_fields, from_json_object, value_problem
 from .metrics import compute_metrics, confusion, export_report
 from .models import KINDS
+from .output import write_output
 from .persist import ModelBundle, PreprocState
 from .splits import k_fold, mean_score, stratified_split
 from .voting import HYBRID_MEMBERS, build_hybrid
@@ -272,7 +273,6 @@ def run_training(
         X_val, y_val = X["train"][inner_val], y["train"][inner_val]
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     trained: dict[str, object] = {}
     curves: dict[str, object] = {}
     timings: dict[str, float] = {}
@@ -316,25 +316,20 @@ def run_training(
         artifact_paths.append(bundle.save(out / "models" / f"{name}.json", encoded))
     del encoded
     for name, curve in curves.items():
-        path = out / "curves" / f"{name}_curve.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(curve.to_csv())
-        artifact_paths.append(path)
+        artifact_paths.append(write_output(out / "curves" / f"{name}_curve.csv", curve.to_csv()))
 
     if len(y["test"]):
         for name, model in trained.items():
             matrix = confusion(y["test"], model.predict(X["test"]), n_classes, class_names)
             report = compute_metrics(matrix)
-            written = export_report(report, matrix, out / "reports" / name, task)
-            artifact_paths.extend(written)
+            artifact_paths.extend(export_report(report, matrix, out / "reports" / name, task))
 
     if config.cv_folds >= 2:
         artifact_paths.extend(
             _run_cross_validation(config, X["train"], y["train"], n_classes, out)
         )
 
-    timings_path = out / "timings.json"
-    timings_path.write_text(json.dumps(timings, indent=2) + "\n")
+    write_output(out / "timings.json", json.dumps(timings, indent=2) + "\n")
 
     manifest = {
         "manifest_version": 1,
@@ -355,8 +350,7 @@ def run_training(
             {"path": "timings.json", "sha256": None, "reason": "wall-clock timings"}
         ],
     }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path = write_output(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     return RunResult(out, manifest_path, manifest, bundles, preproc, X, y, curves)
 
@@ -395,10 +389,7 @@ def _run_cross_validation(
             fold_acc.append(float(np.mean(model.predict(X_train[va]) == y_train[va])))
         scores[name] = {"fold_accuracy": fold_acc, "mean_accuracy": mean_score(fold_acc)}
 
-    written = []
-    cv_path = out / "cv_scores.json"
-    cv_path.write_text(json.dumps(scores, indent=2) + "\n")
-    written.append(cv_path)
+    written = [write_output(out / "cv_scores.json", json.dumps(scores, indent=2) + "\n")]
 
     if "hybrid" in config.models:
         lines = ["fold,train_accuracy,val_accuracy"]
@@ -408,8 +399,5 @@ def _run_cross_validation(
             acc_tr = float(np.mean(hybrid.predict(X_train[tr]) == y_train[tr]))
             acc_va = float(np.mean(hybrid.predict(X_train[va]) == y_train[va]))
             lines.append(f"{fold_no},{acc_tr!r},{acc_va!r}")
-        curve_path = out / "curves" / "hybrid_curve.csv"
-        curve_path.parent.mkdir(parents=True, exist_ok=True)
-        curve_path.write_text("\n".join(lines) + "\n")
-        written.append(curve_path)
+        written.append(write_output(out / "curves" / "hybrid_curve.csv", "\n".join(lines) + "\n"))
     return written

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IoFailure
+from .errors import ConfigError
 from .flows import BinaryClass, MultiClass, render_conn_log
 from .jsontypes import check_fields, from_json_object
+from .output import write_output
 
 # numeric flow columns that carry the class signal, in blob-dimension order
 SIGNAL_COLUMNS = [
@@ -145,11 +146,4 @@ def write_synth_dataset(spec: SynthSpec, out_dir: str | Path) -> Path:
     spec.validate()
     X, y = make_blobs(spec)
     text = render_conn_log(_conn_columns(spec, X, y))
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"synth_{spec.task}.labeled"
-        path.write_text(text)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return path
+    return write_output(Path(out_dir) / f"synth_{spec.task}.labeled", text)

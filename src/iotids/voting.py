@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelDataMismatch, SchemaMismatch, WidthMismatch
-from .models import KINDS, Model
+from .errors import ModelDataMismatch, SchemaMismatch
+from .models import KINDS, Model, input_rows
 
 # each task's hybrid members in priority order: vote ties fall to the earliest
 HYBRID_MEMBERS = {"binary": ("rf", "gbm", "svm", "knn"), "multiclass": ("rf", "gbm", "ada")}
@@ -24,9 +24,7 @@ class VotingEnsemble:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(self.n_features, X.shape[1] if X.ndim == 2 else -1)
+        X = input_rows(X, self.n_features)
         return vote(np.stack([m.predict(X) for m in self.members]))
 
     def to_dict(self) -> dict:

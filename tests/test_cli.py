@@ -1,10 +1,13 @@
 """CLI subcommands, file outputs, and exit codes."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
+from iotids import parallel
 from iotids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main, predictions_csv
 from iotids.errors import ConfigError
 from iotids.flows import parse_conn_log_file
@@ -518,6 +521,69 @@ class TestUnreadableConnLog:
         assert main(["train", "--config", str(workspace / "cfg.json"), "--data", str(latin1_data),
                      "--out", str(tmp_path / "run")]) == EXIT_DATA
         assert "latin1.labeled line 10: not UTF-8" in caplog.text
+
+
+def command_args(workspace, command, out):
+    """A run of the command on the workspace that writes its output to, or
+    under, out."""
+    rf, data = str(workspace / "run" / "models" / "rf.json"), str(workspace / "data")
+    return {
+        "synth": ["synth", "--spec", str(workspace / "spec.json"), "--out", str(out)],
+        "train": ["train", "--config", str(workspace / "cfg.json"), "--data", data, "--out", str(out)],
+        "evaluate": ["evaluate", "--model", rf, "--data", data, "--report", str(out / "r.json")],
+        "predict": ["predict", "--model", str(workspace / "run" / "models" / "hybrid.json"),
+                    "--input", str(workspace / "data" / "synth_binary.labeled"), "--output", str(out / "p.csv")],
+        "importance": ["importance", "--model", rf, "--data", data, "--repeats", "1", "--out", str(out / "i.csv")],
+    }[command]
+
+
+COMMANDS = ["synth", "train", "evaluate", "predict", "importance"]
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_output_under_a_regular_file_is_data_error(self, workspace, tmp_path, caplog, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        assert main(command_args(workspace, command, blocker / "out")) == EXIT_DATA
+        assert "data error: cannot write" in caplog.text and "Traceback" not in caplog.text
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
+
+    def test_output_that_cannot_replace_its_target_leaves_no_file(self, workspace, tmp_path, caplog):
+        # the predictions file is a directory: the temporary file written beside it is removed
+        (tmp_path / "p.csv").mkdir()
+        assert main(command_args(workspace, "predict", tmp_path)) == EXIT_DATA
+        assert "data error: cannot write" in caplog.text
+        assert list(tmp_path.iterdir()) == [tmp_path / "p.csv"] and not any((tmp_path / "p.csv").iterdir())
+
+
+class TestForkFailure:
+    """os.fork raising EAGAIN, as it does when no process is to spare: a
+    command computes in this process what it would fork, and writes the
+    same bytes."""
+
+    @pytest.mark.parametrize("command", ["train", "predict", "importance"])
+    def test_same_outputs_without_a_fork(self, workspace, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(parallel, "MIN_RANGE_S", 1e-12)  # ranges worth a fork at any length
+        fork, outputs = os.fork, []
+        for fails in (False, True):
+            calls = []
+
+            def counted():
+                calls.append(1)
+                if fails:
+                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return fork()
+
+            out = tmp_path / str(fails)
+            with monkeypatch.context() as m:
+                m.setattr(os, "fork", counted)
+                assert main(command_args(workspace, command, out)) == EXIT_OK
+            assert calls  # the command tried to fork
+            outputs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                            if p.is_file() and p.name != "timings.json"})
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestImportanceArguments:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -877,18 +878,19 @@ def ranged(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(parallel, "MIN_RANGE_S", 1e-12)
     cuts, fallbacks = [], Counter()
-    line_ranges, parse_lines = flows._line_ranges, flows._parse_lines
+    line_ranges, parse_range = flows._line_ranges, flows._parse_range
 
     def recorded(fh, nominal):
         cuts.append(line_ranges(fh, nominal))
         return cuts[-1]
 
-    def counted(lines, *args):
-        fallbacks["serial"] += not isinstance(lines, list)  # an open file, not a range's lines
-        return parse_lines(lines, *args)
+    def counted(path, allow, piece):
+        # the whole file as one range, read in this process (a child's count is its own)
+        fallbacks["serial"] += piece[:2] == (0, os.path.getsize(path))
+        return parse_range(path, allow, piece)
 
     monkeypatch.setattr(flows, "_line_ranges", recorded)
-    monkeypatch.setattr(flows, "_parse_lines", counted)
+    monkeypatch.setattr(flows, "_parse_range", counted)
     return cuts, fallbacks
 
 
@@ -1003,3 +1005,73 @@ class TestRangedParse:
         path.write_bytes(make_log(*[full_row(uid=f"C{i}") for i in range(50)]).replace("\n", "\r").encode())
         same_outcome(parse_conn_log_file(path), serial_outcome(path))
         assert [len(c) for c in cuts] == [1]
+
+
+# --- reading a file in bounded blocks ----------------------------------------------
+
+
+def _faulty_file(path, n_rows, faults, endings=lambda line: "\n"):
+    """A conn log of n_rows rows under a header on line 1, the row on line k
+    replaced as faults[k] says and line k ended by endings(k), in Latin-1."""
+    rows = [full_row(uid=f"C{i}") for i in range(n_rows)]
+    for line, fault in faults.items():
+        rows[line - 2] = {"byte": full_row(service="caf\xe9"), "row": full_row(orig_pkts="many")}[fault]
+    lines = ["#fields\t" + FIELDS] + rows
+    path.write_bytes("".join(line + endings(k) for k, line in enumerate(lines, start=1)).encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+class TestReadErrors:
+    """The one-range parse (cpus 1) and ranged parses report a bad UTF-8
+    byte on its line as the parser counts lines, and only after the rows
+    before it are checked."""
+
+    def outcome(self, path, monkeypatch, cpus):
+        if cpus == 1:
+            return serial_outcome(path)
+        return ranged_outcome(path, False, *ranged(monkeypatch, cpus))
+
+    def test_lone_cr_endings_count_as_lines(self, tmp_path, monkeypatch, cpus):
+        path = _faulty_file(tmp_path / "cr.labeled", 40, {8: "byte"}, lambda line: "\r")
+        assert self.outcome(path, monkeypatch, cpus) == \
+            (DataError, f"{path} line 8: not UTF-8 text (invalid continuation byte)")
+
+    def test_lone_cr_after_line_feeds(self, tmp_path, monkeypatch, cpus):
+        # lines 1-200 end in \n, so a ranged parse cuts the file; the rest in a lone \r
+        path = _faulty_file(tmp_path / "mixed.labeled", 400, {300: "byte"}, lambda line: "\n" if line <= 200 else "\r")
+        assert self.outcome(path, monkeypatch, cpus) == \
+            (DataError, f"{path} line 300: not UTF-8 text (invalid continuation byte)")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_bad_row_before_a_bad_byte_two_lines_on(self, tmp_path, monkeypatch, cpus, ending):
+        path = _faulty_file(tmp_path / "near.labeled", 400, {22: "row", 24: "byte"}, lambda line: ending)
+        assert self.outcome(path, monkeypatch, cpus) == \
+            (BadNumeric, "line 22: non-numeric token 'many' in column 'orig_pkts'")
+
+
+def test_a_parse_holds_a_bounded_block_beyond_its_table(tmp_path, monkeypatch):
+    """The one-range parse of a file 16 times the read block, and each range
+    of a ranged parse read in this process, peak within a fixed bound above
+    the table returned: the bytes, text and lines of a block or two, the
+    cells of BLOCK_LINES lines, and one numeric column as it is joined (at
+    this file size, a block's worth).  Reading a whole range at once, or
+    joining every column at once, peaks 1.3-2 MB above the table here."""
+    monkeypatch.setattr(flows, "BLOCK_LINES", 64)
+    row = full_row()
+    path = tmp_path / "big.labeled"
+    path.write_text(make_log(*[row] * (16 * flows._READ_BYTES // len(row))))
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        halves = flows._line_ranges(fh, [(0, size // 2), (size // 2, size)])
+    assert len(halves) == 2
+    monkeypatch.setattr(parallel, "row_ranges", lambda n, row_s: [(0, n)])
+    for parse in [lambda: parse_conn_log_file(path)] + [lambda p=p: flows._parse_range(path, False, p) for p in halves]:
+        tracemalloc.start()
+        try:
+            table = parse()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 0
+        assert peak - held < 10 * flows._READ_BYTES, (peak - held, held)

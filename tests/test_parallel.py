@@ -2,6 +2,7 @@
 reaping at forced worker counts, and tree ensembles that are bitwise the
 same whatever the worker count."""
 
+import errno
 import json
 import os
 import signal
@@ -77,6 +78,33 @@ def test_each_child_holds_only_its_own_pipe_ends(monkeypatch, workers):
     here = len(open_fds())
     counts = forked_map(lambda i: (os.getpid(), len(open_fds())), items)
     assert {count for pid, count in counts if pid != os.getpid()} == {here + 2}
+
+
+def fork_fails_after(monkeypatch, forks):
+    """os.fork that forks `forks` children, then raises EAGAIN, as it does
+    when no process is to spare; returns the list of its calls."""
+    fork, calls = os.fork, []
+
+    def limited():
+        calls.append(len(calls))
+        if len(calls) > forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
+    return calls
+
+
+@pytest.mark.parametrize("forks", [0, 1, 2])
+def test_a_failed_fork_deals_the_items_over_the_children_forked(monkeypatch, forks):
+    force_cpus(monkeypatch, 4)
+    calls = fork_fails_after(monkeypatch, forks)
+    pids = forked_map(lambda i: (i, os.getpid()), range(9))
+    assert [i for i, _ in pids] == list(range(9))
+    assert len(calls) == forks + 1  # no fork tried after the one that failed
+    workers = forks + 1
+    assert len({pid for _, pid in pids}) == workers
+    assert {pid for _, pid in pids[0::workers]} == {os.getpid()}  # share 0 is computed here
 
 
 def test_no_items(monkeypatch):
