@@ -45,8 +45,12 @@ class Kind(NamedTuple):
     ("module:name") go to that dataclass instead.  A kind with a seed_index
     takes a seed derived from the experiment's, in `train` when it has one.
     fit(module, settings, (X, y), (X_es, y_es, X_val, y_val), n_classes)
-    returns (model, curve or None).  hybrid has no settings or fit: it is
-    built from its members."""
+    returns (model, curve or None).  A background_fit kind's fit forks no
+    workers and computes its model (ada, svm and the networks): training
+    may run it in a background child beside the others (see
+    pipeline.BackgroundFits).  knn's fit only keeps the training rows,
+    which a child would send back as a copy.  hybrid has no settings or
+    fit: it is built from its members."""
 
     module: str
     model: str
@@ -56,6 +60,7 @@ class Kind(NamedTuple):
     seed_index: int | None = None
     cross_validated: bool = False
     binary_only: bool = False
+    background_fit: bool = False
 
     def load(self, name: str):
         module, _, attr = name.rpartition(":")
@@ -78,15 +83,16 @@ KINDS: dict[str, Kind] = {
                fit=lambda m, s, tr, es, n: (m.fit_random_forest(*tr, s, n_classes=n), None)),
     "gbm": Kind("iotids.models.gbm", "GbmModel", "GbmParams", cross_validated=True,
                 fit=lambda m, s, tr, es, n: m.fit_gbm(*es, s, n_classes=n)),
-    "ada": Kind("iotids.models.adaboost", "AdaModel", "AdaParams", cross_validated=True,
+    "ada": Kind("iotids.models.adaboost", "AdaModel", "AdaParams", cross_validated=True, background_fit=True,
                 fit=lambda m, s, tr, es, n: (m.fit_adaboost(*tr, s, n_classes=n), None)),
     "knn": Kind("iotids.models.knn", "KnnModel", "fit_knn", cross_validated=True,
                 fit=lambda m, s, tr, es, n: (s(*tr, n_classes=n), None)),
     "svm": Kind("iotids.models.svm", "SvmClassifier", "SvmParams", seed_index=5, cross_validated=True,
-                binary_only=True, fit=lambda m, s, tr, es, n: (m.fit_linear_svm(tr[0], 2.0 * tr[1] - 1.0, s), None)),
+                binary_only=True, background_fit=True,
+                fit=lambda m, s, tr, es, n: (m.fit_linear_svm(tr[0], 2.0 * tr[1] - 1.0, s), None)),
     "ann": Kind("iotids.nn.network", "Network", "build_ann", _fit_network, "iotids.nn.training:TrainParams",
-                seed_index=6),
+                seed_index=6, background_fit=True),
     "cnn": Kind("iotids.nn.network", "Network", "build_cnn", _fit_network, "iotids.nn.training:TrainParams",
-                seed_index=7),
+                seed_index=7, background_fit=True),
     "hybrid": Kind("iotids.voting", "VotingEnsemble"),
 }

@@ -1,13 +1,25 @@
-"""Apply a function to items in forked children, one per usable CPU.
+"""Apply a function to items in forked children: one per usable CPU, or
+one child in the background.
 
-The children are made with os.fork, so they start with the parent's memory:
-the function and its closure (a fit's training matrix and presorted rows)
-reach them once, without pickling.  The children of a Workers live until it
-is closed and serve any number of rounds: each round, every child gets its
-share of the round's items, pickled down its request pipe, and sends its
-results back, pickled down its result pipe, while this process computes
-share 0.  A boosting fit forks its workers once and serves one round per
-boosting round; forked_map is a single round.
+BLAS runs on one thread (importing iotids gives OPENBLAS_NUM_THREADS a
+default of "1" before numpy loads); the CPUs are used by forking, and a
+process with no thread but its main one is safe to fork.  The children are
+made with os.fork, so they start with the parent's memory: the function and
+its closure (a fit's training matrix and presorted rows) reach them once,
+without pickling.  The children of a Workers live until it is closed and
+serve any number of rounds: each round, every child gets its share of the
+round's items, pickled down its request pipe, and sends its results back,
+pickled down its result pipe, while this process computes share 0.  A
+boosting fit forks its workers once and serves one round per boosting
+round; forked_map is a single round.
+
+A background child is the one child of a Workers(fn, 2) used through send
+and collect: send hands it items at once, one round each, and collect reads
+their results later, one at a time in item order, while this process does
+other work.  Training fits AdaBoost, the SVM and the networks in one while
+this process fits the forest and GBM with their own workers.  Its
+result pipe is asked to hold RESULT_PIPE_BYTES, so a child that finishes an
+item before its result is read goes on to the next.
 
 Scoring spreads rows the same way: map_row_ranges cuts a predict's rows
 into one contiguous range per usable CPU, and the results come back in range
@@ -17,15 +29,15 @@ to a 2.4 MB one, 2-vCPU VM), so every range must be estimated to take at
 least MIN_RANGE_S serially, and smaller inputs stay in this process.
 
 Fork is safe here only because of what a child runs: tree growth and
-descent, conn-log parsing and featurizing, numpy array operations with no
-BLAS call (the parent's BLAS threads are not copied), no logging and no
-import.  A child may open and read its own range of an input file; it
-writes only to its pipe.  A child leaves with os._exit, so it runs no exit
-handler and flushes no buffer of the parent's.  The no-BLAS rule also has a
-cost reason: KNN prediction of 997 queries against 3,978 stored rows of
-width 20, split over two forked children, took 50-181 ms against 28-54 ms
-serially (5 runs, 2-vCPU VM), because each child's matrix product competes
-with OpenBLAS's own threads; so KNN prediction is not spread over workers.
+descent, conn-log parsing and featurizing, and model fits, whose modules
+are loaded before any fork (a config's kinds when it is checked), with no
+logging and no import.  A child may open and read its own range of an input
+file; it writes only to its pipe.  A child forks nothing (usable_cpus is 1
+there).  It closes this process's ends of the pipes of every live child, so
+only this process can end a child's requests, and only the child holds its
+result pipe's write end: a child that dies is seen here at once as the end
+of its results.  A child leaves with os._exit, so it runs no exit handler
+and flushes no buffer of the parent's.
 """
 
 from __future__ import annotations
@@ -33,10 +45,24 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import signal
+
+# the capacity asked for a background child's result pipe: the largest an
+# unprivileged process may set by default (/proc/sys/fs/pipe-max-size),
+# more than the 0.25 MB of pickled fits a train_multiclass child sends
+RESULT_PIPE_BYTES = 1 << 20
+
+# the Workers of this process with children alive, whose pipe ends a new
+# child closes: descriptors belong to the process, so this list does too
+_live: list["Workers"] = []
+_in_child = False  # whether this process is a forked child, which forks nothing
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where that is not known."""
+    """The CPUs this process may run on, or 1 where that is not known or
+    this process is a forked child."""
+    if _in_child:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -94,6 +120,9 @@ class Workers:
     def __init__(self, fn, workers: int):
         self.fn = fn
         self._children: list[tuple] = []  # (pid, request writer, result reader)
+        self._owed = 0  # results sent for and not yet collected
+        if workers > 1:
+            _live.append(self)
         try:
             for _ in range(1, workers):
                 self._fork()
@@ -113,10 +142,12 @@ class Workers:
                 os.close(fd)
             raise
         if pid == 0:
-            # the parent's ends, its own and its elder siblings': an elder
-            # sibling whose request write end stayed open here would never
-            # see the end of its requests
-            parent_ends = [request_w, result_r] + [f.fileno() for _, w, r in self._children for f in (w, r)]
+            # this process's ends of every live child's pipes, elder
+            # siblings' included: a child's request write end held open
+            # elsewhere would keep its requests from ever ending
+            parent_ends = [request_w, result_r] + [
+                f.fileno() for workers in _live for _, w, r in workers._children for f in (w, r)
+            ]
             _serve(self.fn, parent_ends, request_r, result_w)
         os.close(request_r)
         os.close(result_w)
@@ -136,37 +167,56 @@ class Workers:
         if not self._children:
             return [self.fn(item) for item in items]
         workers = 1 + len(self._children)
-        for k, (pid, requests, _) in enumerate(self._children, start=1):
-            try:
-                pickle.dump(items[k::workers], requests, pickle.HIGHEST_PROTOCOL)
-                requests.flush()
-            except BrokenPipeError:
-                raise ChildProcessError(f"forked worker {pid} ended before its items were sent") from None
-        shares = [_run_share(self.fn, items[0::workers])]
-        for pid, _, results in self._children:
-            try:
-                shares.append(pickle.load(results))  # written by this process's own child
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"forked worker {pid} ended without a result") from None
+        for k, child in enumerate(self._children, start=1):
+            _send(child, items[k::workers])
+        shares = [_run_share(self.fn, items[0::workers])] + [_receive(child) for child in self._children]
 
         failed = [(k + workers * len(results), k) for k, (results, exc) in enumerate(shares) if exc is not None]
         if failed:
-            exc = shares[min(failed)[1]][1]
-            if isinstance(exc, tuple):  # a child's exception, in the parts _serve sent
-                cls, args, state = exc
-                exc = cls.__new__(cls, *args)
-                exc.__dict__.update(state)
-            raise exc
+            raise shares[min(failed)[1]][1]
         out: list = [None] * len(items)
         for k, (results, _) in enumerate(shares):
             out[k::workers] = results
         return out
 
+    def send(self, items) -> None:
+        """Hand each item to the first child now, as a round of its own, for
+        collect to read its result later; items should be small, as this
+        blocks while the request pipe is full.  ChildProcessError when no
+        child was forked or it has ended."""
+        if not self._children:
+            raise ChildProcessError("no forked worker to send items to")
+        child = self._children[0]
+        with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's; the default pipe serves
+            import fcntl
+
+            fcntl.fcntl(child[2].fileno(), fcntl.F_SETPIPE_SZ, RESULT_PIPE_BYTES)
+        for item in items:
+            _send(child, [item])
+            self._owed += 1
+
+    def collect(self):
+        """fn(item) of the first item sent and not yet collected, or its
+        exception raised here as map raises it; ChildProcessError when the
+        child ended without that result."""
+        self._owed -= 1
+        results, exc = _receive(self._children[0])
+        if exc is not None:
+            raise exc
+        return results[0]
+
     def close(self) -> None:
         """End and reap every child: each sees the end of its requests, and
-        a child still writing a result gets EPIPE; both leave."""
+        a child still writing a result gets EPIPE; both leave.  A child
+        that still owes results sent for is killed first: they are not
+        wanted."""
         children, self._children = self._children, []
-        for _, requests, results in children:
+        with contextlib.suppress(ValueError):  # not listed when nothing was to be forked
+            _live.remove(self)
+        for pid, requests, results in children:
+            if self._owed:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(BrokenPipeError):  # items a dead child never read
                 requests.close()
             results.close()
@@ -178,6 +228,31 @@ class Workers:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _send(child: tuple, share: list) -> None:
+    pid, requests, _ = child
+    try:
+        pickle.dump(share, requests, pickle.HIGHEST_PROTOCOL)
+        requests.flush()
+    except BrokenPipeError:
+        raise ChildProcessError(f"forked worker {pid} ended before its items were sent") from None
+
+
+def _receive(child: tuple) -> tuple[list, Exception | None]:
+    """A child's reply to one share: its results up to the first item that
+    raised, and that exception rebuilt from the parts _serve sent."""
+    pid, _, results = child
+    try:
+        results, parts = pickle.load(results)  # written by this process's own child
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"forked worker {pid} ended without a result") from None
+    if parts is None:
+        return results, None
+    cls, args, state = parts
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return results, exc
 
 
 def _run_share(fn, share: list) -> tuple[list, Exception | None]:
@@ -194,6 +269,8 @@ def _run_share(fn, share: list) -> tuple[list, Exception | None]:
 def _serve(fn, parent_ends: list[int], request_r: int, result_w: int) -> None:
     """A forked child: compute each share that arrives and send it back,
     until the requests end; then leave."""
+    global _in_child
+    _in_child = True
     status = 1
     try:
         for fd in parent_ends:

@@ -40,7 +40,8 @@ from .flows import (
 from .jsontypes import check_fields, from_json_object, value_problem
 from .metrics import compute_metrics, confusion, export_report
 from .models import KINDS
-from .output import write_output
+from .output import output_dir, write_output
+from .parallel import Workers, usable_cpus
 from .persist import ModelBundle, PreprocState
 from .splits import k_fold, mean_score, stratified_split
 from .voting import HYBRID_MEMBERS, build_hybrid
@@ -195,16 +196,68 @@ def train_one_model(
     overrides: dict,
     n_classes: int,
     fold_extra: int = 0,
+    background: "BackgroundFits | None" = None,
 ):
     """Train one standalone model; returns (model, curve-or-None).
 
     X_es/y_es is the training slice for early-stopping models (equal to the
     full train partition when a validation partition exists); X_val/y_val is
-    their validation set.
+    their validation set.  A kind that `background` fits is collected from
+    it, and fitted here only when its model did not come back.
     """
+    if background is not None and (fitted := background.collect(kind)) is not None:
+        return fitted
     row = KINDS[kind]
     settings = model_settings(kind, overrides, seed, fold_extra)
     return row.fit(import_module(row.module), settings, (X_train, y_train), (X_es, y_es, X_val, y_val), n_classes)
+
+
+class BackgroundFits:
+    """The background_fit kinds (ada, svm, ann, cnn) of a run, fitted in
+    config order by one forked child (parallel.Workers.send) while this
+    process fits the others: rf and gbm with their own workers, and knn;
+    a context manager.  fit(kind) gives (model, curve).  Nothing is forked
+    on one usable CPU, or when either side would have no kind to fit."""
+
+    def __init__(self, kinds: list[str], fit):
+        self.seconds: dict[str, float] = {}  # each collected kind's fit time in the child
+        self._sent: list[str] = []
+        self._workers = None
+        background = [kind for kind in kinds if KINDS[kind].background_fit]
+        if usable_cpus() > 1 and 0 < len(background) < len(kinds):
+            self._workers = Workers(partial(_timed, fit), 2)
+            try:
+                self._workers.send(background)
+                self._sent = background
+            except ChildProcessError:
+                pass  # the fork failed: every kind is fitted in this process
+
+    def collect(self, kind: str):
+        """(model, curve) of kind, the next kind sent, from the child; None
+        when kind was not sent or did not come back (the child ended, or
+        the fit raised or gave what cannot be pickled), for this process to
+        fit it and so give the serial model or error."""
+        if not self._sent or self._sent[0] != kind:
+            return None
+        self._sent.pop(0)
+        try:
+            model, curve, self.seconds[kind] = self._workers.collect()
+        except Exception:  # whatever failed there, the fit here gives the serial outcome
+            return None
+        return model, curve
+
+    def __enter__(self) -> "BackgroundFits":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._workers is not None:
+            self._workers.close()
+
+
+def _timed(fit, kind: str):
+    t0 = time.perf_counter()
+    model, curve = fit(kind)
+    return model, curve, time.perf_counter() - t0
 
 
 @dataclass
@@ -272,34 +325,30 @@ def run_training(
         X_es, y_es = X["train"][inner_train], y["train"][inner_train]
         X_val, y_val = X["train"][inner_val], y["train"][inner_val]
 
-    out = Path(out_dir)
+    # an --out that cannot be written fails here, before any fit
+    out = output_dir(out_dir)
     trained: dict[str, object] = {}
     curves: dict[str, object] = {}
     timings: dict[str, float] = {}
     standalone = [m for m in config.models if KINDS[m].fit]
-    for name in standalone:
-        t0 = time.perf_counter()
-        try:
-            model, curve = train_one_model(
-                name,
-                X["train"],
-                y["train"],
-                X_es,
-                y_es,
-                X_val,
-                y_val,
-                config.seed,
-                config.model_params.get(name, {}),
-                n_classes,
-            )
-        except (ConfigError, DataError):
-            raise
-        except Exception as exc:
-            raise ModelError(f"{name}: {exc}") from exc
-        timings[name] = time.perf_counter() - t0
-        trained[name] = model
-        if curve is not None:
-            curves[name] = curve
+
+    def fit(name: str, background: BackgroundFits | None = None):
+        return train_one_model(name, X["train"], y["train"], X_es, y_es, X_val, y_val, config.seed,
+                               config.model_params.get(name, {}), n_classes, background=background)
+
+    with BackgroundFits(standalone, fit) as background:
+        for name in standalone:
+            t0 = time.perf_counter()
+            try:
+                model, curve = fit(name, background)
+            except (ConfigError, DataError):
+                raise
+            except Exception as exc:
+                raise ModelError(f"{name}: {exc}") from exc
+            timings[name] = background.seconds.get(name, time.perf_counter() - t0)
+            trained[name] = model
+            if curve is not None:
+                curves[name] = curve
 
     if "hybrid" in config.models:
         t0 = time.perf_counter()

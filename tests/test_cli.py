@@ -542,12 +542,18 @@ COMMANDS = ["synth", "train", "evaluate", "predict", "importance"]
 
 class TestOutputErrors:
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_output_under_a_regular_file_is_data_error(self, workspace, tmp_path, caplog, command):
+    def test_output_under_a_regular_file_is_data_error(self, workspace, tmp_path, caplog, monkeypatch, command):
+        # train fails before its first fit
+        from iotids import pipeline
+
+        fits = []
+        monkeypatch.setattr(pipeline, "train_one_model", lambda *args, **kwargs: fits.append(args[0]))
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
         assert main(command_args(workspace, command, blocker / "out")) == EXIT_DATA
         assert "data error: cannot write" in caplog.text and "Traceback" not in caplog.text
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
+        assert fits == []
 
     def test_output_that_cannot_replace_its_target_leaves_no_file(self, workspace, tmp_path, caplog):
         # the predictions file is a directory: the temporary file written beside it is removed

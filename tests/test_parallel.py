@@ -1,11 +1,15 @@
-"""forked_map and the workers a boosting fit keeps: item order, errors and
-reaping at forced worker counts, and tree ensembles that are bitwise the
-same whatever the worker count."""
+"""forked_map, the workers a boosting fit keeps and a background child:
+item order, errors and reaping at forced worker counts, tree ensembles that
+are bitwise the same whatever the worker count, and BLAS on one thread."""
 
 import errno
 import json
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,119 @@ def test_map_row_ranges_reruns_serially_when_a_range_fails(monkeypatch, workers,
     with pytest.raises(WidthMismatch) as caught:
         map_row_ranges(every_call_fails, 9, 1.0)
     assert (caught.value.expected, caught.value.got) == (0, 9)  # the serial call's error
+
+
+# --- a background child ---------------------------------------------------------
+
+
+def test_background_results_come_back_one_at_a_time_in_item_order():
+    """Each result is in the pipe before the next item is computed, so the
+    first comes back while the child still works on the second."""
+    def slow_after_first(i):
+        if i > 0:
+            time.sleep(0.5)
+        return i, os.getpid()
+
+    with parallel.Workers(slow_after_first, 2) as workers:
+        workers.send(range(3))
+        t0 = time.perf_counter()
+        first, child = workers.collect()
+        assert first == 0 and time.perf_counter() - t0 < 0.4 and child != os.getpid()
+        assert [workers.collect() for _ in range(2)] == [(1, child), (2, child)]
+
+
+def test_background_error_is_raised_at_its_item_and_later_items_come_back():
+    with parallel.Workers(raise_at, 2) as workers:
+        workers.send([0, 1, 2, 3])
+        assert workers.collect() == 0
+        with pytest.raises(WidthMismatch, match="model expects 4, got 5") as caught:
+            workers.collect()
+        assert (caught.value.expected, caught.value.got) == (4, 5)
+        with pytest.raises(IotidsError, match="^item 2$"):
+            workers.collect()
+        assert workers.collect() == 3
+
+
+@pytest.mark.parametrize("failure", ["exit", "unpicklable"])
+def test_background_child_that_ends_is_a_child_process_error_at_each_later_item(failure):
+    def fn(i):
+        if i == 1 and failure == "exit":
+            os._exit(3)
+        return [np.zeros(1 << 17), lambda: i] if i == 1 else i
+
+    with parallel.Workers(fn, 2) as workers:
+        workers.send(range(3))
+        assert workers.collect() == 0
+        for _ in range(2):
+            with pytest.raises(ChildProcessError, match="ended without a result"):
+                workers.collect()
+
+
+def test_send_without_a_child_is_a_child_process_error(monkeypatch):
+    fork_fails_after(monkeypatch, 0)
+    with parallel.Workers(lambda i: i, 2) as workers:
+        with pytest.raises(ChildProcessError, match="no forked worker"):
+            workers.send([1])
+
+
+def test_close_kills_a_child_that_owes_results():
+    t0 = time.perf_counter()
+    with parallel.Workers(time.sleep, 2) as workers:
+        workers.send([30, 30])
+    assert time.perf_counter() - t0 < 5  # not the 30 s the child would sleep
+
+
+def test_a_child_forked_beside_a_background_child_holds_none_of_its_pipe_ends():
+    """A child of a later Workers (a forest or GBM fit's worker) keeps this
+    process's descriptors but not the background child's pipe ends; the
+    background child, killed mid-item while the later child lives, is seen
+    here at once as the end of its results."""
+    here = len(open_fds())
+    with parallel.Workers(lambda i: time.sleep(30 * i) or i, 2) as background:
+        background.send([0, 1])
+
+        def fn(i):
+            os.kill(background._children[0][0], signal.SIGKILL)
+            time.sleep(2)  # alive while the background child's end is read
+            return len(open_fds())
+
+        with parallel.Workers(fn, 2) as later:
+            later.send([0])
+            t0 = time.perf_counter()
+            assert background.collect() == 0
+            with pytest.raises(ChildProcessError, match="ended without a result"):
+                background.collect()
+            assert time.perf_counter() - t0 < 1.5
+            assert later.collect() == here + 2  # its own two pipe ends
+
+
+def test_a_child_forks_nothing(monkeypatch):
+    force_cpus(monkeypatch, 4)
+    seen = forked_map(lambda i: (usable_cpus(), os.getpid()), range(4))
+    assert seen[0][0] == 4 and {cpus for cpus, pid in seen if pid != os.getpid()} == {1}
+
+
+# --- BLAS threads ---------------------------------------------------------------
+
+
+def python(code: str, **env) -> str:
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    environ.update(env, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+@pytest.mark.parametrize("user, seen", [(None, "1"), ("3", "3")])
+def test_importing_iotids_gives_blas_one_thread_unless_the_user_set_it(user, seen):
+    env = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+    assert python("import os, iotids; print(os.environ['OPENBLAS_NUM_THREADS'])", **env) == seen
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc")
+def test_the_cli_runs_one_thread_after_numpy_loads():
+    # `python -m iotids.cli --help`, then a matrix product
+    code = ("import os, runpy, sys; sys.argv = ['iotids', '--help']\n"
+            "try:\n    runpy.run_module('iotids.cli', run_name='__main__')\nexcept SystemExit:\n    pass\n"
+            "import numpy as np\na = np.ones((256, 256))\na @ a\nprint(len(os.listdir('/proc/self/task')))")
+    assert python(code).splitlines()[-1] == "1"

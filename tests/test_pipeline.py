@@ -1,6 +1,12 @@
-"""Pipeline ordering, leakage guards, manifests, and persistence."""
+"""Pipeline ordering, leakage guards, manifests, persistence, and fits in
+a background child."""
 
+import errno
+import functools
 import json
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotids.errors import ConfigError, DataError, ModelDataMismatch
+from iotids import parallel
+from iotids.errors import ConfigError, DataError, ModelDataMismatch, ModelError
 from iotids.features import (
     CidrTable,
     fit_min_max,
@@ -468,3 +475,175 @@ class TestNeuralPipeline:
 def test_derived_seeds_are_unchanged(kind, seed, fold_2_seed):
     # values of the earlier per-kind seed index table; a changed index reseeds every model of the kind
     assert (_derived_seed(3, kind), _derived_seed(3, kind, 2)) == (seed, fold_2_seed)
+
+
+MULTICLASS_PARAMS = {
+    "rf": {"n_trees": 4, "max_depth": 5},
+    "gbm": {"max_rounds": 4, "max_depth": 3},
+    "ada": {"n_rounds": 4, "weak_depth": 2},
+    "knn": {"k": 3},
+    "ann": {"hidden": [8], "epochs": 3, "patience": 3},
+    "cnn": {"n_filters": 4, "hidden": 8, "epochs": 2, "patience": 2},
+}
+BINARY_PARAMS = dict(FAST_BINARY, ann=MULTICLASS_PARAMS["ann"])
+
+
+class TestBackgroundFits:
+    """On more than one usable CPU, ada, svm, ann and cnn are fitted in one
+    background child while rf, gbm and knn are fitted here: the outputs,
+    and any error, are those of the serial run."""
+
+    @pytest.fixture(scope="class")
+    def multiclass_data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("multiclass")
+        write_synth_dataset(SynthSpec("multiclass", 40, seed=4), root)
+        return root
+
+    @staticmethod
+    def config(task, cv_folds=0):
+        if task == "binary":
+            return ExperimentConfig("binary", ["rf", "gbm", "svm", "knn", "ann", "hybrid"], 60, 5,
+                                    split=(0.8, 0.2, 0.0), cv_folds=cv_folds, model_params=BINARY_PARAMS)
+        return ExperimentConfig("multiclass", ["rf", "gbm", "ada", "knn", "ann", "cnn", "hybrid"], 30, 5,
+                                split=(0.7, 0.2, 0.1), cv_folds=cv_folds, model_params=MULTICLASS_PARAMS)
+
+    @staticmethod
+    def outputs(out: Path) -> dict[str, bytes]:
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "timings.json"}
+
+    def run(self, monkeypatch, cpus, task, data, out, cv_folds=0):
+        """The outputs of one run_training at `cpus` usable CPUs, the kinds
+        it sent to a background child, and those whose fit came back."""
+        sent, collected = [], []
+        send, collect = parallel.Workers.send, pipeline.BackgroundFits.collect
+
+        def collecting(self, kind):
+            fitted = collect(self, kind)
+            collected.extend([kind] * (fitted is not None))
+            return fitted
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            m.setattr(parallel.Workers, "send", lambda self, items: send(self, items) or sent.extend(items))
+            m.setattr(pipeline.BackgroundFits, "collect", collecting)
+            run_training(self.config(task, cv_folds), data, out)
+        return self.outputs(out), sent, collected
+
+    @pytest.fixture
+    def data(self, binary_data, multiclass_data):
+        return {"binary": binary_data, "multiclass": multiclass_data}
+
+    @pytest.mark.parametrize("cv_folds", [0, 3])
+    @pytest.mark.parametrize("task, background", [
+        ("binary", ["svm", "ann"]),
+        ("multiclass", ["ada", "ann", "cnn"]),
+    ])
+    def test_same_bytes_on_one_and_two_cpus(self, monkeypatch, tmp_path, data, task, background, cv_folds):
+        serial, none_sent, _ = self.run(monkeypatch, 1, task, data[task], tmp_path / "one", cv_folds)
+        forked, sent, collected = self.run(monkeypatch, 2, task, data[task], tmp_path / "two", cv_folds)
+        assert none_sent == [] and sent == collected == background
+        assert ("cv_scores.json" in serial) == bool(cv_folds)
+        assert forked == serial
+
+    def test_timings_keep_their_keys_and_time_the_childs_fit(self, monkeypatch, tmp_path, data):
+        # ada sleeps 0.3 s in the child, while this process spends 0.6 s
+        # in rf: its wait for ada is short, the fit it records is not
+        from iotids.models import adaboost, forest
+
+        here = os.getpid()
+        fit_ada, fit_rf = adaboost.fit_adaboost, forest.fit_random_forest
+        monkeypatch.setattr(adaboost, "fit_adaboost",
+                            lambda *a, **k: time.sleep(0.3 * (os.getpid() != here)) or fit_ada(*a, **k))
+        monkeypatch.setattr(forest, "fit_random_forest", lambda *a, **k: time.sleep(0.6) or fit_rf(*a, **k))
+        self.run(monkeypatch, 2, "multiclass", data["multiclass"], tmp_path)
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert list(timings) == ["rf", "gbm", "ada", "knn", "ann", "cnn", "hybrid"]
+        assert timings["rf"] >= 0.6 and timings["ada"] >= 0.3
+
+    def failure(self, monkeypatch, cpus, data, out):
+        with pytest.raises(Exception) as raised:
+            self.run(monkeypatch, cpus, "multiclass", data, out)
+        return type(raised.value), str(raised.value)
+
+    def test_first_failing_kind_in_config_order_is_the_error(self, monkeypatch, tmp_path, data):
+        from iotids.models import adaboost, knn
+
+        def broken(kind, fit):
+            @functools.wraps(fit)  # fit_knn's signature checks the knn model_params
+            def failing(*args, **kwargs):
+                calls.append((kind, os.getpid()))
+                raise ValueError(f"{kind} is broken")
+            return failing
+
+        calls = []
+        monkeypatch.setattr(adaboost, "fit_adaboost", broken("ada", adaboost.fit_adaboost))
+        monkeypatch.setattr(knn, "fit_knn", broken("knn", knn.fit_knn))
+        serial = self.failure(monkeypatch, 1, data["multiclass"], tmp_path / "one")
+        assert serial == (ModelError, "ada: ada is broken") and calls == [("ada", os.getpid())]
+        calls.clear()
+        assert self.failure(monkeypatch, 2, data["multiclass"], tmp_path / "two") == serial
+        assert calls == [("ada", os.getpid())]  # refitted here; the child's calls stay in the child
+
+    def test_a_failed_fork_fits_every_kind_here(self, monkeypatch, tmp_path, data):
+        class NoFork(parallel.Workers):
+            def _fork(self):
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        expected, _, _ = self.run(monkeypatch, 2, "multiclass", data["multiclass"], tmp_path / "forked")
+        monkeypatch.setattr(pipeline, "Workers", NoFork)
+        assert self.run(monkeypatch, 2, "multiclass", data["multiclass"], tmp_path / "eagain") == (expected, [], [])
+
+    @pytest.mark.parametrize("failure", ["exit", "unpicklable"])
+    def test_a_fit_that_does_not_come_back_is_refitted_here(self, monkeypatch, tmp_path, data, failure):
+        from iotids.nn import training
+
+        here, train_network = os.getpid(), training.train_network
+
+        def in_child(*args, **kwargs):
+            network, curve = train_network(*args, **kwargs)
+            if os.getpid() != here:
+                if failure == "exit":
+                    os._exit(0)  # mid-run: ada came back, ann and cnn do not
+                network.unpicklable = lambda: None
+            return network, curve
+
+        expected, _, _ = self.run(monkeypatch, 1, "multiclass", data["multiclass"], tmp_path / "serial")
+        monkeypatch.setattr(training, "train_network", in_child)
+        outputs, sent, collected = self.run(monkeypatch, 2, "multiclass", data["multiclass"], tmp_path / "refit")
+        assert sent == ["ada", "ann", "cnn"] and collected == ["ada"] and outputs == expected
+
+    def test_a_child_killed_during_a_gbm_fit_leaves_the_run_to_finish(self, monkeypatch, tmp_path, data):
+        """The gbm workers are forked while the background child lives and
+        hold none of its pipe ends: its death is seen at once, and ada, ann
+        and cnn are fitted here."""
+        from iotids.models import gbm
+
+        background = []
+        send = parallel.Workers.send
+
+        def remembered(self, items):
+            background.append(self._children[0][0])
+            send(self, items)
+
+        class KillingWorkers(parallel.Workers):
+            def map(self, items):
+                if background and self._children:  # the gbm workers are alive
+                    os.kill(background.pop(), signal.SIGKILL)
+                return super().map(items)
+
+        def timeout(signum, frame):
+            raise TimeoutError("the run did not finish within 60 s")
+
+        expected, _, _ = self.run(monkeypatch, 1, "multiclass", data["multiclass"], tmp_path / "serial")
+        monkeypatch.setattr(gbm, "Workers", KillingWorkers)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(parallel.Workers, "send", remembered)
+                outputs, _, _ = self.run(monkeypatch, 2, "multiclass", data["multiclass"], tmp_path / "killed")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert background == [] and outputs == expected
