@@ -1,18 +1,24 @@
 """Checks of decoded JSON values against annotations and value ranges: the
 one reader of JSON records from outside (the experiment config and its
 model_params, the synth spec, and every bundle value, network layer
-descriptors included)."""
+descriptors included); and compact_json, the encoding of every bundle."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import sys
 import typing
 
 import numpy as np
 
 from .errors import ConfigError, ModelDataMismatch
+
+
+def compact_json(value) -> str:
+    """value as JSON with no whitespace, the encoding of every bundle."""
+    return json.dumps(value, separators=(",", ":"))
 
 
 def has_type(value, hint) -> bool:

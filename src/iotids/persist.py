@@ -21,16 +21,11 @@ from .features import (
     matrix_from_records,
 )
 from .flows import FlowTable, task_class_names
-from .jsontypes import bundle_field
+from .jsontypes import bundle_field, compact_json
 from .models import KINDS, Model
 from .output import write_output
 
 BUNDLE_VERSION = 1
-
-
-def compact_json(value) -> str:
-    """value as JSON with no whitespace, the encoding of every bundle."""
-    return json.dumps(value, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,8 @@ class ModelBundle:
         added to it, so a run encodes each model once."""
         if encoded is not None and self.kind == "hybrid":
             model_json = self.model.to_json([encoded[name] for name in self.model.member_names])
+        elif self.kind == "knn":  # the stored rows a block at a time, the same bytes
+            model_json = self.model.to_json()
         else:
             model_json = compact_json(self.model.to_dict())
         if encoded is not None:

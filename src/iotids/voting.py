@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelDataMismatch, SchemaMismatch
+from .jsontypes import compact_json
 from .models import KINDS, Model, input_rows
 
 # each task's hybrid members in priority order: vote ties fall to the earliest
@@ -40,7 +41,7 @@ class VotingEnsemble:
     def to_json(self, member_json: Sequence[str]) -> str:
         """The compact JSON text of to_dict(), spliced from each member's
         compact JSON text (in member order) instead of encoding it again."""
-        head = json.dumps({"task": self.task, "member_names": self.member_names}, separators=(",", ":"))
+        head = compact_json({"task": self.task, "member_names": self.member_names})
         members = ",".join(
             f'{{"kind":{json.dumps(name)},"model":{text}}}' for name, text in zip(self.member_names, member_json)
         )

@@ -1,14 +1,25 @@
 """Nearest-neighbour and linear SVM contracts, oracle-checked."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+import iotids
 from iotids.errors import BadK, SingleClass, WidthMismatch
 from iotids.models import knn as knn_module
 from iotids.models import svm as svm_module
-from iotids.models.knn import fit_knn, predict_knn
+from iotids.models.knn import KnnModel, fit_knn, predict_knn
 from iotids.models.svm import (
     SvmClassifier,
     SvmParams,
@@ -269,6 +280,98 @@ class TestShortlistEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestBlockIndependence:
+    """A query's label does not depend on which queries share its call or
+    its block, nor on how the shortlist's distances are buffered."""
+
+    @pytest.mark.parametrize("part", range(3))
+    def test_labels_do_not_depend_on_blocks_or_order(self, part, monkeypatch):
+        rng = np.random.default_rng(7000 + part)
+        for case in range(30):
+            X, y, k, Q = knn_case(rng)
+            m = Q.shape[0]
+            if m == 0:
+                continue
+            model = fit_knn(X, y, k, n_classes=int(y.max()) + 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = predict_knn(model, Q)
+                for block_elements in (1, 1 << 10, 1 << 17, 1 << 20):
+                    monkeypatch.setattr(knn_module, "_BLOCK_ELEMENTS", block_elements)
+                    got = predict_knn(model, Q)
+                    np.testing.assert_array_equal(got, want, f"part {part} case {case} {block_elements}")
+                    for rows in (1, 7, m):
+                        got = np.concatenate([predict_knn(model, Q[i : i + rows]) for i in range(0, m, rows)])
+                        np.testing.assert_array_equal(got, want, f"part {part} case {case} rows {rows}")
+                    perm = rng.permutation(m)
+                    got = np.empty_like(want)
+                    got[perm] = predict_knn(model, Q[perm])
+                    np.testing.assert_array_equal(got, want, f"part {part} case {case} shuffled")
+
+    @pytest.mark.parametrize("part", range(3))
+    def test_a_reused_buffer_gives_the_same_neighbours_and_bits(self, part):
+        """One buffer, larger than any block and holding the previous
+        call's values (NaN before the first), serves several calls."""
+        rng = np.random.default_rng(8000 + part)
+        checked = 0
+        for case in range(40):
+            X, y, k, Q = knn_case(rng)
+            n = X.shape[0]
+            if Q.shape[0] == 0 or n <= k:
+                continue
+            shortlist = min(n - 1, k + knn_module._SHORTLIST_EXTRA)
+            buffer = np.full((Q.shape[0] + 3, n), np.nan)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_sq = (X * X).sum(axis=1)
+                for Q_block in (Q, Q[::-1], Q[: max(1, Q.shape[0] // 2)]):
+                    want = knn_module._shortlist_nearest(Q_block, X, x_sq, x_sq.max(), k, shortlist)
+                    got = knn_module._shortlist_nearest(Q_block, X, x_sq, x_sq.max(), k, shortlist, buffer)
+                    assert got[0].tolist() == want[0].tolist(), f"part {part} case {case}"
+                    assert got[1].tobytes() == want[1].tobytes(), f"part {part} case {case}"
+            checked += 1
+        assert checked >= 10
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="reads Linux ru_minflt")
+def test_a_second_predict_does_not_fault_its_blocks_in_again():
+    """A fresh interpreter (known allocator state) predicts 1,000 queries
+    against a 4,000 x 20 store twice; the second predict reuses the memory
+    of the first instead of having the allocator hand pages back to the OS
+    and fault them in again (about 930 faults per block when each block
+    allocated and freed its own distance matrix)."""
+    code = """
+import resource
+import numpy as np
+from iotids.models.knn import fit_knn, predict_knn
+rng = np.random.default_rng(0)
+model = fit_knn(rng.standard_normal((4000, 20)), rng.integers(0, 2, 4000), k=5, n_classes=2)
+Q = rng.standard_normal((1000, 20))
+predict_knn(model, Q)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+predict_knn(model, Q)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    faults = int(run.stdout)
+    assert faults < 2_000, f"{faults} minor page faults"
+
+
+@pytest.mark.parametrize("encode_rows", [1, 3, 256])
+def test_knn_json_is_its_dict_encoded_compactly(encode_rows, monkeypatch):
+    """The stored rows are encoded a block at a time, to the bytes of
+    encoding to_dict() whole, at every block edge."""
+    monkeypatch.setattr(knn_module, "_ENCODE_ROWS", encode_rows)
+    rng = np.random.default_rng(encode_rows)
+    odd = [0.0, -0.0, 5e-324, 1e308, -1.5, 1 / 3, np.nan, np.inf]
+    for n, d in [(1, 1), (2, 3), (3, 2), (255, 2), (256, 1), (257, 4), (600, 0)]:
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+        if d:
+            X.flat[rng.integers(0, X.size, size=min(X.size, len(odd)))] = odd[: min(X.size, len(odd))]
+        model = KnnModel(X, rng.integers(0, 3, n), k=1, n_classes=3)
+        assert model.to_json() == json.dumps(model.to_dict(), separators=(",", ":")), (n, d)
 
 
 def separable(seed=0, n=40):

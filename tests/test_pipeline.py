@@ -344,18 +344,22 @@ class TestPersistenceRoundTrip:
 
     def test_each_model_is_encoded_once(self, binary_data, tmp_path, monkeypatch):
         """The hybrid bundle's model text is spliced from its members' texts,
-        so no model's to_dict runs twice and the hybrid's never runs."""
+        so no model is encoded twice and the hybrid's to_dict never runs.
+        KNN encodes through its own to_json, which is counted with its
+        to_dict."""
         calls = []
 
-        def counted(kind, to_dict):
-            def counting_to_dict(self):
+        def counted(kind, encode):
+            def counting_encode(self):
                 calls.append(kind)
-                return to_dict(self)
-            return counting_to_dict
+                return encode(self)
+            return counting_encode
 
         for kind in ("rf", "gbm", "svm", "knn", "hybrid"):
             cls = KINDS[kind].model_class
             monkeypatch.setattr(cls, "to_dict", counted(kind, cls.to_dict))
+        knn_class = KINDS["knn"].model_class
+        monkeypatch.setattr(knn_class, "to_json", counted("knn", knn_class.to_json))
         cfg = ExperimentConfig(task="binary", models=["rf", "gbm", "svm", "knn", "hybrid"], per_class=40,
                                seed=7, split=(0.8, 0.2, 0.0), model_params=FAST_BINARY)
         run = run_training(cfg, binary_data, tmp_path)
