@@ -81,7 +81,7 @@ def fit_linear_svm(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()
     """
     X = np.ascontiguousarray(X, dtype=float)  # contiguous rows: the dot product's bits depend on the stride
     y = np.asarray(y, dtype=float)
-    if set(np.unique(y)) != {-1.0, 1.0}:
+    if set(y.ravel().tolist()) != {-1.0, 1.0}:  # not np.unique, which imports numpy.ma
         raise SingleClass("labels must contain both -1 and +1")
 
     n, d = X.shape

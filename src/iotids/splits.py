@@ -78,7 +78,8 @@ def stratified_split(
     active = [f > 0.0 for f in fractions]
     carry = [0.0, 0.0, 0.0]
     parts: list[list[np.ndarray]] = [[], [], []]
-    for c in np.unique(y):
+    # return_counts: without it, np.unique (numpy >= 2.3) imports numpy.ma, about 12 ms a process
+    for c in np.unique(y, return_counts=True)[0]:
         idx = np.flatnonzero(y == c)
         rng = np.random.default_rng([seed, int(c)])
         shuffled = idx[rng.permutation(len(idx))]
@@ -102,9 +103,8 @@ def k_fold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise ValueError("k must be >= 2")
     y = np.asarray(y)
-    classes = np.unique(y)
-    for c in classes:
-        have = int(np.sum(y == c))
+    classes, counts = np.unique(y, return_counts=True)  # see stratified_split on return_counts
+    for c, have in zip(classes, counts.tolist()):
         if have < k:
             raise TooFewRows(str(c), have, k)
 

@@ -3,14 +3,22 @@
 import errno
 import json
 import os
+import select
+import stat
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iotids
 from iotids import parallel
 from iotids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main, predictions_csv
-from iotids.errors import ConfigError
+from iotids.errors import ConfigError, IoFailure
 from iotids.flows import parse_conn_log_file
+from iotids.output import write_output
 from iotids.persist import load_bundle
 
 
@@ -561,6 +569,96 @@ class TestOutputErrors:
         assert main(command_args(workspace, "predict", tmp_path)) == EXIT_DATA
         assert "data error: cannot write" in caplog.text
         assert list(tmp_path.iterdir()) == [tmp_path / "p.csv"] and not any((tmp_path / "p.csv").iterdir())
+
+
+def read_fifo(path, proc, timeout=120.0) -> bytes:
+    """What proc writes to the FIFO at path, up to its close.  The FIFO is
+    opened without blocking and polled, so a writer that fails before it
+    opens the FIFO ends the read (short) instead of hanging the test."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    chunks, deadline = [], time.monotonic() + timeout
+    try:
+        while time.monotonic() < deadline:
+            exited = proc.poll() is not None  # before the poll: all it wrote is in the FIFO
+            if poller.poll(100):
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    break  # the writer closed it
+                chunks.append(chunk)
+            elif exited:
+                break
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+class TestOutputTargets:
+    """Only a regular file, or a new path, is replaced whole: a symlink is
+    written through and kept, a FIFO is written in place."""
+
+    @pytest.fixture(scope="class")
+    def predictions(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("regular")
+        assert main(command_args(workspace, "predict", out)) == EXIT_OK
+        return (out / "p.csv").read_bytes()
+
+    def test_fifo_is_written_in_place(self, workspace, predictions, tmp_path):
+        fifo = tmp_path / "p.csv"
+        os.mkfifo(fifo)
+        env = dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "iotids.cli", *command_args(workspace, "predict", tmp_path)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            received = read_fifo(fifo, proc)
+        finally:
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_OK, stderr
+        assert received == predictions
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and list(tmp_path.iterdir()) == [fifo]
+
+    def test_symlink_is_written_through(self, workspace, predictions, tmp_path):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "target").mkdir()
+        target = tmp_path / "target" / "kept.csv"
+        target.write_text("old\n")
+        (tmp_path / "out" / "p.csv").symlink_to(target)
+        assert main(command_args(workspace, "predict", tmp_path / "out")) == EXIT_OK
+        assert (tmp_path / "out" / "p.csv").is_symlink() and target.read_bytes() == predictions
+        # the temporary file was written beside the target, and is gone
+        assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "p.csv"]
+        assert list((tmp_path / "target").iterdir()) == [target]
+
+    def test_dangling_symlink_makes_its_target(self, workspace, predictions, tmp_path):
+        target = tmp_path / "made.csv"
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "p.csv").symlink_to(target)
+        assert main(command_args(workspace, "predict", tmp_path / "out")) == EXIT_OK
+        assert (tmp_path / "out" / "p.csv").is_symlink() and target.read_bytes() == predictions
+
+    def test_symlink_to_a_directory_is_data_error(self, workspace, tmp_path, caplog):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "p.csv").symlink_to(tmp_path / "dir")
+        assert main(command_args(workspace, "predict", tmp_path / "out")) == EXIT_DATA
+        assert "data error: cannot write" in caplog.text and "not a regular file" in caplog.text
+        assert (tmp_path / "out" / "p.csv").is_symlink() and list((tmp_path / "dir").iterdir()) == []
+
+    def test_failed_in_place_write_is_io_failure(self, tmp_path, monkeypatch):
+        # as /dev/full's ENOSPC: the device is written in place, and its error is an IoFailure
+        written = []
+
+        def no_space(self, text):
+            written.append(self)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        os.mkfifo(tmp_path / "full")
+        monkeypatch.setattr(Path, "write_text", no_space)
+        with pytest.raises(IoFailure, match="No space left on device"):
+            write_output(tmp_path / "full", "x")
+        assert written == [tmp_path / "full"]
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "full").st_mode) and list(tmp_path.iterdir()) == [tmp_path / "full"]
 
 
 class TestForkFailure:

@@ -420,3 +420,13 @@ def test_the_cli_runs_one_thread_after_numpy_loads():
             "try:\n    runpy.run_module('iotids.cli', run_name='__main__')\nexcept SystemExit:\n    pass\n"
             "import numpy as np\na = np.ones((256, 256))\na @ a\nprint(len(os.listdir('/proc/self/task')))")
     assert python(code).splitlines()[-1] == "1"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc")
+@pytest.mark.skipif(os.environ.get("OPENBLAS_NUM_THREADS") != "1", reason="BLAS threads set by the user")
+def test_the_test_process_runs_one_thread_after_a_matrix_product():
+    # tests/conftest.py imports iotids before any test module imports numpy, so the forking tests
+    # fork a one-threaded process
+    a = np.ones((256, 256))
+    a @ a
+    assert len(os.listdir("/proc/self/task")) == 1
