@@ -17,7 +17,7 @@ from importlib import import_module
 import numpy as np
 
 from .errors import ConfigError, DataError, IoFailure, ModelError
-from .output import write_output
+from .output import replaced_file, write_output
 
 log = logging.getLogger("iotids")
 
@@ -100,7 +100,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     matrix = _use("confusion")(y_true, bundle.predict(X), len(bundle.class_names), bundle.class_names)
     report = _use("compute_metrics")(matrix)
     report_path = write_output(args.report, _use("metrics_to_json")(report, bundle.task))
-    write_output(report_path.with_suffix(".confusion.csv"), matrix.to_csv())
+    report_file = replaced_file(report_path)
+    if report_file is None:
+        log.info("no confusion CSV: the report %s is a FIFO or character device", report_path)
+    else:
+        write_output(report_file.with_suffix(".confusion.csv"), matrix.to_csv())
     log.info("accuracy %.4f -> %s", report.accuracy, report_path)
     return EXIT_OK
 

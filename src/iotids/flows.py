@@ -9,7 +9,10 @@ the parser repairs that before column mapping.
 Rows have one representation, columns keyed by attribute: the parser builds
 them as a FlowTable, and render_conn_log, its inverse, writes such columns
 out as a conn log.  A file is read through one reader of a byte range, in
-line-aligned blocks of about 64 KiB, whether it is parsed whole or in ranges.
+line-aligned chunks of about 64 KiB, whether it is parsed whole or in ranges,
+and each chunk's lines are the block the parser converts at a time.  One line
+rule splits a file and a log held in memory alike: a line ends at \n, \r\n
+or a lone \r.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from importlib import resources
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -275,9 +278,6 @@ def _repair_trailing_labels(parts: list[str], expected: int) -> list[str]:
     return parts
 
 
-# lines read and converted at a time; bounds the parser's working memory
-BLOCK_LINES = 1024
-
 _NUMERIC_ATTRS = {ZEEK_TO_ATTR[c] for c in FLOAT_COLUMNS | INT_COLUMNS | BOOL_COLUMNS}
 _PORT_ATTRS = {ZEEK_TO_ATTR[c] for c in PORT_COLUMNS}
 # the text tokens whose value is not the token itself, apart from proto's
@@ -297,27 +297,26 @@ class _TableBuilder:
 
     def add(self, header: list[str], lines: list[str], first_line: int) -> None:
         """Convert consecutive data lines (the first at line `first_line`)
-        under one #fields header.  The error raised is the one the first
-        bad row has; within a row, the first bad column in header order,
-        and a missing label after every column."""
+        under one #fields header; `lines` is repaired in place.  The error
+        raised is the one the first bad row has; within a row, the first bad
+        column in header order, and a missing label after every column."""
         width = len(header)
         errors: list[tuple[int, int, DataError]] = []  # (row, position, error)
-        if list(map(str.count, lines, repeat("\t"))).count(width - 1) == len(lines):
-            # every row has the header's width: split the run once, slice out columns
-            n = len(lines)
-            flat = "\t".join(lines).split("\t")
-            cells: list[Sequence[str]] = [flat[j::width] for j in range(width)]
-        else:
-            rows = [line.split("\t") for line in lines]
-            for i, parts in enumerate(rows):
-                if len(parts) != width:
-                    rows[i] = parts = _repair_trailing_labels(parts, width)
+        tabs = list(map(str.count, lines, repeat("\t")))
+        if tabs.count(width - 1) != len(lines):
+            # repair each row of the wrong width in place; the first that stays wrong ends the run
+            for i, count in enumerate(tabs):
+                if count != width - 1:
+                    parts = _repair_trailing_labels(lines[i].split("\t"), width)
                     if len(parts) != width:
                         errors.append((i, -1, ColumnCountMismatch(first_line + i, width, len(parts))))
-                        del rows[i:]
+                        del lines[i:]
                         break
-            n = len(rows)
-            cells = list(zip(*rows)) if rows else [()] * width
+                    lines[i] = "\t".join(parts)
+        # every row has the header's width: split the run once, slice out columns
+        n = len(lines)
+        flat = "\t".join(lines).split("\t") if n else []
+        cells = [flat[j::width] for j in range(width)]
         block: dict[str, np.ndarray | list] = {}
         for j, (column, tokens) in enumerate(zip(header, cells)):
             attr = ZEEK_TO_ATTR.get(column)
@@ -363,31 +362,14 @@ class _TableBuilder:
         return FlowTable(columns, line_no)
 
 
-def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Up to BLOCK_LINES lines at a time.  When reading a file fails part-way
-    (_file_lines), the lines read before it form one last block before the error."""
-    it = iter(lines)
-    while True:
-        block: list[str] = []
-        try:
-            block.extend(islice(it, BLOCK_LINES))  # keeps what was read if reading fails
-        except DataError:
-            yield block
-            raise
-        if not block:
-            return
-        yield block
-
-
 def _parse_lines(
-    lines: Iterable[str], allow_unlabeled: bool, header: list[str] | None = None, line_no: int = 0
+    blocks: Iterable[list[str]], allow_unlabeled: bool, header: list[str] | None = None, line_no: int = 0
 ) -> FlowTable:
-    """A FlowTable of conn-log lines; errors carry line numbers.  The lines
-    may start part-way through a file: after line `line_no`, with the
-    #fields `header` in effect there."""
+    """A FlowTable of conn-log lines, given as blocks of lines without their
+    endings; errors carry line numbers.  The lines may start part-way through
+    a file: after line `line_no`, with the #fields `header` in effect there."""
     builder = _TableBuilder(allow_unlabeled)
-    for block in _blocks(lines):
-        block = [line.rstrip("\n").rstrip("\r") for line in block]
+    for block in blocks:
         # blank and directive lines split the block into runs of data lines
         breaks = [i for i, line in enumerate(block) if not line or line[0] == "#"]
         start = 0
@@ -403,13 +385,22 @@ def _parse_lines(
     return builder.table()
 
 
-def parse_conn_log(source: str | bytes | Iterable[str], *, allow_unlabeled: bool = False) -> FlowTable:
-    """Parse a whole conn log held in memory: text, bytes, or lines."""
+def _lines(text: str) -> list[str]:
+    r"""The lines of text, ended as text mode ends them (\n, \r\n or a lone
+    \r); text after the last line break is one more line."""
+    if "\r" in text:  # str.replace copies even when nothing matches
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the last line break
+    return lines
+
+
+def parse_conn_log(source: str | bytes, *, allow_unlabeled: bool = False) -> FlowTable:
+    """Parse a whole conn log held in memory, as text or UTF-8 bytes."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if isinstance(source, str):
-        source = source.splitlines()
-    return _parse_lines(source, allow_unlabeled)
+    return _parse_lines([_lines(source)], allow_unlabeled)
 
 
 # estimated serial parse time of a conn log's byte: 96 ms for the 4.8 MB of
@@ -447,7 +438,7 @@ def _parse_range(path: str | Path, allow_unlabeled: bool, piece: tuple[int, int,
     start, stop, line_no, header = piece
     with open(path, "rb") as fh:
         fh.seek(start)
-        return _parse_lines(chain.from_iterable(_file_lines(fh, stop, line_no, path)), allow_unlabeled, header, line_no)
+        return _parse_lines(_file_lines(fh, stop, line_no, path), allow_unlabeled, header, line_no)
 
 
 def _chunks(fh: BinaryIO, stop: int) -> Iterator[bytes]:
@@ -461,9 +452,8 @@ def _chunks(fh: BinaryIO, stop: int) -> Iterator[bytes]:
 
 def _file_lines(fh: BinaryIO, stop: int, line_no: int, path: str | Path) -> Iterator[list[str]]:
     r"""The lines of fh from its position (line line_no + 1) to offset
-    `stop`, a list per chunk, ended as text mode ends them (\n, \r\n or a
-    lone \r).  A bad UTF-8 byte raises DataError naming its line, after the
-    lines before that line."""
+    `stop`, a list per chunk (_chunks), split by _lines.  A bad UTF-8 byte
+    raises DataError naming its line, after the lines before that line."""
     tail, error = b"", None  # tail: the start of a line that goes on in the next chunk
     for chunk in chain(_chunks(fh, stop), [b""]):  # b"": the end, where tail is the last line
         data = tail + chunk
@@ -475,11 +465,7 @@ def _file_lines(fh: BinaryIO, stop: int, line_no: int, path: str | Path) -> Iter
         except UnicodeDecodeError as exc:
             error, end = exc, 1 + max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start))
             text = data[:end].decode("utf-8")
-        if "\r" in text:  # str.replace copies even when nothing matches
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()  # what follows the last line break
+        lines = _lines(text)
         yield lines
         line_no += len(lines)
         if error:

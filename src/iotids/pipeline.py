@@ -44,7 +44,7 @@ from .output import output_dir, write_output
 from .parallel import Workers, usable_cpus
 from .persist import ModelBundle, PreprocState
 from .splits import k_fold, mean_score, stratified_split
-from .voting import HYBRID_MEMBERS, build_hybrid
+from .voting import HYBRID_MEMBERS, build_hybrid, vote
 
 CONFIG_VERSION = 1
 
@@ -412,11 +412,12 @@ def _run_cross_validation(
     out: Path,
 ) -> list[Path]:
     """Per-fold accuracy for each cross-validated standalone model, plus, when
-    configured, the per-fold accuracy of a hybrid built from that fold's
-    members."""
+    configured, the per-fold accuracy of the vote of that fold's hybrid
+    members, from the validation predictions their own scores were made of."""
     plan = k_fold(y_train, config.cv_folds, config.seed)
     scores: dict[str, dict] = {}
     fold_models: list[dict[str, object]] = [{} for _ in range(config.cv_folds)]
+    fold_predictions: list[dict[str, np.ndarray]] = [{} for _ in range(config.cv_folds)]  # of the validation rows
     cv_models = [m for m in config.models if KINDS[m].cross_validated]
     for name in cv_models:
         fold_acc = []
@@ -435,18 +436,20 @@ def _run_cross_validation(
                 fold_extra=fold_no + 1,
             )
             fold_models[fold_no][name] = model
-            fold_acc.append(float(np.mean(model.predict(X_train[va]) == y_train[va])))
+            fold_predictions[fold_no][name] = predicted = model.predict(X_train[va])
+            fold_acc.append(float(np.mean(predicted == y_train[va])))
         scores[name] = {"fold_accuracy": fold_acc, "mean_accuracy": mean_score(fold_acc)}
 
     written = [write_output(out / "cv_scores.json", json.dumps(scores, indent=2) + "\n")]
 
     if "hybrid" in config.models:
         lines = ["fold,train_accuracy,val_accuracy"]
+        members = HYBRID_MEMBERS[config.task]
         for fold_no, (tr, va) in enumerate(plan):
-            members = [fold_models[fold_no][m] for m in HYBRID_MEMBERS[config.task]]
-            hybrid = build_hybrid(config.task, members)
-            acc_tr = float(np.mean(hybrid.predict(X_train[tr]) == y_train[tr]))
-            acc_va = float(np.mean(hybrid.predict(X_train[va]) == y_train[va]))
+            votes_tr = vote(np.stack([fold_models[fold_no][m].predict(X_train[tr]) for m in members]))
+            votes_va = vote(np.stack([fold_predictions[fold_no][m] for m in members]))
+            acc_tr = float(np.mean(votes_tr == y_train[tr]))
+            acc_va = float(np.mean(votes_va == y_train[va]))
             lines.append(f"{fold_no},{acc_tr!r},{acc_va!r}")
         written.append(write_output(out / "curves" / "hybrid_curve.csv", "\n".join(lines) + "\n"))
     return written

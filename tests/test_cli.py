@@ -80,6 +80,27 @@ class TestEvaluate:
         assert doc["accuracy"] >= 0.95  # training data of a separable fixture
         assert report.with_suffix(".confusion.csv").exists()
 
+    def test_confusion_csv_goes_beside_the_report_a_symlink_resolves_to(self, workspace, tmp_path):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "target").mkdir()
+        (tmp_path / "out" / "r.json").symlink_to(tmp_path / "target" / "report.json")
+        assert main(command_args(workspace, "evaluate", tmp_path / "out")) == EXIT_OK
+        assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "r.json"]
+        assert sorted(p.name for p in (tmp_path / "target").iterdir()) == ["report.confusion.csv", "report.json"]
+
+    def test_a_fifo_report_gets_no_confusion_csv(self, workspace, tmp_path):
+        os.mkfifo(tmp_path / "r.json")
+        proc = subprocess.Popen([sys.executable, "-m", "iotids.cli", *command_args(workspace, "evaluate", tmp_path)],
+                                env=cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            received = read_fifo(tmp_path / "r.json", proc)
+        finally:
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_OK, stderr
+        assert json.loads(received)["task"] == "binary"
+        assert list(tmp_path.iterdir()) == [tmp_path / "r.json"]
+        assert b"no confusion CSV: the report" in stderr
+
     def test_empty_data_file_is_data_error(self, workspace, tmp_path):
         empty = tmp_path / "empty.labeled"
         empty.write_text("#fields\tts\tuid\n")
@@ -571,6 +592,11 @@ class TestOutputErrors:
         assert list(tmp_path.iterdir()) == [tmp_path / "p.csv"] and not any((tmp_path / "p.csv").iterdir())
 
 
+def cli_env():
+    """The environment of a `python -m iotids.cli` child that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).resolve().parents[1]))
+
+
 def read_fifo(path, proc, timeout=120.0) -> bytes:
     """What proc writes to the FIFO at path, up to its close.  The FIFO is
     opened without blocking and polled, so a writer that fails before it
@@ -607,9 +633,8 @@ class TestOutputTargets:
     def test_fifo_is_written_in_place(self, workspace, predictions, tmp_path):
         fifo = tmp_path / "p.csv"
         os.mkfifo(fifo)
-        env = dict(os.environ, PYTHONPATH=str(Path(iotids.__file__).resolve().parents[1]))
         proc = subprocess.Popen([sys.executable, "-m", "iotids.cli", *command_args(workspace, "predict", tmp_path)],
-                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                                env=cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         try:
             received = read_fifo(fifo, proc)
         finally:
@@ -644,6 +669,15 @@ class TestOutputTargets:
         assert main(command_args(workspace, "predict", tmp_path / "out")) == EXIT_DATA
         assert "data error: cannot write" in caplog.text and "not a regular file" in caplog.text
         assert (tmp_path / "out" / "p.csv").is_symlink() and list((tmp_path / "dir").iterdir()) == []
+
+    def test_dev_stdout_of_a_pipe_is_written_in_place(self, workspace, predictions, tmp_path):
+        # /dev/stdout is a link to the pipe, whose own realpath names no file
+        proc = subprocess.run([sys.executable, "-m", "iotids.cli",
+                               *command_args(workspace, "predict", tmp_path)[:-1], "/dev/stdout"],
+                              env=cli_env(), capture_output=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == predictions
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_in_place_write_is_io_failure(self, tmp_path, monkeypatch):
         # as /dev/full's ENOSPC: the device is written in place, and its error is an IoFailure

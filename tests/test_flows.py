@@ -610,6 +610,17 @@ class TestConnLogFile:
         with pytest.raises(DataError, match=r"latin1\.labeled line 4: not UTF-8"):
             parse_conn_log_file(path)
 
+    # the characters other than \n and \r at which str.splitlines breaks a line
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_text_in_memory_splits_lines_as_a_file_does(self, tmp_path, separator):
+        text = make_log(full_row(history=f"S{separator}D"), full_row(uid=f"C{separator}"), full_row())
+        path = tmp_path / "separator.labeled"
+        path.write_bytes(text.encode())
+        want = parse_conn_log_file(path)
+        assert want["history"] == [f"S{separator}D", "Dd", "Dd"] and want.line_no.tolist() == [2, 3, 4]
+        same_outcome(parse_conn_log(text), want)
+        same_outcome(parse_conn_log(text.encode()), want)
+
 
 # --- equivalence with the per-row parser -------------------------------------------
 
@@ -799,14 +810,18 @@ def _same(table, old):
             assert got == expected, attr
 
 
+# the last line of the first block in test_error_next_to_block_boundary
+_EDGE = 1024
+
+
 class TestParserEquivalence:
     def test_matches_per_row_parser(self, tmp_path, monkeypatch):
-        # small blocks, so that runs, errors and #fields lines fall on
-        # every side of a block boundary
+        # small read chunks (each one a block), so that runs, errors and
+        # #fields lines fall on every side of a block boundary
         seen = []
         for corpus in range(200):
             rng = np.random.default_rng([77, corpus])
-            monkeypatch.setattr(flows, "BLOCK_LINES", int(rng.choice([1, 2, 5, 16, 64])))
+            monkeypatch.setattr(flows, "_READ_BYTES", int(rng.choice([1, 20, 90, 200, 300])))
             lines = _corpus_lines(rng, int(rng.integers(0, 120)))
             crlf = bool(rng.random() < 0.3)
             ending = "\r\n" if crlf else "\n"
@@ -816,9 +831,9 @@ class TestParserEquivalence:
                 with open(path, encoding="utf-8") as file:
                     old = _outcome_of(lambda: list(_old_iter_conn_log(file, allow)))
                 _same(_outcome_of(lambda: parse_conn_log_file(path, allow_unlabeled=allow)), old)
-                # lines that keep their endings, as an iterable of lines does
+                # the same text held in memory
                 raw = [line + ending for line in lines]
-                _same(_outcome_of(lambda: parse_conn_log(raw, allow_unlabeled=allow)),
+                _same(_outcome_of(lambda: parse_conn_log("".join(raw), allow_unlabeled=allow)),
                       _outcome_of(lambda: list(_old_iter_conn_log(raw, allow))))
                 seen.append("ok" if isinstance(old, list) else old[0].__name__)
         # the corpus reaches clean files and every parse error
@@ -836,7 +851,7 @@ class TestParserEquivalence:
                     if other:
                         rows[5] = full_row(**{column: other})
                     lines = make_log(*rows).splitlines()
-                    _same(_outcome_of(lambda: parse_conn_log(lines)),
+                    _same(_outcome_of(lambda: parse_conn_log("\n".join(lines))),
                           _outcome_of(lambda: list(_old_iter_conn_log(lines))))
 
     def test_bad_row_before_undecodable_bytes(self, tmp_path):
@@ -850,18 +865,19 @@ class TestParserEquivalence:
         assert old[0] is BadNumeric
         _same(_outcome_of(lambda: parse_conn_log_file(path)), old)
 
-    @pytest.mark.parametrize("bad_line", [flows.BLOCK_LINES - 1, flows.BLOCK_LINES, flows.BLOCK_LINES + 1,
-                                          flows.BLOCK_LINES + 2])
+    @pytest.mark.parametrize("bad_line", [_EDGE - 1, _EDGE, _EDGE + 1, _EDGE + 2])
     @pytest.mark.parametrize("fault", ["cell", "width", "unlabeled"])
-    def test_error_next_to_block_boundary(self, tmp_path, bad_line, fault):
+    def test_error_next_to_block_boundary(self, tmp_path, monkeypatch, bad_line, fault):
         # line 1 is the header, so data line k is line k + 1 of the file
-        rows = [full_row(uid=f"C{i}") for i in range(flows.BLOCK_LINES + 40)]
+        rows = [full_row(uid=f"C{i}") for i in range(_EDGE + 40)]
         later = {"cell": full_row(resp_bytes="x"), "width": "a\tb", "unlabeled": full_row(label="-")}
         rows[bad_line + 5] = later[fault]  # a second, later error must not be the one reported
         rows[bad_line - 2] = {"cell": full_row(local_resp="maybe"), "width": full_row() + "\tz",
                               "unlabeled": full_row(label="(empty)")}[fault]
         path = tmp_path / "big.labeled"
         path.write_text(make_log(*rows))
+        # the first read chunk, and so the first block, is lines 1 to _EDGE
+        monkeypatch.setattr(flows, "_READ_BYTES", len("".join(make_log(*rows).splitlines(True)[:_EDGE])))
         with open(path, encoding="utf-8") as file:
             old = _outcome_of(lambda: list(_old_iter_conn_log(file)))
         assert isinstance(old, tuple) and f"line {bad_line}:" in old[1]
@@ -1051,16 +1067,16 @@ class TestReadErrors:
 
 
 def test_a_parse_holds_a_bounded_block_beyond_its_table(tmp_path, monkeypatch):
-    """The one-range parse of a file 16 times the read block, and each range
-    of a ranged parse read in this process, peak within a fixed bound above
-    the table returned: the bytes, text and lines of a block or two, the
-    cells of BLOCK_LINES lines, and one numeric column as it is joined (at
-    this file size, a block's worth).  Reading a whole range at once, or
-    joining every column at once, peaks 1.3-2 MB above the table here."""
-    monkeypatch.setattr(flows, "BLOCK_LINES", 64)
+    """The one-range parse of a 1 MiB file, read 8 KiB at a time, and each
+    range of a ranged parse read in this process, peak within a fixed bound
+    above the table returned (640 KiB): the bytes, text, lines and cells of
+    a read chunk or two, and one numeric column as it is joined (at this
+    file size, about 48 KiB).  Reading a whole range at once, or joining
+    every column at once, peaks 1.3-2 MB above the table here."""
+    monkeypatch.setattr(flows, "_READ_BYTES", 8 << 10)
     row = full_row()
     path = tmp_path / "big.labeled"
-    path.write_text(make_log(*[row] * (16 * flows._READ_BYTES // len(row))))
+    path.write_text(make_log(*[row] * (16 * (64 << 10) // len(row))))
     size = path.stat().st_size
     with open(path, "rb") as fh:
         halves = flows._line_ranges(fh, [(0, size // 2), (size // 2, size)])
@@ -1074,4 +1090,4 @@ def test_a_parse_holds_a_bounded_block_beyond_its_table(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert len(table) > 0
-        assert peak - held < 10 * flows._READ_BYTES, (peak - held, held)
+        assert peak - held < 10 * (64 << 10), (peak - held, held)

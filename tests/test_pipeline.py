@@ -300,6 +300,29 @@ class TestRunArtifacts:
             acc_va = float(np.mean(hybrid.predict(X[va]) == y[va]))
             assert lines[1 + fold_no] == f"{fold_no},{acc_tr!r},{acc_va!r}"
 
+    def test_cv_predicts_each_members_validation_rows_once(self, binary_data, tmp_path, monkeypatch):
+        """The hybrid curve votes from the validation predictions that scored
+        each member's fold, so no member predicts them a second time."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # every fit in this process
+        predicted = []
+
+        def counted(kind, predict):
+            def counting_predict(self, X):
+                predicted.append((kind, np.asarray(X).tobytes()))
+                return predict(self, X)
+            return counting_predict
+
+        for kind in HYBRID_MEMBERS["binary"]:
+            cls = KINDS[kind].model_class
+            monkeypatch.setattr(cls, "predict", counted(kind, cls.predict))
+        cfg = ExperimentConfig(task="binary", models=["rf", "gbm", "svm", "knn", "hybrid"], per_class=40,
+                               seed=7, split=(0.8, 0.2, 0.0), cv_folds=3, model_params=FAST_BINARY)
+        result = run_training(cfg, binary_data, tmp_path)
+        X, y = result.X["train"], result.y["train"]
+        for _, va in k_fold(y, 3, cfg.seed):
+            rows = X[va].tobytes()
+            assert [kind for kind, key in predicted if key == rows] == list(HYBRID_MEMBERS["binary"])
+
     def test_models_reach_high_test_accuracy(self, binary_run):
         for name, bundle in binary_run.bundles.items():
             acc = float(np.mean(bundle.predict(binary_run.X["test"]) == binary_run.y["test"]))
