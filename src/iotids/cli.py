@@ -23,6 +23,7 @@ log = logging.getLogger("iotids")
 
 # name -> the module it comes from
 _LAZY = {
+    "FEATURIZED_COLUMNS": ".features",
     "permutation_importance": ".features",
     "parse_conn_log_file": ".flows",
     "compute_metrics": ".metrics",
@@ -102,7 +103,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report_path = write_output(args.report, _use("metrics_to_json")(report, bundle.task))
     report_file = replaced_file(report_path)
     if report_file is None:
-        log.info("no confusion CSV: the report %s is a FIFO or character device", report_path)
+        log.info("no confusion CSV: the report %s is written in place (a FIFO, character device or descriptor)",
+                 report_path)
     else:
         write_output(report_file.with_suffix(".confusion.csv"), matrix.to_csv())
     log.info("accuracy %.4f -> %s", report.accuracy, report_path)
@@ -124,7 +126,10 @@ def predictions_csv(class_names: list[str], labels: np.ndarray, probs: np.ndarra
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = _use("load_bundle")(args.model)
-    X = bundle.featurize(_use("parse_conn_log_file")(args.input, allow_unlabeled=True))  # the table is freed here
+    # only the columns featurize reads are kept; the table is freed once featurized
+    table = _use("parse_conn_log_file")(args.input, allow_unlabeled=True, columns=_use("FEATURIZED_COLUMNS"))
+    X = bundle.featurize(table)
+    del table
     probs = bundle.predict_proba(X)
     labels = bundle.predict(X) if probs is None else probs.argmax(axis=1)
     out_path = write_output(args.output, predictions_csv(bundle.class_names, labels, probs))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import ipaddress
 import logging
+import mmap
 import re
 import socket
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import BadIpSyntax, ColumnMismatch, DataError, EmptyMatrix, IoFailure, SchemaMismatch
 from .flows import FlowTable
-from .parallel import map_row_ranges
+from .parallel import map_row_ranges, row_ranges
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +48,10 @@ SCOPE_FIELDS = ["orig_scope", "resp_scope"]
 
 # Categorical survivors, one-hot encoded in this order.
 CATEGORICAL_FIELDS = ["proto", "service", "conn_state", "orig_country", "resp_country"]
+
+# The FlowTable attributes featurization reads: a parse of rows only to be
+# featurized keeps these columns alone.
+FEATURIZED_COLUMNS = (*NUMERIC_FIELDS, "orig_h", "resp_h", "proto", "service", "conn_state")
 
 DROPPED_COLUMNS = [
     ("orig_h", "raw IP address; replaced by scope/country features"),
@@ -339,22 +344,22 @@ def matrix_from_records(
     imputed as 0), the IP scopes, then one-hot blocks; their order is a pure
     function of the schema.  Rows with an unseen category are counted in one
     warning per feature.  A large table's rows are filled in ranges spread
-    over forked workers (parallel.map_row_ranges); a row's values do not
-    depend on its range.
+    over forked workers (parallel.map_row_ranges), which write them into a
+    matrix in memory shared with them and send back only their counts; a
+    row's values do not depend on its range.
     """
     schema = build_schema(vocabulary)
     scale = params is not None and params.width == schema.width
-    values = np.empty((len(table), schema.width))
+    shape = (len(table), schema.width)
+    if len(row_ranges(len(table), _FEATURIZE_ROW_S)) > 1:
+        values = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1]))  # anonymous and shared
+    else:
+        values = np.empty(shape)
 
-    def fill(start: int, stop: int) -> tuple[int, np.ndarray, list[int]]:
-        block = values[start:stop]
-        return start, block, _fill_rows(block, table.rows(start, stop), cidr, vocabulary, params if scale else None)
+    def fill(start: int, stop: int) -> list[int]:
+        return _fill_rows(values[start:stop], table.rows(start, stop), cidr, vocabulary, params if scale else None)
 
-    unseen = np.zeros(len(CATEGORICAL_FIELDS), dtype=np.int64)
-    for start, block, counts in map_row_ranges(fill, len(table), _FEATURIZE_ROW_S):
-        if block.base is not values:  # a forked child's rows, as it sent them
-            values[start : start + len(block)] = block
-        unseen += counts
+    unseen = np.sum(map_row_ranges(fill, len(table), _FEATURIZE_ROW_S), axis=0, dtype=np.int64)
     for feature, count in zip(CATEGORICAL_FIELDS, unseen.tolist()):
         if count:
             log.warning("%d rows with an unseen category for feature %r encoded as all zeros", count, feature)

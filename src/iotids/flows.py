@@ -25,7 +25,7 @@ from functools import partial
 from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -126,7 +126,8 @@ LABEL_MAP_VERSION, _DETAILED_LABEL_MAP = _load_label_map()
 
 @dataclass(frozen=True, eq=False)
 class FlowTable:
-    """Parsed conn-log rows as columns keyed by attribute (ZEEK_TO_ATTR's values).
+    """Parsed conn-log rows as columns keyed by attribute (ZEEK_TO_ATTR's
+    values): all of them, or those a parse was asked to keep.
 
     Numeric and bool columns are float64 arrays with NaN for a missing
     value (a missing port is 0, bools are 1.0/0.0); text columns are lists
@@ -285,14 +286,21 @@ _SPECIAL_TOKENS = {UNSET, EMPTY, ""}
 
 
 class _TableBuilder:
-    """Accumulates converted blocks of data rows into FlowTable columns."""
+    """Accumulates converted blocks of data rows into the FlowTable columns
+    named in `columns` (every column when None).  Every numeric cell is
+    converted and checked whether its column is kept or not; a text column
+    that is not kept is not converted, as no text cell is checked, bar a
+    missing label."""
 
-    def __init__(self, allow_unlabeled: bool):
+    def __init__(self, allow_unlabeled: bool, columns: Collection[str] | None = None):
         self.allow_unlabeled = allow_unlabeled
-        self.numeric: dict[str, list[np.ndarray]] = {a: [] for a in _NUMERIC_ATTRS}
-        self.text: dict[str, list] = {a: [] for a in ZEEK_TO_ATTR.values() if a not in _NUMERIC_ATTRS}
-        # per text column: token -> value, so a repeated value is one str
+        self.kept = [a for a in ZEEK_TO_ATTR.values() if columns is None or a in columns]
+        self.numeric: dict[str, list[np.ndarray]] = {a: [] for a in self.kept if a in _NUMERIC_ATTRS}
+        self.text: dict[str, list] = {a: [] for a in self.kept if a not in _NUMERIC_ATTRS}
+        # per text column converted: token -> value, so a repeated value is one str
         self.values: dict[str, dict[str, str | None]] = {a: {} for a in self.text}
+        if not allow_unlabeled:
+            self.values.setdefault("raw_label", {})  # for the missing-label check
         self.line_no: list[np.ndarray] = []
 
     def add(self, header: list[str], lines: list[str], first_line: int) -> None:
@@ -331,7 +339,7 @@ class _TableBuilder:
                 if attr in _PORT_ATTRS:
                     values[np.isnan(values)] = 0.0
                 block[attr] = values
-            else:
+            elif attr in self.values:
                 known = self.values[attr]
                 new = set(tokens).difference(known)
                 if attr == "proto":
@@ -357,18 +365,23 @@ class _TableBuilder:
     def table(self) -> FlowTable:
         # a numeric column's blocks are let go as it is joined
         columns = {a: np.concatenate(self.numeric.pop(a) or [np.zeros(0)]) if a in self.numeric else self.text[a]
-                   for a in ZEEK_TO_ATTR.values()}
+                   for a in self.kept}
         line_no = np.concatenate(self.line_no) if self.line_no else np.zeros(0, dtype=np.int64)
         return FlowTable(columns, line_no)
 
 
 def _parse_lines(
-    blocks: Iterable[list[str]], allow_unlabeled: bool, header: list[str] | None = None, line_no: int = 0
+    blocks: Iterable[list[str]],
+    allow_unlabeled: bool,
+    header: list[str] | None = None,
+    line_no: int = 0,
+    columns: Collection[str] | None = None,
 ) -> FlowTable:
     """A FlowTable of conn-log lines, given as blocks of lines without their
-    endings; errors carry line numbers.  The lines may start part-way through
-    a file: after line `line_no`, with the #fields `header` in effect there."""
-    builder = _TableBuilder(allow_unlabeled)
+    endings, holding the `columns` kept (_TableBuilder); errors carry line
+    numbers.  The lines may start part-way through a file: after line
+    `line_no`, with the #fields `header` in effect there."""
+    builder = _TableBuilder(allow_unlabeled, columns)
     for block in blocks:
         # blank and directive lines split the block into runs of data lines
         breaks = [i for i, line in enumerate(block) if not line or line[0] == "#"]
@@ -410,12 +423,18 @@ _PARSE_BYTE_S = 2e-8
 _READ_BYTES = 1 << 16
 
 
-def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> FlowTable:
-    """Parse a conn-log file, read in bounded blocks (_parse_range).  A large
-    file is cut after a line break into byte ranges, one per usable CPU (see
-    _line_ranges), that forked children parse; their tables are joined in
-    order.  A file not cut, or in which any range fails, is parsed here as one
-    range, so every error (and its line) is that of a parse in file order."""
+def parse_conn_log_file(
+    path: str | Path, *, allow_unlabeled: bool = False, columns: Collection[str] | None = None
+) -> FlowTable:
+    """Parse a conn-log file, read in bounded blocks (_parse_range), into a
+    FlowTable of the attributes in `columns` (every one when None).  Every
+    cell is still converted and checked, so a file fails as it does when
+    every column is kept.  A large file is cut after a line break into byte
+    ranges, one per usable CPU (see _line_ranges): this process parses the
+    first and forked children the others, and the tables are joined in
+    order.  A file not cut, or in which any range fails, is parsed here as
+    one range, so every error (and its line) is that of a parse in file
+    order."""
     from .parallel import forked_map, row_ranges  # here, so synth loads no module for parsing
 
     try:
@@ -423,22 +442,29 @@ def parse_conn_log_file(path: str | Path, *, allow_unlabeled: bool = False) -> F
             size = os.fstat(fh.fileno()).st_size
             nominal = row_ranges(size, _PARSE_BYTE_S)
             ranges = _line_ranges(fh, nominal) if len(nominal) > 1 else []
+        parse = partial(_parse_range, path, allow_unlabeled, columns=columns)
         if len(ranges) > 1:
             try:
-                return FlowTable.concat(forked_map(partial(_parse_range, path, allow_unlabeled), ranges))
+                return FlowTable.concat(forked_map(parse, ranges))
             except Exception:
                 pass  # the parse of the whole file below raises the error
-        return _parse_range(path, allow_unlabeled, (0, size, 0, None))
+        return parse((0, size, 0, None))
     except OSError as exc:
         raise IoFailure(f"cannot read conn log {path}: {exc}") from exc
 
 
-def _parse_range(path: str | Path, allow_unlabeled: bool, piece: tuple[int, int, int, list[str] | None]) -> FlowTable:
-    """A FlowTable of a byte range of the file, as _line_ranges gives them."""
+def _parse_range(
+    path: str | Path,
+    allow_unlabeled: bool,
+    piece: tuple[int, int, int, list[str] | None],
+    columns: Collection[str] | None = None,
+) -> FlowTable:
+    """A FlowTable of the `columns` kept of a byte range of the file, as
+    _line_ranges gives them."""
     start, stop, line_no, header = piece
     with open(path, "rb") as fh:
         fh.seek(start)
-        return _parse_lines(_file_lines(fh, stop, line_no, path), allow_unlabeled, header, line_no)
+        return _parse_lines(_file_lines(fh, stop, line_no, path), allow_unlabeled, header, line_no, columns)
 
 
 def _chunks(fh: BinaryIO, stop: int) -> Iterator[bytes]:

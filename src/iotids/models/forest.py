@@ -35,6 +35,15 @@ class ForestModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Share of the trees voting for each class."""
+        return self._per_range(X, lambda shares: shares)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Modal tree vote; ties go to the lowest class.  Each row range is
+        reduced to its labels where it is computed."""
+        return self._per_range(X, lambda shares: np.argmax(shares, axis=1))
+
+    def _per_range(self, X: np.ndarray, reduce) -> np.ndarray:
+        """reduce(the class shares of a row range) over X's row ranges, joined."""
         X = input_rows(X, self.n_features)
         table = stack_trees(self.trees)
 
@@ -43,13 +52,9 @@ class ForestModel:
             for rows, leaves in table.leaf_blocks(X):
                 cells = table.value[leaves] * leaves.shape[1] + np.arange(leaves.shape[1])  # class-major
                 votes[rows] = np.bincount(cells.ravel(), minlength=votes[rows].size).reshape(self.n_classes, -1).T
-            return votes / len(self.trees)
+            return reduce(votes / len(self.trees))
 
         return np.concatenate(table.map_row_ranges(shares, X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Modal tree vote; ties go to the lowest class."""
-        return np.argmax(self.predict_proba(X), axis=1)
 
     def to_dict(self) -> dict:
         return {

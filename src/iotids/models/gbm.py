@@ -50,6 +50,15 @@ class GbmModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Softmax over scores accumulated through best_round; a zero-round
         model yields the uniform distribution."""
+        return self._per_range(X, lambda probs: probs)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """argmax of predict_proba, taken for each row range where it is
+        computed; softmax and argmax work row by row."""
+        return self._per_range(X, lambda probs: np.argmax(probs, axis=1))
+
+    def _per_range(self, X: np.ndarray, reduce) -> np.ndarray:
+        """reduce(the class probabilities of a row range) over X's row ranges, joined."""
         X = input_rows(X, self.n_features)
         kept = self.rounds[: self.best_round + 1]
         table = stack_trees([tree for round_trees in kept for tree in round_trees])
@@ -63,12 +72,9 @@ class GbmModel:
                 for r in range(len(kept)):  # round by round, as fit_gbm added them
                     block += round_steps[r]
                 F[rows] = block.T
-            return F
+            return reduce(softmax(F))
 
-        return softmax(np.concatenate(table.map_row_ranges(scores, X)))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
+        return np.concatenate(table.map_row_ranges(scores, X))
 
     def to_dict(self) -> dict:
         return {

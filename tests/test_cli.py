@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import iotids
-from iotids import parallel
+from iotids import cli, parallel
 from iotids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MODEL, EXIT_OK, main, predictions_csv
 from iotids.errors import ConfigError, IoFailure
+from iotids.features import FEATURIZED_COLUMNS
 from iotids.flows import parse_conn_log_file
 from iotids.output import write_output
 from iotids.persist import load_bundle
@@ -169,6 +170,24 @@ class TestPredict:
         X = bundle.featurize(parse_conn_log_file(data, allow_unlabeled=True))
         assert (bundle.predict_proba(X) is None) == (kind == "hybrid")
         assert out.read_bytes() == row_by_row_csv(bundle, X).encode()
+
+    def test_parses_only_the_featurized_columns(self, workspace, tmp_path, monkeypatch):
+        """The input is parsed once, keeping only the columns featurize
+        reads, and the CSV is that of a parse that keeps every column."""
+        model, data = workspace / "run" / "models" / "hybrid.json", workspace / "data" / "synth_binary.labeled"
+        calls = []
+
+        def spy(path, **options):
+            table = parse_conn_log_file(path, **options)
+            calls.append((options, set(table.columns)))
+            return table
+
+        monkeypatch.setattr(cli, "parse_conn_log_file", spy, raising=False)
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model), "--input", str(data), "--output", str(out)]) == EXIT_OK
+        assert calls == [({"allow_unlabeled": True, "columns": FEATURIZED_COLUMNS}, set(FEATURIZED_COLUMNS))]
+        bundle = load_bundle(model)
+        assert out.read_bytes() == row_by_row_csv(bundle, bundle.featurize(parse_conn_log_file(data))).encode()
 
     def test_csv_of_no_rows_is_its_header(self):
         assert predictions_csv(["Benign", "Malicious"], np.zeros(0, dtype=np.int64), None) == \
@@ -678,6 +697,37 @@ class TestOutputTargets:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == predictions
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("path", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+    def test_stdout_appending_to_a_file_keeps_what_it_held(self, workspace, predictions, tmp_path, path):
+        # as `iotids predict --output /dev/stdout >> file`: the descriptor is written, the file not replaced
+        held = tmp_path / "held.csv"
+        held.write_bytes(b"old line\n")
+        with open(held, "ab") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "iotids.cli",
+                                   *command_args(workspace, "predict", tmp_path)[:-1], path],
+                                  env=cli_env(), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert held.read_bytes() == b"old line\n" + predictions
+        assert list(tmp_path.iterdir()) == [held]
+
+    def test_stdout_truncating_a_file_holds_the_csv(self, workspace, predictions, tmp_path):
+        held = tmp_path / "held.csv"
+        held.write_bytes(b"old line\n" * 1000)
+        with open(held, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "iotids.cli",
+                                   *command_args(workspace, "predict", tmp_path)[:-1], "/dev/stdout"],
+                                  env=cli_env(), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert held.read_bytes() == predictions
+        assert list(tmp_path.iterdir()) == [held]
+
+    def test_a_closed_descriptor_is_io_failure(self, tmp_path):
+        fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
+        os.close(fd)
+        with pytest.raises(IoFailure, match=f"cannot write /dev/fd/{fd}"):
+            write_output(f"/dev/fd/{fd}", "x")
+        assert (tmp_path / "f").read_bytes() == b""
 
     def test_failed_in_place_write_is_io_failure(self, tmp_path, monkeypatch):
         # as /dev/full's ENOSPC: the device is written in place, and its error is an IoFailure

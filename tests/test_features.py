@@ -2,6 +2,7 @@
 
 import ipaddress
 import logging
+import mmap
 import os
 
 import numpy as np
@@ -551,6 +552,34 @@ class TestRangedFeaturize:
         with pytest.raises(BadIpSyntax) as ranged:
             self.featurize(monkeypatch, cpus, rows, table, vocab, min_range_s=1e-12)
         assert ranged.value.address == serial.value.address == ("999.1.1.1" if at == 290 else "10.0.0.256")
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_ranges_write_one_shared_matrix(self, monkeypatch, fails):
+        """Two ranges write their rows into one anonymous shared mapping and
+        send back only their counts of unseen categories.  When the child's
+        range fails after writing its rows, the serial rerun here overwrites
+        every row."""
+        rows, table, vocab = self.corpus()
+        args = [rows, table, vocab, fit_min_max(matrix_from_records(rows, table, vocab)[0][:50])]
+        serial, _ = self.featurize(monkeypatch, 1, *args, min_range_s=parallel.MIN_RANGE_S)
+        assert serial.base is None  # one range: np.empty
+        parent, fill, map_ranges, returned = os.getpid(), features._fill_rows, features.map_row_ranges, []
+
+        def child_fails(out, *rest):
+            counts = fill(out, *rest)
+            if fails and os.getpid() != parent:
+                out[:] = np.nan  # rows the serial rerun must overwrite
+                raise RuntimeError("the child's range failed")
+            return counts
+
+        monkeypatch.setattr(features, "_fill_rows", child_fails)
+        monkeypatch.setattr(features, "map_row_ranges", lambda *a: returned.append(map_ranges(*a)) or returned[-1])
+        ranged, _ = self.featurize(monkeypatch, 2, *args, min_range_s=1e-12)
+        assert isinstance(ranged.base, mmap.mmap)
+        assert ranged.tobytes() == serial.tobytes()
+        assert len(returned[0]) == (1 if fails else 2)  # the serial rerun's one result, or one per range
+        assert all(len(counts) == len(CATEGORICAL_FIELDS) and all(type(c) is int for c in counts)
+                   for counts in returned[0])
 
     def test_small_tables_stay_in_this_process(self, monkeypatch):
         rows, table, vocab = self.corpus()

@@ -24,6 +24,7 @@ from iotids.errors import (
     UnknownBinaryLabel,
 )
 from iotids.features import (
+    FEATURIZED_COLUMNS,
     NUMERIC_FIELDS,
     CidrTable,
     fit_one_hot,
@@ -840,6 +841,43 @@ class TestParserEquivalence:
         assert {"ok", "BadNumeric", "ColumnCountMismatch", "MalformedHeader"} <= set(seen)
         assert seen.count("ok") >= 50 and seen.count("BadNumeric") >= 50
 
+    def test_featurized_columns_are_those_of_the_full_parse(self, tmp_path, monkeypatch):
+        """Parsed keeping only the columns featurize reads, in one range or
+        two, each corpus gives the full parse's values of those columns, its
+        line numbers, or its error: every cell is still checked, so a bad
+        token in a column not kept (ts) fails the parse as before."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(parallel, "MIN_RANGE_S", 1e-12)
+        two_ranges = parallel.row_ranges  # at two CPUs and any length
+        seen = []
+        for corpus in range(200):
+            rng = np.random.default_rng([77, corpus])
+            monkeypatch.setattr(flows, "_READ_BYTES", int(rng.choice([1, 20, 90, 200, 300])))
+            lines = _corpus_lines(rng, int(rng.integers(0, 120)))
+            ending = "\r\n" if rng.random() < 0.3 else "\n"
+            path = tmp_path / f"c{corpus}.labeled"
+            path.write_bytes((ending.join(lines) + ending).encode())
+            for allow in (False, True):
+                full = serial_outcome(path, allow)
+                want = full if isinstance(full, tuple) else \
+                    flows.FlowTable({a: full[a] for a in FEATURIZED_COLUMNS}, full.line_no)
+                for ranges in (lambda n, row_s: [(0, n)], two_ranges):
+                    monkeypatch.setattr(parallel, "row_ranges", ranges)
+                    same_outcome(_outcome_of(lambda: parse_conn_log_file(
+                        path, allow_unlabeled=allow, columns=FEATURIZED_COLUMNS)), want)
+                seen.append(full[0].__name__ + " ts" * ("column 'ts'" in full[1]) if isinstance(full, tuple) else "ok")
+        assert {"ok", "BadNumeric", "BadNumeric ts", "ColumnCountMismatch", "MalformedHeader"} <= set(seen)
+
+    @pytest.mark.parametrize("column, token", [("ts", "soon"), ("ts", "nan"), ("missed_bytes", "1.5.2")])
+    def test_a_bad_token_fails_the_parse_that_keeps_only_featurized_columns(self, tmp_path, column, token):
+        rows = [full_row(uid=f"C{i}") for i in range(6)]
+        rows[3] = full_row(**{column: token})
+        path = tmp_path / "bad.labeled"
+        path.write_text(make_log(*rows))
+        want = _outcome_of(lambda: parse_conn_log_file(path))
+        assert want[0] is BadNumeric and f"column {column!r}" in want[1]
+        assert _outcome_of(lambda: parse_conn_log_file(path, columns=FEATURIZED_COLUMNS)) == want
+
     def test_every_typed_column_and_token(self):
         # each numeric or bool column holding each token, in a column of
         # plain numbers and in one that also holds a missing value
@@ -900,10 +938,10 @@ def ranged(monkeypatch, cpus):
         cuts.append(line_ranges(fh, nominal))
         return cuts[-1]
 
-    def counted(path, allow, piece):
+    def counted(path, allow, piece, **options):
         # the whole file as one range, read in this process (a child's count is its own)
         fallbacks["serial"] += piece[:2] == (0, os.path.getsize(path))
-        return parse_range(path, allow, piece)
+        return parse_range(path, allow, piece, **options)
 
     monkeypatch.setattr(flows, "_line_ranges", recorded)
     monkeypatch.setattr(flows, "_parse_range", counted)

@@ -88,6 +88,25 @@ def test_tree_predicts_are_the_same_bits_at_every_worker_count(monkeypatch, mode
         assert set(seen) == {rows // max(1, min(cpus, rows))}  # the first range; the children descend the rest
 
 
+@pytest.mark.parametrize("kind", ["rf", "gbm"])
+@pytest.mark.parametrize("rows", [1, 7, 301])
+def test_ranged_predict_is_the_argmax_of_the_probabilities(monkeypatch, models, kind, rows):
+    """Each range is reduced to its labels where it is computed: predict
+    over forced ranges gives argmax(predict_proba) bit for bit, and no range
+    sends back a probability matrix."""
+    model = models[0][kind]
+    X = models[1][:rows]
+    want = np.argmax(model.predict_proba(X), axis=1)
+    ranges, returned = tree.map_row_ranges, []
+    monkeypatch.setattr(tree, "map_row_ranges", lambda *a: returned.append(ranges(*a)) or returned[-1])
+    for cpus in (2, 3):
+        returned.clear()
+        force_ranges(monkeypatch, cpus)
+        got = model.predict(X)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), cpus
+        assert [r.shape for r in returned[0]] == [(stop - start,) for start, stop in parallel.row_ranges(rows, 1.0)]
+
+
 def test_only_the_large_scoring_layers_are_cut(monkeypatch):
     """On two CPUs, at the real smallest range: the benchmark's predict of
     30,100 flows (4.8 MB) cuts its parse, featurize and gbm (70 trees of

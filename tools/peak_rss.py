@@ -7,11 +7,14 @@ Usage (from anywhere; the CLI runs from this checkout's `src/`):
 In a temporary directory, with the seeds of perfbench/run.py (config N,
 data 2N, scored input 2N + 1) and the workloads of perfbench/workloads.json
 (read, never changed), it runs `iotids synth` of each data spec, then, one
-subprocess at a time, `iotids train` of the train_binary and
-train_multiclass configs, and `iotids predict` of the train_multiclass ann,
-cnn and hybrid bundles on the score_flows input (30,100 flows). Each of
-those commands prints one JSON line: {"command", "workload", "model",
-"seed", "peak_rss_mb", "minor_faults", "sha256"}. peak_rss_mb is the
+subprocess at a time, `iotids train` of the train_binary, train_multiclass
+and score_flows configs, `iotids predict` of the train_multiclass ann, cnn
+and hybrid bundles on the score_flows input (30,100 flows), and the
+score_flows pair itself: `iotids predict` of its own hybrid bundle on that
+input, as perfbench/run.py times it. Each of those commands prints one
+JSON line: {"command", "workload", "model", "seed", "peak_rss_mb",
+"minor_faults", "sha256"}, where a predict's workload is the one whose
+bundle it loads. peak_rss_mb is the
 child's ru_maxrss from os.wait4, in MB (1e6 bytes) as perfbench reports it;
 minor_faults is its ru_minflt from the same os.wait4: the pages that the
 command and the children it waited for faulted in without I/O, so memory
@@ -33,8 +36,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TRAIN_WORKLOADS = ("train_binary", "train_multiclass")
-PREDICTED_MODELS = ("ann", "cnn", "hybrid")
+TRAIN_WORKLOADS = ("train_binary", "train_multiclass", "score_flows")
+# (workload whose bundle is predicted, model) for each predict on the score_flows input
+PREDICTS = (("train_multiclass", "ann"), ("train_multiclass", "cnn"), ("train_multiclass", "hybrid"),
+            ("score_flows", "hybrid"))
 
 
 def cli(*args: str) -> tuple[float, int]:
@@ -84,12 +89,12 @@ def main(argv: list[str] | None = None) -> int:
             run = tmp / name / "run"
             usage = cli("train", "--config", str(config), "--data", str(data.parent), "--out", str(run))
             report("train", name, None, seed, usage, run / "manifest.json")
-        scored = synth(dict(workloads["score_flows"]["input"], seed=2 * seed + 1), tmp / "score_flows")
-        for model in PREDICTED_MODELS:
-            csv = tmp / f"{model}.csv"
-            usage = cli("predict", "--model", str(tmp / "train_multiclass/run/models" / f"{model}.json"),
+        scored = synth(dict(workloads["score_flows"]["input"], seed=2 * seed + 1), tmp / "scored")
+        for name, model in PREDICTS:
+            csv = tmp / f"{name}_{model}.csv"
+            usage = cli("predict", "--model", str(tmp / name / "run" / "models" / f"{model}.json"),
                         "--input", str(scored), "--output", str(csv))
-            report("predict", "train_multiclass", model, seed, usage, csv)
+            report("predict", name, model, seed, usage, csv)
     return 0
 
 
